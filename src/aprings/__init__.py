@@ -52,6 +52,7 @@ from .rings import (
     AnnihilationReport,
     BurnsideModel,
     FiniteQuotientRing,
+    FreeRing,
     GroupRingModel,
     ProductRing,
     ProductZRing,

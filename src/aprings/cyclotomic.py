@@ -20,7 +20,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .config import default_limits
-from .errors import NonIntegerCoefficient, UnsupportedOrder
+from .errors import CheckFailed, NonIntegerCoefficient, UnsupportedOrder
 from .intpoly import IntPolynomial
 
 
@@ -87,7 +87,8 @@ def _cyclotomic(m: int) -> IntPolynomial:
     num = IntPolynomial.monomial(m) - 1
     for d in divisors(m)[:-1]:
         q, r = divmod(num, _cyclotomic(d))
-        assert r.is_zero
+        if not r.is_zero:
+            raise CheckFailed(f"Phi_{d} does not divide X^{m} - 1 exactly")
         num = q
     return num
 

@@ -47,3 +47,7 @@ class UnsupportedModel(ApringsError):
 
 class ExpressionError(ApringsError):
     """Malformed element expression."""
+
+
+class CheckFailed(ApringsError):
+    """An exact identity that a check or a computation relies on does not hold."""

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 from .config import Limits, default_limits
 from .cyclotomic import CyclotomicInteger, cyclotomic_polynomial
-from .errors import ExponentMismatch, OrderBoundExceeded
+from .errors import CheckFailed, ExponentMismatch, OrderBoundExceeded
 
 Perm = tuple[int, ...]
 Permutation = Perm
@@ -212,7 +212,8 @@ def mark(G: PermGroup, H1: Iterable[Perm], H2: Iterable[Perm]) -> int:
     count = sum(
         1 for g in G.elements if all(conjugate_perm(g, h) in H1set for h in H2t)
     )
-    assert count % len(H1set) == 0
+    if count % len(H1set):
+        raise CheckFailed(f"{count} conjugators is not a multiple of |H1| = {len(H1set)}")
     return count // len(H1set)
 
 
@@ -348,7 +349,8 @@ def characters(G: FiniteAbelianGroup, m: int) -> list[Character]:
         Character(group=G, target_order=m, exponents=exps)
         for exps in product(*(range(o) for o in G.factor_orders))
     ]
-    assert len(chars) == G.order
+    if len(chars) != G.order:
+        raise CheckFailed(f"{len(chars)} characters for a group of order {G.order}")
     return chars
 
 

@@ -103,49 +103,26 @@ def product_table(t1: FiniteRingTable, t2: FiniteRingTable) -> FiniteRingTable:
 
 
 def burnside_mod_p_table(marks: TableOfMarks, p: int) -> FiniteRingTable:
-    """The Burnside ring reduced mod p, built from integer structure
-    constants of the basis classes."""
+    """The Burnside ring reduced mod p: the model's integer products of
+    coefficient vectors, reduced mod p (a ring homomorphism)."""
     from itertools import product as iproduct
 
     from .rings import BurnsideModel
 
     model = BurnsideModel(marks)
-    k = model.k
-    basis = []
-    for i in range(k):
-        e = [0] * k
-        e[i] = 1
-        basis.append(tuple(e))
-    structure = [[model.mul(basis[i], basis[j]) for j in range(k)] for i in range(k)]
-
-    vectors = [tuple(v) for v in iproduct(range(p), repeat=k)]
+    vectors = [tuple(v) for v in iproduct(range(p), repeat=model.k)]
     index = {v: i for i, v in enumerate(vectors)}
 
-    def vadd(a, b):
-        return tuple((x + y) % p for x, y in zip(a, b))
+    def reduced(v) -> int:
+        return index[tuple(x % p for x in v)]
 
-    def vmul(a, b):
-        out = [0] * k
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y == 0:
-                    continue
-                coeffs = structure[i][j]
-                for l, c in enumerate(coeffs):
-                    out[l] = (out[l] + x * y * c) % p
-        return tuple(out)
-
-    one_vec = [0] * k
-    one_vec[model.one().index(1)] = 1
     return FiniteRingTable(
         elements=vectors,
-        add=[[index[vadd(a, b)] for b in vectors] for a in vectors],
-        mul=[[index[vmul(a, b)] for b in vectors] for a in vectors],
-        neg=[index[tuple((-x) % p for x in v)] for v in vectors],
-        zero=index[(0,) * k],
-        one=index[tuple(one_vec)],
+        add=[[reduced(model.add(a, b)) for b in vectors] for a in vectors],
+        mul=[[reduced(model.mul(a, b)) for b in vectors] for a in vectors],
+        neg=[reduced(model.neg(v)) for v in vectors],
+        zero=reduced(model.zero()),
+        one=reduced(model.one()),
     )
 
 

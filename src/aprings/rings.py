@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from random import Random
 from typing import Iterable, Optional, Sequence
@@ -32,7 +32,13 @@ from .errors import (
     R2Violation,
     UnsupportedModel,
 )
-from .groups import FiniteAbelianGroup, TableOfMarks, named_group, table_of_marks
+from .groups import (
+    FiniteAbelianGroup,
+    TableOfMarks,
+    characters,
+    named_group,
+    table_of_marks,
+)
 from .intpoly import IntPolynomial
 
 
@@ -40,6 +46,9 @@ class RingModel:
     """Common interface of all ring models."""
 
     kind: str = "abstract"
+    # e when the model is presented with q = X^e - 1 and S inside the
+    # e-th roots of unity (Z, group rings and their quotients), else None
+    unity_exponent: Optional[int] = None
 
     def __init__(self, name: str):
         self.name = name
@@ -66,18 +75,7 @@ class RingModel:
 
     def embed_int(self, n: int):
         """n * 1_R through ring additions (double-and-add)."""
-        if n == 0:
-            return self.zero()
-        negate = n < 0
-        n = abs(n)
-        result = self.zero()
-        addend = self.one()
-        while n:
-            if n & 1:
-                result = self.add(result, addend)
-            addend = self.add(addend, addend)
-            n >>= 1
-        return self.neg(result) if negate else result
+        return _scaled(self, self.one(), n)
 
     # structure ---------------------------------------------------------
 
@@ -145,17 +143,146 @@ def poly_eval_in_ring(p: IntPolynomial, r, model: RingModel):
     return result
 
 
+# -- rings free as Z-modules ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GhostColumn:
+    """One coordinate of a ghost map: a ring homomorphism into Z or into
+    a ring of cyclotomic integers, given by its values on the basis.
+    `kernel` is the (kind, label) under which its kernel is listed as a
+    minimal prime."""
+
+    label: str
+    values: tuple
+    kernel: tuple[str, str]
+
+    def evaluate(self, coords: Sequence[int]):
+        return sum(c * v for c, v in zip(coords, self.values) if c)
+
+
+class FreeRing(RingModel):
+    """A ring that is free as a Z-module on a labelled basis, the basis
+    being the generating set S.
+
+    Elements are dense integer coefficient tuples over the basis, and
+    multiplication follows the sparse structure constants
+    e_i * e_j = sum_l c_ijl e_l.  Since S is a basis, the minimal signed
+    decomposition of an element is its coefficient vector, so its length
+    is the L1 norm.  The ghost (a tuple of GhostColumn) is a jointly
+    injective family of ring homomorphisms into Z or Z[zeta]: identity
+    coordinates, group characters or marks.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        labels: Sequence[str],
+        structure: Sequence[Sequence[tuple[tuple[int, int], ...]]],
+        one: Sequence[int],
+        spec: RootSpec,
+        q: IntPolynomial,
+    ):
+        super().__init__(name)
+        self.labels = tuple(labels)
+        self._structure = structure  # [i][j] -> ((l, c_ijl) for c_ijl != 0)
+        self._one = tuple(one)
+        self._spec = spec
+        self._q = q
+        n = len(self.labels)
+        self._generators = tuple(
+            (label, tuple(int(i == j) for j in range(n)))
+            for i, label in enumerate(self.labels)
+        )
+        self._check_r2()
+
+    @property
+    def ghost(self) -> tuple[GhostColumn, ...]:
+        raise NotImplementedError
+
+    def coordinates(self, r) -> tuple[int, ...]:
+        """The coefficient vector of r over the basis."""
+        return r
+
+    def ghost_map(self, r) -> tuple:
+        coords = self.coordinates(r)
+        return tuple(col.evaluate(coords) for col in self.ghost)
+
+    def zero(self):
+        return (0,) * len(self.labels)
+
+    def one(self):
+        return self._one
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x for x in a)
+
+    def mul(self, a, b):
+        out = [0] * len(self.labels)
+        nonzero_b = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x == 0:
+                continue
+            row = self._structure[i]
+            for j, y in nonzero_b:
+                for l, c in row[j]:
+                    out[l] += x * y * c
+        return tuple(out)
+
+    def embed_int(self, n):
+        return tuple(n * x for x in self._one)
+
+    def generators(self):
+        return self._generators
+
+    def generating_polynomial(self):
+        return self._q
+
+    def root_spec(self):
+        return self._spec
+
+    def length(self, r):
+        return sum(abs(x) for x in self.coordinates(r))
+
+    def element_to_json(self, r):
+        return [[label, str(c)] for label, c in zip(self.labels, r) if c]
+
+    def element_from_json(self, data):
+        out = [0] * len(self.labels)
+        lookup = {label: i for i, label in enumerate(self.labels)}
+        for label, value in data:
+            if label not in lookup:
+                raise ExpressionError(f"unknown basis label {label!r}")
+            out[lookup[label]] = int(value)
+        return tuple(out)
+
+    def format_element(self, r):
+        return _format_combination(zip(self.labels, self.coordinates(r)))
+
+
 # -- Z ---------------------------------------------------------------------------
 
 
-class ZRing(RingModel):
-    """The rational integers with S = {1, -1} and q = X^2 - 1."""
+class ZRing(FreeRing):
+    """The rational integers with S = {1, -1} and q = X^2 - 1.
+
+    Elements are plain ints; the ghost is the identity.
+    """
 
     kind = "Z"
+    unity_exponent = 2
+    ghost = (GhostColumn("id", (1,), ("signature", "ker id")),)
 
     def __init__(self):
-        super().__init__("Z")
-        self._check_r2()
+        super().__init__(
+            "Z", ("1",), (((0, 1),),), (1,), RootSpec.integers(-1, 1), IntPolynomial((-1, 0, 1))
+        )
+
+    def coordinates(self, r):
+        return (r,)
 
     def zero(self):
         return 0
@@ -178,30 +305,18 @@ class ZRing(RingModel):
     def generators(self):
         return (("1", 1),)
 
-    def generating_polynomial(self):
-        return IntPolynomial((-1, 0, 1))
-
-    def root_spec(self):
-        return RootSpec.integers(-1, 1)
-
-    def length(self, r):
-        return abs(r)
-
     def element_to_json(self, r):
         return str(r)
 
     def element_from_json(self, data):
         return int(data)
 
-    def format_element(self, r):
-        return str(r)
-
 
 # -- products of copies of Z -------------------------------------------------------
 
 
-class ProductZRing(RingModel):
-    """Z^k with S = {e_i} and q = X^3 - X."""
+class ProductZRing(FreeRing):
+    """Z^k with S = {e_i} and q = X^3 - X; the ghost is the projections."""
 
     kind = "product_z"
 
@@ -209,43 +324,22 @@ class ProductZRing(RingModel):
         if k < 1:
             raise ValueError("k must be positive")
         self.k = k
-        super().__init__(f"Z^{k}")
-        self._check_r2()
+        structure = [[((i, 1),) if i == j else () for j in range(k)] for i in range(k)]
+        super().__init__(
+            f"Z^{k}",
+            [f"e{i}" for i in range(k)],
+            structure,
+            (1,) * k,
+            RootSpec.integers(-1, 0, 1),
+            IntPolynomial((0, -1, 0, 1)),
+        )
 
-    def zero(self):
-        return (0,) * self.k
-
-    def one(self):
-        return (1,) * self.k
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
-
-    def mul(self, a, b):
-        return tuple(x * y for x, y in zip(a, b))
-
-    def embed_int(self, n):
-        return (n,) * self.k
-
-    def generators(self):
-        out = []
-        for i in range(self.k):
-            e = [0] * self.k
-            e[i] = 1
-            out.append((f"e{i}", tuple(e)))
-        return tuple(out)
-
-    def generating_polynomial(self):
-        return IntPolynomial((0, -1, 0, 1))
-
-    def root_spec(self):
-        return RootSpec.integers(-1, 0, 1)
-
-    def length(self, r):
-        return sum(abs(x) for x in r)
+    @cached_property
+    def ghost(self):
+        return tuple(
+            GhostColumn(f"pi{i}", e, ("signature", f"ker pi{i}"))
+            for i, (_, e) in enumerate(self.generators())
+        )
 
     def element_to_json(self, r):
         return [str(x) for x in r]
@@ -263,25 +357,33 @@ class ProductZRing(RingModel):
 # -- group rings ------------------------------------------------------------------
 
 
-class GroupRingModel(RingModel):
+class GroupRingModel(FreeRing):
     """Z[G] for a finite abelian G, with S = G and q = X^exp(G) - 1.
 
     Elements are dense coefficient tuples over the sorted group
-    elements; index 0 is the identity.
+    elements; index 0 is the identity.  The ghost is the characters of
+    G into the exp(G)-th roots of unity, as integer signs when
+    exp(G) <= 2.
     """
 
     kind = "group_ring"
 
     def __init__(self, group: FiniteAbelianGroup, name: Optional[str] = None):
         self.group = group
+        self.unity_exponent = group.exponent
         self.basis = group.elements()
-        self.index = {g: i for i, g in enumerate(self.basis)}
-        self.mult_index = tuple(
-            tuple(self.index[group.add(a, b)] for b in self.basis) for a in self.basis
+        index = {g: i for i, g in enumerate(self.basis)}
+        structure = [
+            [((index[group.add(a, b)], 1),) for b in self.basis] for a in self.basis
+        ]
+        super().__init__(
+            name or f"Z[{group.describe()}]",
+            [self._basis_label(g) for g in self.basis],
+            structure,
+            [int(i == 0) for i in range(len(self.basis))],
+            RootSpec.unity(group.exponent),
+            IntPolynomial.monomial(group.exponent) - 1,
         )
-        super().__init__(name or f"Z[{group.describe()}]")
-        self._labels = tuple(self._basis_label(g) for g in self.basis)
-        self._check_r2()
 
     def _basis_label(self, g: tuple[int, ...]) -> str:
         if all(x == 0 for x in g):
@@ -294,121 +396,72 @@ class GroupRingModel(RingModel):
             parts.append(gen if e == 1 else f"{gen}^{e}")
         return "*".join(parts)
 
-    def zero(self):
-        return (0,) * len(self.basis)
-
-    def one(self):
-        out = [0] * len(self.basis)
-        out[0] = 1
-        return tuple(out)
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
-
-    def mul(self, a, b):
-        out = [0] * len(self.basis)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            row = self.mult_index[i]
-            for j, y in enumerate(b):
-                if y:
-                    out[row[j]] += x * y
-        return tuple(out)
-
-    def embed_int(self, n):
-        out = [0] * len(self.basis)
-        out[0] = n
-        return tuple(out)
-
-    def basis_element(self, g: tuple[int, ...]):
-        out = [0] * len(self.basis)
-        out[self.index[g]] = 1
-        return tuple(out)
-
-    def generators(self):
-        return tuple(
-            (label, self.basis_element(g)) for label, g in zip(self._labels, self.basis)
-        )
-
-    def generating_polynomial(self):
-        e = self.group.exponent
-        return IntPolynomial.monomial(e) - 1
-
-    def root_spec(self):
-        return RootSpec.unity(self.group.exponent)
-
-    def length(self, r):
-        # S is an additive basis, so the minimal signed decomposition is
-        # the coefficient L1 norm.
-        return sum(abs(x) for x in r)
-
-    def element_to_json(self, r):
-        return [[label, str(c)] for label, c in zip(self._labels, r) if c]
-
-    def element_from_json(self, data):
-        out = [0] * len(self.basis)
-        lookup = {label: i for i, label in enumerate(self._labels)}
-        for label, value in data:
-            if label not in lookup:
-                raise ExpressionError(f"unknown basis label {label!r}")
-            out[lookup[label]] = int(value)
-        return tuple(out)
-
-    def format_element(self, r):
-        return _format_combination(zip(self._labels, r))
+    @cached_property
+    def ghost(self):
+        columns = []
+        for chi in characters(self.group, self.group.exponent):
+            label = chi.label()
+            values = tuple(chi.value(g) for g in self.basis)
+            if self.group.exponent <= 2:
+                values = tuple(v.as_int() for v in values)
+                label = "sigma(" + ",".join("+" if v == 1 else "-" for v in values) + ")"
+            columns.append(GhostColumn(label, values, ("character", f"ker phi_{chi.label()}")))
+        return tuple(columns)
 
 
 # -- Burnside rings ----------------------------------------------------------------
 
 
-class BurnsideModel(RingModel):
+class BurnsideModel(FreeRing):
     """Burnside ring presented by a table of marks.
 
     Elements are coefficient tuples over the subgroup classes.  The
     mark map sends x to its vector of fixed-point counts; it is an
-    injective ring homomorphism into a product of copies of Z, so
-    multiplication is pointwise in mark space followed by the
-    triangular pullback.
+    injective ring homomorphism into a product of copies of Z and is
+    the ghost.  The structure constants are the triangular pullbacks of
+    the pointwise products of the basis mark vectors, computed once.
     """
 
     kind = "burnside"
 
     def __init__(self, table: TableOfMarks, name: Optional[str] = None):
         self.table = table
-        self.k = table.size
-        one_rows = [
-            i for i in range(self.k) if all(v == 1 for v in table.marks[i])
-        ]
+        self.k = k = table.size
+        M = table.marks
+        one_rows = [i for i in range(k) if all(v == 1 for v in M[i])]
         if len(one_rows) != 1:
             raise ValueError("the table must have exactly one all-ones row")
-        self._one_idx = one_rows[0]
-        super().__init__(name or f"Burnside({table.group_order})")
-        self._labels = tuple(f"c{c.label}" for c in table.classes)
-        self._check_r2()
+        structure = [[()] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                product = self.from_marks(tuple(x * y for x, y in zip(M[i], M[j])))
+                structure[i][j] = structure[j][i] = tuple(
+                    (l, c) for l, c in enumerate(product) if c
+                )
+        entries = table.distinct_entries()
+        super().__init__(
+            name or f"Burnside({table.group_order})",
+            [f"c{c.label}" for c in table.classes],
+            structure,
+            [int(i == one_rows[0]) for i in range(k)],
+            RootSpec.integers(*entries),
+            IntPolynomial.from_roots(entries),
+        )
 
-    def zero(self):
-        return (0,) * self.k
-
-    def one(self):
-        out = [0] * self.k
-        out[self._one_idx] = 1
-        return tuple(out)
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
-
-    def marks_vector(self, x) -> tuple[int, ...]:
+    @cached_property
+    def ghost(self):
         M = self.table.marks
         return tuple(
-            sum(x[i] * M[i][j] for i in range(self.k)) for j in range(self.k)
+            GhostColumn(
+                f"phi[{cls.label}]",
+                tuple(M[i][j] for i in range(self.k)),
+                ("dress", f"p[{cls.label},0]"),
+            )
+            for j, cls in enumerate(self.table.classes)
         )
+
+    def marks_vector(self, x) -> tuple[int, ...]:
+        return self.ghost_map(x)
 
     def from_marks(self, v: Sequence[int]) -> tuple[int, ...]:
         """Solve the (transposed, triangular) mark system exactly."""
@@ -423,48 +476,6 @@ class BurnsideModel(RingModel):
             out[j] = acc // M[j][j]
         return tuple(out)
 
-    def mul(self, a, b):
-        va = self.marks_vector(a)
-        vb = self.marks_vector(b)
-        return self.from_marks(tuple(x * y for x, y in zip(va, vb)))
-
-    def embed_int(self, n):
-        out = [0] * self.k
-        out[self._one_idx] = n
-        return tuple(out)
-
-    def generators(self):
-        out = []
-        for i, label in enumerate(self._labels):
-            e = [0] * self.k
-            e[i] = 1
-            out.append((label, tuple(e)))
-        return tuple(out)
-
-    def generating_polynomial(self):
-        return IntPolynomial.from_roots(self.table.distinct_entries())
-
-    def root_spec(self):
-        return RootSpec.integers(*self.table.distinct_entries())
-
-    def length(self, r):
-        return sum(abs(x) for x in r)
-
-    def element_to_json(self, r):
-        return [[label, str(c)] for label, c in zip(self._labels, r) if c]
-
-    def element_from_json(self, data):
-        out = [0] * self.k
-        lookup = {label: i for i, label in enumerate(self._labels)}
-        for label, value in data:
-            if label not in lookup:
-                raise ExpressionError(f"unknown basis label {label!r}")
-            out[lookup[label]] = int(value)
-        return tuple(out)
-
-    def format_element(self, r):
-        return _format_combination(zip(self._labels, r))
-
 
 # -- finite quotients ---------------------------------------------------------------
 
@@ -474,7 +485,8 @@ class FiniteQuotientRing(RingModel):
 
     The carrier is materialized (it must fit the configured bound);
     elements are the lexicographically minimal coset representatives.
-    Generating set and polynomial are inherited from Z[G].
+    Labels, structure constants, generating set and polynomial come
+    from the cover Z[G]; lengths come from breadth-first search.
     """
 
     kind = "finite_quotient"
@@ -492,78 +504,43 @@ class FiniteQuotientRing(RingModel):
         limits = limits or default_limits()
         self.modulus = modulus
         self.group = group
-        self.basis = group.elements()
-        size = modulus ** len(self.basis)
+        self.unity_exponent = group.exponent
+        self.cover = GroupRingModel(group)
+        dim = len(self.cover.labels)
+        size = modulus**dim
         if size > limits.max_carrier:
             raise CarrierBoundExceeded(
                 f"carrier size {size} exceeds the bound {limits.max_carrier}"
             )
-        self.index = {g: i for i, g in enumerate(self.basis)}
-        self.mult_index = tuple(
-            tuple(self.index[group.add(a, b)] for b in self.basis) for a in self.basis
-        )
         gens = [self._normalize(v) for v in ideal_generators]
-        kernel = self._ideal_closure(gens)
-        self._rep = self._coset_reps(kernel, size)
+        # the Z/N-span of all group translates of the generators
+        seeds = {self.cover.mul(g, e) for g in gens for _, e in self.cover.generators()}
+        kernel = additive_span(self._vec_add, (0,) * dim, seeds)
+        self._rep = self._coset_reps(kernel, dim)
         self._carrier = sorted(set(self._rep.values()))
         self.kernel_size = len(kernel)
         super().__init__(name or f"Z{modulus}[{group.describe()}]")
-        self._labels = tuple(self._basis_label(g) for g in self.basis)
         self._length_cache: Optional[dict] = None
         self._limits = limits
         self._check_r2()
 
-    def _basis_label(self, g):
-        if all(x == 0 for x in g):
-            return "1"
-        parts = []
-        for i, e in enumerate(g):
-            if e == 0:
-                continue
-            gen = "g" if self.group.rank == 1 else f"g{i}"
-            parts.append(gen if e == 1 else f"{gen}^{e}")
-        return "*".join(parts)
-
     def _normalize(self, vec) -> tuple[int, ...]:
-        vec = tuple(int(x) % self.modulus for x in vec)
-        if len(vec) != len(self.basis):
+        vec = self._reduce(int(x) for x in vec)
+        if len(vec) != len(self.cover.labels):
             raise ValueError("ideal generator has the wrong number of coordinates")
         return vec
 
-    def _translate(self, vec, by_index: int) -> tuple[int, ...]:
-        out = [0] * len(vec)
-        row = self.mult_index[by_index]
-        for j, c in enumerate(vec):
-            out[row[j]] = c
-        return tuple(out)
+    def _reduce(self, vec) -> tuple[int, ...]:
+        return tuple(x % self.modulus for x in vec)
 
     def _vec_add(self, a, b):
         return tuple((x + y) % self.modulus for x, y in zip(a, b))
 
-    def _ideal_closure(self, gens) -> frozenset:
-        zero = (0,) * len(self.basis)
-        # the Z/N-span of all group translates of the generators
-        seeds = {
-            self._translate(g, i) for g in gens for i in range(len(self.basis))
-        }
-        closed = {zero}
-        frontier = [zero]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for s in seeds:
-                    w = self._vec_add(v, s)
-                    if w not in closed:
-                        closed.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return frozenset(closed)
-
-    def _coset_reps(self, kernel, size) -> dict:
+    def _coset_reps(self, kernel, dim) -> dict:
         from itertools import product as iproduct
 
         rep: dict = {}
-        for vec in iproduct(range(self.modulus), repeat=len(self.basis)):
+        for vec in iproduct(range(self.modulus), repeat=dim):
             if vec in rep:
                 continue
             coset = sorted(self._vec_add(vec, k) for k in kernel)
@@ -573,51 +550,31 @@ class FiniteQuotientRing(RingModel):
         return rep
 
     def zero(self):
-        return self._rep[(0,) * len(self.basis)]
+        return self._rep[self.cover.zero()]
 
     def one(self):
-        vec = [0] * len(self.basis)
-        vec[0] = 1
-        return self._rep[tuple(vec)]
+        return self._rep[self.cover.one()]
 
     def add(self, a, b):
         return self._rep[self._vec_add(a, b)]
 
     def neg(self, a):
-        return self._rep[tuple((-x) % self.modulus for x in a)]
+        return self._rep[self._reduce(-x for x in a)]
 
     def mul(self, a, b):
-        out = [0] * len(self.basis)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            row = self.mult_index[i]
-            for j, y in enumerate(b):
-                if y:
-                    out[row[j]] = (out[row[j]] + x * y) % self.modulus
-        return self._rep[tuple(out)]
+        return self._rep[self._reduce(self.cover.mul(a, b))]
 
     def embed_int(self, n):
-        vec = [0] * len(self.basis)
-        vec[0] = n % self.modulus
-        return self._rep[tuple(vec)]
-
-    def basis_element(self, g):
-        vec = [0] * len(self.basis)
-        vec[self.index[g]] = 1
-        return self._rep[tuple(vec)]
+        return self._rep[self._reduce(self.cover.embed_int(n))]
 
     def generators(self):
-        return tuple(
-            (label, self.basis_element(g))
-            for label, g in zip(self._labels, self.basis)
-        )
+        return tuple((label, self._rep[e]) for label, e in self.cover.generators())
 
     def generating_polynomial(self):
-        return IntPolynomial.monomial(self.group.exponent) - 1
+        return self.cover.generating_polynomial()
 
     def root_spec(self):
-        return RootSpec.unity(self.group.exponent)
+        return self.cover.root_spec()
 
     def characteristic(self) -> int:
         one = self.one()
@@ -634,50 +591,64 @@ class FiniteQuotientRing(RingModel):
     def carrier(self) -> list:
         return list(self._carrier)
 
-    def _lengths(self) -> dict:
-        if self._length_cache is None:
-            moves = []
-            for _, s in self.generators():
-                moves.append(s)
-                moves.append(self.neg(s))
-            dist = {self.zero(): 0}
-            frontier = [self.zero()]
-            radius = 0
-            while frontier and radius < self._limits.max_length_radius:
-                radius += 1
-                nxt = []
-                for v in frontier:
-                    for m in moves:
-                        w = self.add(v, m)
-                        if w not in dist:
-                            dist[w] = radius
-                            nxt.append(w)
-                frontier = nxt
-            self._length_cache = dist
-        return self._length_cache
-
     def length(self, r):
-        dist = self._lengths()
-        if r not in dist:
+        if self._length_cache is None:
+            self._length_cache = signed_ball(self, self._limits.max_length_radius)
+        if r not in self._length_cache:
             raise LengthBoundExceeded(
                 f"element not reachable within radius {self._limits.max_length_radius}"
             )
-        return dist[r]
+        return self._length_cache[r]
 
     def element_to_json(self, r):
-        return [[label, str(c)] for label, c in zip(self._labels, r) if c]
+        return self.cover.element_to_json(r)
 
     def element_from_json(self, data):
-        out = [0] * len(self.basis)
-        lookup = {label: i for i, label in enumerate(self._labels)}
-        for label, value in data:
-            if label not in lookup:
-                raise ExpressionError(f"unknown basis label {label!r}")
-            out[lookup[label]] = int(value) % self.modulus
-        return self._rep[tuple(out)]
+        return self._rep[self._reduce(self.cover.element_from_json(data))]
 
     def format_element(self, r):
-        return _format_combination(zip(self._labels, r))
+        return self.cover.format_element(r)
+
+
+def additive_span(add, zero, seeds) -> frozenset:
+    """The subgroup generated by the seeds in a finite additive group
+    (given by its addition and zero), by breadth-first closure."""
+    seeds = set(seeds)
+    closed = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for s in seeds:
+                w = add(v, s)
+                if w not in closed:
+                    closed.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return frozenset(closed)
+
+
+def signed_ball(model: RingModel, radius: int) -> dict:
+    """Every sum of at most `radius` signed generators, mapped to the
+    least number of signed generators that sums to it."""
+    moves = []
+    for _, s in model.generators():
+        moves.append(s)
+        moves.append(model.neg(s))
+    dist = {model.zero(): 0}
+    frontier = [model.zero()]
+    step = 0
+    while frontier and step < radius:
+        step += 1
+        nxt = []
+        for v in frontier:
+            for m in moves:
+                w = model.add(v, m)
+                if w not in dist:
+                    dist[w] = step
+                    nxt.append(w)
+        frontier = nxt
+    return dist
 
 
 # -- binary products -----------------------------------------------------------------

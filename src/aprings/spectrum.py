@@ -1,10 +1,12 @@
 """Signatures, prime-ideal descriptors and structure predicates.
 
 A signature is a surjective ring homomorphism onto Z; its kernel is a
-signature ideal.  For basis models the minimal primes are the kernels
-of the character maps phi_chi(sum a_i s_i) = sum a_i chi(s_i) into a
-ring of cyclotomic integers, the maximal ideals are the congruence
-ideals sigma(r) = 0 mod p, and for 2-power generating polynomials the
+signature ideal.  A free model is read off its ghost map (identity
+coordinates, characters phi_chi(sum a_i s_i) = sum a_i chi(s_i) or
+marks): the integer-valued ghost columns are the signatures, their
+kernels are the minimal primes, and the element predicates follow from
+the ghost values.  The maximal ideals are the congruence ideals
+sigma(r) = 0 mod p, and for 2-power generating polynomials the
 fundamental ideal (elements of even length) sits above everything at
 index two.  Prime ideals are descriptors with decidable membership,
 never materialized element sets; only the finite oracle enumerates.
@@ -13,21 +15,19 @@ never materialized element sets; only the finite oracle enumerates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 from .config import Limits, default_limits
-from .cyclotomic import CyclotomicInteger
-from .errors import UnsupportedModel
-from .groups import Character, characters
+from .errors import CheckFailed, UnsupportedModel
 from .rings import (
     BurnsideModel,
     FiniteQuotientRing,
-    GroupRingModel,
+    FreeRing,
+    GhostColumn,
     ProductRing,
-    ProductZRing,
     RingModel,
-    ZRing,
+    additive_span,
+    signed_ball,
 )
 
 
@@ -49,60 +49,25 @@ class Signature:
 def signatures(model: RingModel) -> list[Signature]:
     """The complete list of signatures of the model.
 
-    A finite ring admits none: its characteristic is positive, while a
+    For a free model these are its ghost columns, provided they are
+    integer-valued.  A ring of positive characteristic admits none: a
     homomorphism onto Z would force characteristic zero.
     """
-    if isinstance(model, ZRing):
-        return [Signature(label="id", values=(1,), _eval=lambda r: r)]
-    if isinstance(model, ProductZRing):
-        out = []
-        for i in range(model.k):
-            values = tuple(1 if j == i else 0 for j in range(model.k))
-            out.append(
-                Signature(label=f"pi{i}", values=values, _eval=lambda r, i=i: r[i])
+    if isinstance(model, FreeRing):
+        if not _integral_ghost(model):
+            raise UnsupportedModel("signature enumeration needs an exponent-2 group")
+        return [
+            Signature(
+                label=col.label,
+                values=col.values,
+                _eval=lambda r, col=col: col.evaluate(model.coordinates(r)),
             )
-        return out
-    if isinstance(model, GroupRingModel):
-        if model.group.exponent > 2:
-            raise UnsupportedModel(
-                "signature enumeration needs an exponent-2 group"
-            )
-        out = []
-        for chi in characters(model.group, 2):
-            values = tuple(
-                _as_sign(chi.value(g)) for g in model.basis
-            )
-            out.append(
-                Signature(
-                    label="sigma(" + ",".join("+" if v == 1 else "-" for v in values) + ")",
-                    values=values,
-                    _eval=lambda r, values=values: sum(c * v for c, v in zip(r, values)),
-                )
-            )
-        return out
-    if isinstance(model, BurnsideModel):
-        out = []
-        M = model.table.marks
-        for j, cls in enumerate(model.table.classes):
-            column = tuple(M[i][j] for i in range(model.k))
-            out.append(
-                Signature(
-                    label=f"phi[{cls.label}]",
-                    values=column,
-                    _eval=lambda r, column=column: sum(
-                        c * v for c, v in zip(r, column)
-                    ),
-                )
-            )
-        return out
-    if isinstance(model, FiniteQuotientRing):
-        assert model.characteristic() > 0
-        return []
+            for col in model.ghost
+        ]
     if isinstance(model, ProductRing):
         out = []
-        for side, sub in (("L", model.left), ("R", model.right)):
+        for idx, (side, sub) in enumerate((("L", model.left), ("R", model.right))):
             for sig in signatures(sub):
-                idx = 0 if side == "L" else 1
                 out.append(
                     Signature(
                         label=f"{side}.{sig.label}",
@@ -111,14 +76,13 @@ def signatures(model: RingModel) -> list[Signature]:
                     )
                 )
         return out
+    if model.characteristic() > 0:
+        return []
     raise UnsupportedModel(f"no signature strategy for {model.name}")
 
 
-def _as_sign(value: CyclotomicInteger) -> int:
-    n = value.as_int()
-    if n not in (1, -1):
-        raise UnsupportedModel("character value is not a sign")
-    return n
+def _integral_ghost(model: FreeRing) -> bool:
+    return all(isinstance(v, int) for col in model.ghost for v in col.values)
 
 
 # -- prime ideal descriptors --------------------------------------------------------
@@ -128,7 +92,7 @@ def _as_sign(value: CyclotomicInteger) -> int:
 class PrimeIdeal:
     """Descriptor with a decidable membership test."""
 
-    kind: str  # signature | signature_plus_p | fundamental | character | dress
+    kind: str  # signature | fundamental | character | dress
     label: str
     prime: Optional[int] = None
     _member: Callable = field(compare=False, repr=False, default=None)
@@ -151,38 +115,22 @@ def signature_ideal(sig: Signature) -> PrimeIdeal:
     )
 
 
-def signature_plus_p(sig: Signature, p: int) -> PrimeIdeal:
+def ghost_kernel(model: FreeRing, col: GhostColumn) -> PrimeIdeal:
+    kind, label = col.kernel
     return PrimeIdeal(
-        kind="signature_plus_p",
-        label=f"ker {sig.label} + ({p})",
-        prime=p,
-        _member=lambda r: sig(r) % p == 0,
+        kind=kind,
+        label=label,
+        _member=lambda r: col.evaluate(model.coordinates(r)) == 0,
     )
-
-
-def character_ideal(model: GroupRingModel, chi: Character) -> PrimeIdeal:
-    def member(r) -> bool:
-        return _character_value(model, chi, r).is_zero
-
-    return PrimeIdeal(kind="character", label=f"ker phi_{chi.label()}", _member=member)
-
-
-def _character_value(model: GroupRingModel, chi: Character, r) -> CyclotomicInteger:
-    total = CyclotomicInteger.from_int(0, chi.target_order)
-    for coeff, g in zip(r, model.basis):
-        if coeff:
-            total = total + coeff * chi.value(g)
-    return total
 
 
 def dress_ideal(model: BurnsideModel, class_index: int, p: int) -> PrimeIdeal:
     """p_(U,p): mark congruent to 0 mod p (p = 0 means mark equal to 0)."""
-    M = model.table.marks
-    column = tuple(M[i][class_index] for i in range(model.k))
+    column = model.ghost[class_index]
     label = model.table.classes[class_index].label
 
     def member(r) -> bool:
-        value = sum(c * v for c, v in zip(r, column))
+        value = column.evaluate(r)
         return value == 0 if p == 0 else value % p == 0
 
     return PrimeIdeal(
@@ -206,46 +154,32 @@ def fundamental_ideal(model: RingModel) -> PrimeIdeal:
     )
 
 
-def _exponent_of(model: RingModel) -> Optional[int]:
-    if isinstance(model, ZRing):
-        return 2
-    if isinstance(model, (GroupRingModel, FiniteQuotientRing)):
-        return model.group.exponent
-    return None
-
-
 def _is_two_power(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _require_two_power(model: RingModel) -> int:
-    e = _exponent_of(model)
-    if e is None or not _is_two_power(e):
+def _has_two_power_q(model: RingModel) -> bool:
+    e = model.unity_exponent
+    return e is not None and _is_two_power(e)
+
+
+def _require_two_power(model: RingModel) -> None:
+    if not _has_two_power_q(model):
         raise UnsupportedModel(
             f"{model.name} does not have a 2-power generating polynomial"
         )
-    return e
 
 
 # -- minimal primes ---------------------------------------------------------------
 
 
 def minimal_primes(model: RingModel) -> list[PrimeIdeal]:
-    """Kernels of the character maps on the generating monoid."""
-    if isinstance(model, ZRing):
-        return [signature_ideal(signatures(model)[0])]
-    if isinstance(model, ProductZRing):
-        return [signature_ideal(sig) for sig in signatures(model)]
-    if isinstance(model, GroupRingModel):
-        return [
-            character_ideal(model, chi)
-            for chi in characters(model.group, model.group.exponent)
-        ]
-    if isinstance(model, BurnsideModel):
-        return [dress_ideal(model, j, 0) for j in range(model.k)]
-    raise UnsupportedModel(
-        f"minimal primes need a basis model, not {model.name}"
-    )
+    """Kernels of the ghost columns: characters, projections or marks."""
+    if not isinstance(model, FreeRing):
+        raise UnsupportedModel(
+            f"minimal primes need a basis model, not {model.name}"
+        )
+    return [ghost_kernel(model, col) for col in model.ghost]
 
 
 # -- admissibility ------------------------------------------------------------------
@@ -278,23 +212,12 @@ def fundamental_ideal_elements(model: FiniteQuotientRing) -> frozenset:
     b(1-a) = (1-ba) - (1-b), so the ideal equals the additive span of
     its generators; closure is a plain subgroup computation.
     """
-    seeds = set()
     one = model.one()
+    seeds = set()
     for _, s in model.generators():
         seeds.add(model.sub(one, s))
         seeds.add(model.add(one, s))
-    closed = {model.zero()}
-    frontier = [model.zero()]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for s in seeds:
-                w = model.add(v, s)
-                if w not in closed:
-                    closed.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(closed)
+    return additive_span(model.add, model.zero(), seeds)
 
 
 def ap_condition_check(model: RingModel, k: int, limits: Optional[Limits] = None) -> bool:
@@ -309,45 +232,10 @@ def ap_condition_check(model: RingModel, k: int, limits: Optional[Limits] = None
     power = ideal
     for _ in range(k - 1):
         products = {model.mul(x, y) for x in power for y in ideal}
-        power = _additive_span(model, products)
-    ball = _short_sums(model, 2**k - 1)
+        power = additive_span(model.add, model.zero(), products)
+    ball = signed_ball(model, 2**k - 1)
     zero = model.zero()
-    return all(r == zero for r in ball & power)
-
-
-def _additive_span(model: RingModel, seeds) -> frozenset:
-    closed = {model.zero()}
-    frontier = [model.zero()]
-    seeds = set(seeds)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for s in seeds:
-                w = model.add(v, s)
-                if w not in closed:
-                    closed.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(closed)
-
-
-def _short_sums(model: RingModel, radius: int) -> set:
-    moves = []
-    for _, s in model.generators():
-        moves.append(s)
-        moves.append(model.neg(s))
-    seen = {model.zero()}
-    frontier = [model.zero()]
-    for _ in range(radius):
-        nxt = []
-        for v in frontier:
-            for m in moves:
-                w = model.add(v, m)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
+    return all(r == zero for r in ball.keys() & power)
 
 
 # -- element predicates -----------------------------------------------------------------
@@ -393,68 +281,17 @@ class ElementPredicates:
 def element_predicates(
     model: RingModel, r, limits: Optional[Limits] = None
 ) -> ElementPredicates:
-    """Structure predicates for one element; zero divisors include 0."""
+    """Structure predicates for one element; zero divisors include 0.
+
+    On a free model they are read off the ghost map, which is an
+    injective ring homomorphism into a product of domains."""
     idempotent = model.mul(r, r) == r
-    e = _exponent_of(model)
-    in_fundamental = model.length(r) % 2 == 0 if e is not None and _is_two_power(e) else None
+    in_fundamental = model.length(r) % 2 == 0 if _has_two_power_q(model) else None
 
     try:
-        sigs = signatures(model)
-        in_every_sig = all(sig(r) == 0 for sig in sigs)
+        in_every_sig = all(sig(r) == 0 for sig in signatures(model))
     except UnsupportedModel:
-        sigs = None
         in_every_sig = None
-
-    if isinstance(model, (ZRing, ProductZRing)):
-        coords = (r,) if isinstance(model, ZRing) else r
-        return ElementPredicates(
-            nilpotent=all(c == 0 for c in coords),
-            torsion=all(c == 0 for c in coords),
-            unit=all(c in (1, -1) for c in coords),
-            zero_divisor=any(c == 0 for c in coords),
-            idempotent=idempotent,
-            in_fundamental=in_fundamental,
-            in_every_signature_ideal=in_every_sig,
-        )
-
-    if isinstance(model, GroupRingModel):
-        chars = _model_characters(model)
-        values = [_character_value(model, chi, r) for chi in chars]
-        nilpotent = all(v.is_zero for v in values)  # total character map is injective
-        zero_divisor = any(v.is_zero for v in values)
-        unit: Optional[bool]
-        if model.group.exponent <= 2:
-            unit = all(sig(r) in (1, -1) for sig in sigs)
-        else:
-            unit = None
-        return ElementPredicates(
-            nilpotent=nilpotent,
-            torsion=(r == model.zero()),  # free Z-module
-            unit=unit,
-            zero_divisor=zero_divisor,
-            idempotent=idempotent,
-            in_fundamental=in_fundamental,
-            in_every_signature_ideal=in_every_sig,
-        )
-
-    if isinstance(model, BurnsideModel):
-        marks = model.marks_vector(r)
-        unit = False
-        if all(v in (1, -1) for v in marks):
-            try:
-                model.from_marks(marks)  # the inverse has the same mark vector
-                unit = True
-            except Exception:
-                unit = False
-        return ElementPredicates(
-            nilpotent=all(v == 0 for v in marks),
-            torsion=(r == model.zero()),
-            unit=unit,
-            zero_divisor=any(v == 0 for v in marks),
-            idempotent=idempotent,
-            in_fundamental=None,
-            in_every_signature_ideal=in_every_sig,
-        )
 
     if isinstance(model, FiniteQuotientRing):
         return _finite_predicates(model, r, idempotent, in_fundamental, in_every_sig)
@@ -472,7 +309,19 @@ def element_predicates(
             in_every_signature_ideal=in_every_sig,
         )
 
-    raise UnsupportedModel(f"no predicate strategy for {model.name}")
+    if not isinstance(model, FreeRing):
+        raise UnsupportedModel(f"no predicate strategy for {model.name}")
+    values = model.ghost_map(r)
+    return ElementPredicates(
+        nilpotent=all(v == 0 for v in values),
+        torsion=(r == model.zero()),  # free Z-module
+        # a unit maps to units of Z, and r^2 = 1 when every value is a sign
+        unit=all(v in (1, -1) for v in values) if _integral_ghost(model) else None,
+        zero_divisor=any(v == 0 for v in values),
+        idempotent=idempotent,
+        in_fundamental=in_fundamental,
+        in_every_signature_ideal=in_every_sig,
+    )
 
 
 def _both(a: Optional[bool], b: Optional[bool]) -> Optional[bool]:
@@ -485,11 +334,6 @@ def _either(a: Optional[bool], b: Optional[bool]) -> Optional[bool]:
     if a is None or b is None:
         return None
     return a or b
-
-
-@lru_cache(maxsize=None)
-def _model_characters(model: GroupRingModel) -> tuple[Character, ...]:
-    return tuple(characters(model.group, model.group.exponent))
 
 
 def _finite_predicates(model, r, idempotent, in_fundamental, in_every_sig):
@@ -569,16 +413,15 @@ def dress_relations(model: BurnsideModel, primes: list[int]) -> DressRelations:
     sublattice is contained in a congruence ideal exactly when all its
     generators are.
     """
-    M = model.table.marks
     k = model.k
     members = [
         DressMember(j, model.table.classes[j].label, p)
         for j in range(k)
         for p in [0] + sorted(set(primes))
     ]
-    columns = {j: tuple(M[i][j] for i in range(k)) for j in range(k)}
-    anchor = k - 1  # the all-ones row: every column has a 1 there
-    assert all(columns[j][anchor] == 1 for j in range(k))
+    columns = {j: model.ghost[j].values for j in range(k)}
+    # the all-ones row (checked at construction): every column has a 1 there
+    anchor = model.one().index(1)
 
     def lattice_generators(j: int, p: int) -> list[tuple[int, ...]]:
         u = columns[j]
@@ -596,17 +439,12 @@ def dress_relations(model: BurnsideModel, primes: list[int]) -> DressRelations:
             gens.append(tuple(vec))
         return gens
 
-    def congruent_zero(vec: tuple[int, ...], j: int, p: int) -> bool:
-        value = sum(c * v for c, v in zip(vec, columns[j]))
-        return value == 0 if p == 0 else value % p == 0
-
+    ideals = {m: dress_ideal(model, m.class_index, m.p) for m in members}
     subset = {}
     for a in members:
         gens = lattice_generators(a.class_index, a.p)
         for b in members:
-            subset[(a, b)] = all(
-                congruent_zero(g, b.class_index, b.p) for g in gens
-            )
+            subset[(a, b)] = all(ideals[b].contains(g) for g in gens)
 
     def strictly_below(a: DressMember, b: DressMember) -> bool:
         return subset[(a, b)] and not subset[(b, a)]
@@ -631,10 +469,8 @@ def dress_statement_predicts(
 ) -> bool:
     """The containment criterion: equal congruence ideals at the same
     prime, or a p = 0 ideal below the corresponding mod-q ideal."""
-    M = model.table.marks
-    k = model.k
-    u = tuple(M[i][a.class_index] for i in range(k))
-    v = tuple(M[i][b.class_index] for i in range(k))
+    u = model.ghost[a.class_index].values
+    v = model.ghost[b.class_index].values
     if a.p == b.p:
         if a.p == 0:
             return u == v
@@ -723,63 +559,34 @@ def spectrum_report(
 
     if isinstance(model, FiniteQuotientRing):
         return _finite_spectrum_report(model, limits)
-
-    if isinstance(model, (ZRing, GroupRingModel)):
-        if isinstance(model, GroupRingModel) and model.group.exponent > 2:
-            raise UnsupportedModel(
-                "spectrum classification needs an exponent-2 group ring"
-            )
-        sigs = signatures(model)
-        minimal = [signature_ideal(sig) for sig in sigs]
-        fundamental = fundamental_ideal(model)
-        families = [
-            MaxFamily(
-                base_label=sig.label,
-                primes=[p for p in primes if p != 2],
-                note="all odd primes",
-            )
+    if not isinstance(model, FreeRing):
+        raise UnsupportedModel(f"no spectrum classification for {model.name}")
+    if not _integral_ghost(model):
+        raise UnsupportedModel(
+            "spectrum classification needs an exponent-2 group ring"
+        )
+    sigs = signatures(model)
+    # an integer-valued character is a signature, and its kernel is
+    # listed as a signature ideal
+    minimal = [
+        signature_ideal(sig) if col.kernel[0] == "character" else ghost_kernel(model, col)
+        for sig, col in zip(sigs, model.ghost)
+    ]
+    fundamental = fundamental_ideal(model) if _has_two_power_q(model) else None
+    if fundamental is not None:
+        listed, note = [p for p in primes if p != 2], "all odd primes"
+    else:
+        listed, note = primes, "all primes"
+    return SpectrumReport(
+        model_name=model.name,
+        local=False,
+        minimal=minimal,
+        fundamental=fundamental,
+        max_families=[
+            MaxFamily(base_label=sig.label, primes=list(listed), note=note)
             for sig in sigs
-        ]
-        return SpectrumReport(
-            model_name=model.name,
-            local=False,
-            minimal=minimal,
-            fundamental=fundamental,
-            max_families=families,
-        )
-
-    if isinstance(model, ProductZRing):
-        sigs = signatures(model)
-        return SpectrumReport(
-            model_name=model.name,
-            local=False,
-            minimal=[signature_ideal(sig) for sig in sigs],
-            fundamental=None,
-            max_families=[
-                MaxFamily(base_label=sig.label, primes=list(primes), note="all primes")
-                for sig in sigs
-            ],
-        )
-
-    if isinstance(model, BurnsideModel):
-        minimal = [dress_ideal(model, j, 0) for j in range(model.k)]
-        families = [
-            MaxFamily(
-                base_label=f"phi[{cls.label}]",
-                primes=list(primes),
-                note="all primes",
-            )
-            for cls in model.table.classes
-        ]
-        return SpectrumReport(
-            model_name=model.name,
-            local=False,
-            minimal=minimal,
-            fundamental=None,
-            max_families=families,
-        )
-
-    raise UnsupportedModel(f"no spectrum classification for {model.name}")
+        ],
+    )
 
 
 def _finite_spectrum_report(model: FiniteQuotientRing, limits: Limits) -> SpectrumReport:
@@ -809,10 +616,11 @@ def _finite_spectrum_report(model: FiniteQuotientRing, limits: Limits) -> Spectr
         # 2-power characteristic (then every prime has index 2); an
         # even characteristic with an odd factor admits further primes.
         if adm.admissible and _is_two_power(model.characteristic()):
-            assert local and infos[0].is_fundamental, (
-                f"{model.name}: expected the fundamental ideal to be the "
-                "only prime"
-            )
+            if not (local and infos[0].is_fundamental):
+                raise CheckFailed(
+                    f"{model.name}: expected the fundamental ideal to be the "
+                    "only prime"
+                )
     except UnsupportedModel:
         pass
     return SpectrumReport(

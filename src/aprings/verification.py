@@ -29,6 +29,7 @@ from .annihilator import (
 )
 from .config import Limits
 from .cyclotomic import CyclotomicInteger
+from .errors import CheckFailed
 from .groups import A5_LABEL_ALIASES, a5_reference_table, named_group, table_of_marks
 from .intpoly import IntPolynomial
 from .rings import (
@@ -60,6 +61,12 @@ class CheckResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] c{self.criterion:02d} {self.name}: {self.detail}"
+
+
+def _require(holds: bool, message: object = "") -> None:
+    """Fail the running check; unlike assert, also under python -O."""
+    if not holds:
+        raise CheckFailed(message)
 
 
 def _quartic_factor(constant: int, quadratic: int) -> IntPolynomial:
@@ -97,9 +104,9 @@ def check_quartic_displayed() -> str:
     expected_p = _expected_quartic_p()
     for n in range(1, 5):
         got = quartic_t(n)
-        assert got == expected_t[n], f"t_{n}: got {got}, expected {expected_t[n]}"
+        _require(got == expected_t[n], f"t_{n}: got {got}, expected {expected_t[n]}")
         got = quartic_p(n)
-        assert got == expected_p[n], f"p_{n}: got {got}, expected {expected_p[n]}"
+        _require(got == expected_p[n], f"p_{n}: got {got}, expected {expected_p[n]}")
     return "t_n and p_n for n = 1..4 match the displayed products exactly"
 
 
@@ -108,7 +115,7 @@ def check_lewis_closed_form() -> str:
     for n in range(1, 11):
         closed = lewis_polynomial(n)
         enumerated = annihilating_polynomial(spec, n, "signed", SUITE_LIMITS)
-        assert closed == enumerated, f"n = {n}: {closed} != {enumerated}"
+        _require(closed == enumerated, f"n = {n}: {closed} != {enumerated}")
     return "lewis_polynomial(n) equals the enumerated annihilator for n = 1..10"
 
 
@@ -117,7 +124,10 @@ def check_quartic_closed_form() -> str:
     for n in range(1, 6):
         closed = quartic_p(n)
         enumerated = annihilating_polynomial(spec, n, "signed", SUITE_LIMITS)
-        assert closed == enumerated, f"n = {n}: degree {closed.degree} vs {enumerated.degree}"
+        _require(
+            closed == enumerated,
+            f"n = {n}: degree {closed.degree} vs {enumerated.degree}",
+        )
     return "quartic_p(n) equals the enumerated annihilator for n = 1..5"
 
 
@@ -130,7 +140,7 @@ def check_quartic_dn_roots() -> str:
             for bb in {b, -b}:
                 z = CyclotomicInteger.from_int(a, 4) + bb * CyclotomicInteger.zeta(4)
                 value = t(z)
-                assert value == 0, f"t_{n}({a}{bb:+}i) = {value}"
+                _require(value == 0, f"t_{n}({a}{bb:+}i) = {value}")
                 count += 1
     return f"t_n vanishes on all {count} Gaussian integers with |a|+|b| = n, n = 2..6"
 
@@ -144,7 +154,7 @@ def check_degree_bound() -> str:
             bound = degree_bound(n, k)
             if p.degree > bound:
                 failures.append(f"k={k} n={n}: deg p_n = {p.degree} > {bound}")
-    assert not failures, "; ".join(failures)
+    _require(not failures, "; ".join(failures))
     return "deg p_n <= 2^(n-1)(2^k - 1) + 1 for k = 1..3, n = 1..5"
 
 
@@ -154,19 +164,20 @@ def check_constant_term_parity() -> str:
         for n in (1, 3, 5):
             p = annihilating_polynomial(spec, n, "signed", SUITE_LIMITS)
             constant = p.coefficient(0)
-            assert constant % 2 != 0, f"k={k} n={n}: p_n(0) = {constant} is even"
+            _require(constant % 2 != 0, f"k={k} n={n}: p_n(0) = {constant} is even")
     return "p_n(0) is odd for odd n, k = 1..3"
 
 
 def check_marks_a5() -> str:
     table = table_of_marks(named_group("A5"))
     reference = a5_reference_table()
-    assert [list(row) for row in table.marks] == reference["marks"], "marks differ"
+    _require([list(row) for row in table.marks] == reference["marks"], "marks differ")
     expected_labels = [A5_LABEL_ALIASES[l] for l in reference["labels"]]
-    assert table.labels() == expected_labels, (
-        f"labels {table.labels()} != {expected_labels}"
+    _require(
+        table.labels() == expected_labels,
+        f"labels {table.labels()} != {expected_labels}",
     )
-    assert [c.order for c in table.classes] == reference["orders"]
+    _require([c.order for c in table.classes] == reference["orders"])
     return "computed A5 table of marks equals the bundled 9x9 reference"
 
 
@@ -174,10 +185,10 @@ def check_burnside_generating_polynomial() -> str:
     model = bundled_model("burnside-A5")
     q = model.generating_polynomial()
     roots = sorted(model.table.distinct_entries(), reverse=True)
-    assert roots == [60, 30, 20, 15, 12, 10, 6, 5, 3, 2, 1, 0], roots
-    assert q == IntPolynomial.from_roots(roots)
+    _require(roots == [60, 30, 20, 15, 12, 10, 6, 5, 3, 2, 1, 0], roots)
+    _require(q == IntPolynomial.from_roots(roots))
     for value in roots:
-        assert q(value) == 0
+        _require(q(value) == 0)
     return "Burnside(A5) generating polynomial has root set {60,...,2,1,0}"
 
 
@@ -200,9 +211,10 @@ def check_annihilation_random() -> str:
         for _ in range(100):
             r = model.random_element(rng, max_length=5)
             report = verify_annihilated(model, r, SUITE_LIMITS)
-            assert report.annihilated, (
+            _require(
+                report.annihilated,
                 f"{name}: p_{report.length} does not annihilate "
-                f"{model.format_element(r)}"
+                f"{model.format_element(r)}",
             )
             total += 1
     return f"p_length(r) = 0 for {total} random elements across {len(ANNIHILATION_MODELS)} models"
@@ -214,19 +226,22 @@ def check_local_structure() -> str:
         table = _oracle_table(name)
         primes = oracle.prime_ideals(table, SUITE_LIMITS)
         ideal = fundamental_ideal_elements(model)
-        assert len(primes) == 1, f"{name}: {len(primes)} primes"
+        _require(len(primes) == 1, f"{name}: {len(primes)} primes")
         prime_set = frozenset(table.elements[i] for i in primes[0])
-        assert prime_set == ideal, f"{name}: the unique prime is not I"
-        assert len(model.carrier()) == 2 * len(ideal), f"{name}: I does not have index 2"
+        _require(prime_set == ideal, f"{name}: the unique prime is not I")
+        _require(
+            len(model.carrier()) == 2 * len(ideal),
+            f"{name}: I does not have index 2",
+        )
 
         records = oracle.exhaustive_predicates(table)
         for idx, r in enumerate(table.elements):
             rec = records[idx]
             in_ideal = r in ideal
-            assert rec.nilpotent == in_ideal, f"{name}: nilpotent vs I at {r}"
-            assert rec.zero_divisor == in_ideal, f"{name}: zero divisor vs I at {r}"
-            assert (not rec.unit) == in_ideal, f"{name}: non-unit vs I at {r}"
-            assert rec.torsion, f"{name}: non-torsion element {r}"
+            _require(rec.nilpotent == in_ideal, f"{name}: nilpotent vs I at {r}")
+            _require(rec.zero_divisor == in_ideal, f"{name}: zero divisor vs I at {r}")
+            _require((not rec.unit) == in_ideal, f"{name}: non-unit vs I at {r}")
+            _require(rec.torsion, f"{name}: non-torsion element {r}")
     return "on Z4[C2] and Z8[C2]: Spec = {I} and I = nilpotents = zero divisors = non-units"
 
 
@@ -241,9 +256,9 @@ def check_pfister_local_global() -> str:
         for r in samples:
             preds = element_predicates(model, r)
             is_zero = r == zero
-            assert preds.torsion == is_zero
-            assert preds.nilpotent == is_zero
-            assert all(sig(r) == 0 for sig in sigs) == is_zero
+            _require(preds.torsion == is_zero)
+            _require(preds.nilpotent == is_zero)
+            _require(all(sig(r) == 0 for sig in sigs) == is_zero)
     return "torsion = nilpotent = killed-by-every-signature = {0} on Z[C2] and Z[C2xC2]"
 
 
@@ -275,9 +290,12 @@ def check_zero_divisors_union() -> str:
                     for sig, w in zip(sigs, witnesses)
                     if sig(r) == 0 and model.mul(r, w) == zero and w != zero
                 ]
-                assert hit, f"{name}: no annihilating witness for {model.format_element(r)}"
+                _require(
+                    hit,
+                    f"{name}: no annihilating witness for {model.format_element(r)}",
+                )
             checked += 1
-    assert mismatches == 0, f"{mismatches} mismatches"
+    _require(mismatches == 0, f"{mismatches} mismatches")
     return f"zero divisors match the union of signature ideals on {checked} samples (with witnesses)"
 
 
@@ -290,14 +308,15 @@ def check_dress_relations() -> str:
         for b in rel.members:
             expected = dress_statement_predicts(model, a, b)
             got = rel.subset[(a, b)]
-            assert got == expected, (
+            _require(
+                got == expected,
                 f"containment p[{a.class_label},{a.p}] <= p[{b.class_label},{b.p}]: "
-                f"computed {got}, statement says {expected}"
+                f"computed {got}, statement says {expected}",
             )
             pairs += 1
     for m in rel.members:
-        assert rel.minimal[m] == (m.p == 0), f"minimal flag wrong at {m}"
-        assert rel.maximal[m] == (m.p != 0), f"maximal flag wrong at {m}"
+        _require(rel.minimal[m] == (m.p == 0), f"minimal flag wrong at {m}")
+        _require(rel.maximal[m] == (m.p != 0), f"maximal flag wrong at {m}")
     return f"all {pairs} containments and 36 min/max flags match the classification"
 
 
@@ -305,7 +324,7 @@ def check_admissibility() -> str:
     for n in range(2, 13):
         model = bundled_model(f"Z{n}")
         result = is_admissible(model)
-        assert result.admissible == (n % 2 == 0), f"Z/{n}: {result}"
+        _require(result.admissible == (n % 2 == 0), f"Z/{n}: {result}")
     return "is_admissible(Z/n) = (n even) for n = 2..12"
 
 
@@ -314,7 +333,7 @@ def check_ap1_agreement() -> str:
         model = bundled_model(name)
         adm = is_admissible(model).admissible
         ap1 = ap_condition_check(model, 1)
-        assert adm == ap1, f"{name}: admissible={adm} but AP(1)={ap1}"
+        _require(adm == ap1, f"{name}: admissible={adm} but AP(1)={ap1}")
     return f"AP(1) agrees with admissibility on {len(FINITE_BUNDLED)} finite models"
 
 
@@ -328,8 +347,9 @@ def check_oracle_agreement() -> str:
             rec = records[idx]
             preds = element_predicates(model, r)
             for field in ("nilpotent", "unit", "zero_divisor", "idempotent", "torsion"):
-                assert getattr(preds, field) == getattr(rec, field), (
-                    f"{name}: {field} differs at {model.format_element(r)}"
+                _require(
+                    getattr(preds, field) == getattr(rec, field),
+                    f"{name}: {field} differs at {model.format_element(r)}",
                 )
             compared += 1
     return f"structural predicates equal oracle predicates on {compared} elements"
@@ -369,6 +389,6 @@ def paper_checks(name_filter: Optional[str] = None) -> list[CheckResult]:
         try:
             detail = func()
             results.append(CheckResult(criterion, name, True, detail))
-        except AssertionError as exc:
+        except CheckFailed as exc:
             results.append(CheckResult(criterion, name, False, str(exc)))
     return results

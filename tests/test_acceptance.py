@@ -14,12 +14,13 @@ family).  The check is kept as stated rather than weakened.
 import pytest
 
 from aprings import verification as v
+from aprings.errors import CheckFailed
 
 
 def _report(criterion: str, func) -> None:
     try:
         detail = func()
-    except AssertionError as exc:
+    except CheckFailed as exc:
         print(f"CRITERION {criterion}: FAIL - {exc}")
         raise
     print(f"CRITERION {criterion}: PASS - {detail}")

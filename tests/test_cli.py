@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -224,3 +226,24 @@ def test_console_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert "2" in proc.stdout
+
+
+def test_verify_failure_survives_python_O():
+    # the checks raise instead of asserting, so -O cannot turn FAIL into PASS
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    argv = ["-m", "aprings.cli", "verify", "--suite", "paper", "--filter", "degree-bound"]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, *flags, *argv],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        for flags in ([], ["-O"])
+    ]
+    outputs = [proc.communicate()[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [1, 1]
+    fails = [[l for l in out.splitlines() if l.startswith("[FAIL]")] for out in outputs]
+    assert fails[0] == fails[1]
+    assert len(fails[0]) == 1 and fails[0][0].startswith("[FAIL] c04 degree-bound: ")

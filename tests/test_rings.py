@@ -290,6 +290,18 @@ def test_group_ring_c2xc2_commutative_product(a, b):
     assert model.mul(a, b) == model.mul(b, a)
 
 
+@pytest.mark.parametrize("name", ["Z", "Z^3", "Z[C2]", "Z[C2xC2]", "Z[C4]", "burnside-S3"])
+def test_ghost_map_is_a_ring_homomorphism(name):
+    model = bundled_model(name)
+    ghost = model.ghost_map
+    assert all(v == 1 for v in ghost(model.one()))
+    xs = random_elements(model, 6, seed=23)
+    for a in xs:
+        for b in xs:
+            assert ghost(model.add(a, b)) == tuple(x + y for x, y in zip(ghost(a), ghost(b)))
+            assert ghost(model.mul(a, b)) == tuple(x * y for x, y in zip(ghost(a), ghost(b)))
+
+
 def test_burnside_mark_map_is_a_ring_homomorphism():
     for name in ("burnside-C2", "burnside-S3", "burnside-A5"):
         model = bundled_model(name)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -246,6 +247,14 @@ def test_predicates_unit_group_of_z_c2():
         if element_predicates(model, r).unit:
             units.append(expr)
     assert units == ["1", "-1", "g", "-g"]
+
+
+def test_burnside_units_are_the_square_roots_of_one():
+    # a unit has marks in {1, -1}, and such marks make r^2 = 1
+    model = bundled_model("burnside-S3")
+    one = model.one()
+    for r in itertools.product((-1, 0, 1), repeat=model.k):
+        assert element_predicates(model, r).unit == (model.mul(r, r) == one)
 
 
 def test_predicates_z_c4_unit_unsupported():
