@@ -6,10 +6,14 @@ data file holds the exact stdout, stderr and exit code of
 ``aprings spectrum --format json`` and of ``aprings analyze --format
 json`` on a few fixed elements.  For the free presets it also holds
 ``minimal_primes(...)`` as JSON and the signatures (labels and values),
-or the error they raise.  The tests replay every case and compare.
+or the error they raise.  A second data file holds the same for the
+``--format text`` output: ``spectrum`` and ``analyze`` on the same rings
+and elements, ``annihilator`` on the bundled presets and on mixed JSON
+specs, and ``marks`` for V4 and A5.  The tests replay every case and
+compare.
 
-The data file is a reference: regenerate it only for an intended output
-change, with
+The data files are a reference: regenerate them only for an intended
+output change, with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 """
@@ -29,6 +33,7 @@ from aprings.rings import FINITE_BUNDLED, bundled_model, construct_model
 from aprings.spectrum import minimal_primes, signatures
 
 DATA = Path(__file__).with_name("golden_outputs.json")
+TEXT_DATA = Path(__file__).with_name("golden_text_outputs.json")
 
 FREE_PRESETS = ["Z", "Z^3", "Z[C2]", "Z[C2xC2]", "Z[C4]"] + [
     f"burnside-{g}" for g in named_group_names()
@@ -63,6 +68,40 @@ def cli_cases(ring: str) -> list[dict]:
     return cases
 
 
+def mixed_spec(*atoms) -> str:
+    return json.dumps({"atoms": list(atoms)})
+
+
+INTEGERS_0_2 = {"kind": "integers", "values": [0, 2]}
+ANNIHILATOR_ARGS = [
+    ["--q", "preset:x2-1", "--n", "3"],
+    ["--q", "preset:x4-1", "--n", "2"],
+    ["--q", "preset:x2k-1:3", "--n", "2"],
+    ["--q", "preset:pfister:2", "--n", "3", "--closed-form"],
+    ["--q", mixed_spec(INTEGERS_0_2, {"kind": "roots_of_unity", "order": 3}), "--n", "2"],
+    ["--q", mixed_spec(INTEGERS_0_2, {"kind": "roots_of_unity", "order": 6}), "--n", "2"],
+    # mu_3 and mu_6 share their roots: a usage error
+    ["--q", mixed_spec({"kind": "roots_of_unity", "order": 3},
+                       {"kind": "roots_of_unity", "order": 6}), "--n", "2"],
+]
+
+
+def text_cases(key: str) -> list[dict]:
+    """The text-format runs recorded under `key`: "annihilator", "marks"
+    or one of RINGS."""
+    if key == "annihilator":
+        return [run_cli(["annihilator", *args, "--format", "text"]) for args in ANNIHILATOR_ARGS]
+    if key == "marks":
+        return [run_cli(["marks", "--group", f"named:{g}", "--format", "text"]) for g in ("V4", "A5")]
+    cases = [run_cli(["spectrum", "--ring", key, "--format", "text"])]
+    for element in sample_elements(key):
+        cases.append(run_cli(["analyze", "--ring", key, f"--element={element}", "--format", "text"]))
+    return cases
+
+
+TEXT_KEYS = ["annihilator", "marks"] + RINGS
+
+
 def _recorded(func):
     try:
         return func()
@@ -88,11 +127,13 @@ def collect() -> dict:
 
 
 GOLDEN = json.loads(DATA.read_text()) if DATA.exists() else {"cli": {}, "free": {}}
+GOLDEN_TEXT = json.loads(TEXT_DATA.read_text()) if TEXT_DATA.exists() else {}
 
 
 def test_every_preset_is_recorded():
     assert sorted(GOLDEN["cli"]) == sorted(RINGS)
     assert sorted(GOLDEN["free"]) == sorted(FREE_PRESETS)
+    assert sorted(GOLDEN_TEXT) == sorted(TEXT_KEYS)
 
 
 @pytest.mark.parametrize("ring", RINGS)
@@ -106,6 +147,15 @@ def test_free_structure_unchanged(name):
     assert free_structure(name) == GOLDEN["free"][name]
 
 
+@pytest.mark.parametrize("key", TEXT_KEYS)
+def test_text_output_unchanged(key):
+    for case in GOLDEN_TEXT[key]:
+        assert run_cli(case["argv"]) == case
+
+
 if __name__ == "__main__":
     DATA.write_text(json.dumps(collect(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {DATA}")
+    TEXT_DATA.write_text(
+        json.dumps({key: text_cases(key) for key in TEXT_KEYS}, indent=1, sort_keys=True) + "\n"
+    )
+    print(f"wrote {DATA} and {TEXT_DATA}")
