@@ -29,14 +29,11 @@ from .annihilator import (
 from .config import Limits, default_limits
 from .cyclotomic import (
     CyclotomicInteger,
-    as_rational_integer,
     cyclotomic_polynomial,
     poly_from_roots,
-    root_of_unity,
 )
 from .groups import (
     FiniteAbelianGroup,
-    Permutation,
     PermGroup,
     SubgroupClass,
     TableOfMarks,

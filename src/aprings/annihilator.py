@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from typing import Literal, Optional, Union
 
 from .config import Limits, default_limits
-from .cyclotomic import CyclotomicInteger, cyclotomic_polynomial, poly_from_roots
+from .cyclotomic import CyclotomicInteger, poly_from_roots
 from .errors import BoundExceeded
 from .intpoly import IntPolynomial
 
@@ -81,25 +81,18 @@ class RootSpec:
         return RootSpec((RootsOfUnity(order),))
 
     def common_order(self) -> int:
-        order = 1
-        for atom in self.atoms:
-            if isinstance(atom, RootsOfUnity):
-                order = lcm(order, atom.order)
-        return order
+        return lcm(*(atom.order for atom in self.atoms if isinstance(atom, RootsOfUnity)))
 
     def roots(self) -> tuple[CyclotomicInteger, ...]:
-        """All roots, lifted to the common order; duplicates are an error."""
+        """All roots, at the common order; duplicates are an error."""
         order = self.common_order()
-        cyclotomic_polynomial(order)
         out: list[CyclotomicInteger] = []
         for atom in self.atoms:
             if isinstance(atom, IntegerRoots):
-                out.extend(CyclotomicInteger.from_int(v, 1).lift(order) for v in atom.values)
+                out.extend(CyclotomicInteger.from_int(v, order) for v in atom.values)
             else:
-                out.extend(
-                    CyclotomicInteger.zeta(atom.order, j).lift(order)
-                    for j in range(atom.order)
-                )
+                step = order // atom.order
+                out.extend(CyclotomicInteger.zeta(order, j * step) for j in range(atom.order))
         if len(set(out)) != len(out):
             raise ValueError("atoms overlap: the union of root sets must be duplicate-free")
         return tuple(sorted(out, key=lambda r: r.sort_key()))
@@ -180,16 +173,22 @@ def root_sum_set(
     return _sum_set_cached(spec, n, mode, limits)
 
 
+def _sums(specs: tuple[RootSpec, ...], mode: SignMode, cap: int) -> set[CyclotomicInteger]:
+    """All sums eps_1*s_1 + ... + eps_k*s_k with s_i a root of specs[i]
+    (eps_i = 1 in unsigned mode), at the common order of the specs."""
+    order = lcm(*(spec.common_order() for spec in specs))
+    current = {CyclotomicInteger.from_int(0, order)}
+    for spec in specs:
+        roots = tuple(r.lift(order) for r in spec.roots())
+        current = _extend(current, roots, mode, cap)
+    return current
+
+
 @lru_cache(maxsize=512)
 def _sum_set_cached(spec: RootSpec, n: int, mode: SignMode, limits: Limits) -> SumSet:
-    roots = spec.roots()
-    order = spec.common_order()
-    zero = CyclotomicInteger.from_int(0, order)
-    current = {zero}
-    for _ in range(n):
-        current = _extend(current, roots, mode, limits.max_sumset)
-    elements = tuple(sorted(current, key=lambda r: r.sort_key()))
-    return SumSet(order=order, n=n, elements=elements)
+    sums = _sums((spec,) * n, mode, limits.max_sumset)
+    elements = tuple(sorted(sums, key=lambda r: r.sort_key()))
+    return SumSet(order=spec.common_order(), n=n, elements=elements)
 
 
 def mixed_annihilating_polynomial(
@@ -207,15 +206,7 @@ def mixed_annihilating_polynomial(
         raise BoundExceeded(
             f"{len(specs)} summands exceed the bound {limits.max_summands}"
         )
-    order = 1
-    for spec in specs:
-        order = lcm(order, spec.common_order())
-    cyclotomic_polynomial(order)
-    current = {CyclotomicInteger.from_int(0, order)}
-    for spec in specs:
-        roots = tuple(r.lift(order) for r in spec.roots())
-        current = _extend(current, roots, mode, limits.max_sumset)
-    return poly_from_roots(current)
+    return poly_from_roots(_sums(specs, mode, limits.max_sumset))
 
 
 def annihilating_polynomial(
@@ -248,14 +239,11 @@ def quartic_t(n: int) -> IntPolynomial:
     Gaussian integers a+bi with |a|+|b| = n."""
     if n < 1:
         raise ValueError("n must be positive")
-    result = IntPolynomial.monomial(4) - n**4
-    for a in range(1, n):
-        b = n - a
-        factor = IntPolynomial(
-            ((a * a + b * b) ** 2, 0, -2 * (a * a - b * b), 0, 1)
-        )
-        result = result * factor
-    return result
+    factors = (
+        IntPolynomial(((a * a + b * b) ** 2, 0, -2 * (a * a - b * b), 0, 1))
+        for a, b in zip(range(1, n), range(n - 1, 0, -1))
+    )
+    return prod(factors, start=IntPolynomial.monomial(4) - n**4)
 
 
 def quartic_p(n: int) -> IntPolynomial:
@@ -263,14 +251,8 @@ def quartic_p(n: int) -> IntPolynomial:
     t_n * t_(n-2) * ... * t_2 * X (n even) or ... * t_1 (n odd)."""
     if n < 1:
         raise ValueError("n must be positive")
-    result = IntPolynomial.constant(1)
-    m = n
-    while m >= 1:
-        result = result * quartic_t(m)
-        m -= 2
-    if n % 2 == 0:
-        result = result * IntPolynomial.x()
-    return result
+    result = prod((quartic_t(m) for m in range(n, 0, -2)), start=IntPolynomial.constant(1))
+    return result * IntPolynomial.x() if n % 2 == 0 else result
 
 
 def pfister_chain_polynomial(n: int, k: int) -> IntPolynomial:

@@ -1,9 +1,12 @@
 """Command line interface.
 
 Subcommands: annihilator, marks, spectrum, analyze, verify.  Exit
-codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-bound.  JSON output is deterministic (sorted keys, canonical
-orderings); unbounded integers are serialized as decimal strings.
+codes: 0 success, 1 verification failure or internal error, 2 usage
+error, 3 resource bound.  Malformed input is turned into
+ExpressionError where it is read, so any other ValueError or KeyError
+is an internal fault.  JSON output is deterministic (sorted keys,
+canonical orderings); unbounded integers are serialized as decimal
+strings.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .annihilator import (
     RootSpec,
@@ -43,21 +46,33 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _load_root_spec(text: str) -> tuple[RootSpec, Optional[str], str]:
-    """Returns (spec, preset-name-or-None, default sign mode)."""
-    if text.startswith("preset:"):
-        name = text[len("preset:"):]
-        spec, mode = root_spec_preset(name)
-        return spec, name, mode
-    if text.startswith("@"):
-        data = json.loads(Path(text[1:]).read_text())
-    else:
-        data = json.loads(text)
-    return RootSpec.from_json(data), None, "signed"
+def _load(text: str, by_name: Callable, from_json: Callable):
+    """An input argument: `preset:NAME`, `named:NAME` or a bare NAME,
+    looked up by `by_name`, or `@FILE` or inline JSON, built by
+    `from_json`.  Malformed input raises ExpressionError."""
+    try:
+        if text.startswith("@"):
+            return from_json(json.loads(Path(text[1:]).read_text()))
+        if text.lstrip().startswith("{"):
+            return from_json(json.loads(text))
+        prefix, _, name = text.partition(":")
+        return by_name(name if prefix in ("preset", "named") else text)
+    except (ValueError, KeyError, OSError) as exc:
+        raise ExpressionError(str(exc)) from exc
+
+
+def _root_spec_from_json(data) -> tuple[RootSpec, str, None]:
+    spec = RootSpec.from_json(data)
+    spec.roots()  # overlapping atoms are malformed input
+    return spec, "signed", None
 
 
 def cmd_annihilator(args) -> int:
-    spec, preset, default_mode = _load_root_spec(args.q)
+    spec, default_mode, preset = _load(
+        args.q, lambda name: (*root_spec_preset(name), name), _root_spec_from_json
+    )
+    if args.n < 1:
+        raise ExpressionError("n must be positive")
     mode = args.mode or default_mode
     sums = root_sum_set(spec, args.n, mode)
     poly = annihilating_polynomial(spec, args.n, mode)
@@ -96,13 +111,7 @@ def cmd_annihilator(args) -> int:
 
 
 def cmd_marks(args) -> int:
-    if args.group.startswith("named:"):
-        G = named_group(args.group[len("named:"):])
-    elif args.group.startswith("@"):
-        G = group_from_json(json.loads(Path(args.group[1:]).read_text()))
-    else:
-        G = named_group(args.group)
-    table = table_of_marks(G)
+    table = table_of_marks(_load(args.group, named_group, group_from_json))
     if args.check_paper:
         reference = a5_reference_table()
         expected_labels = [A5_LABEL_ALIASES[l] for l in reference["labels"]]
@@ -127,19 +136,8 @@ def cmd_marks(args) -> int:
     return 0
 
 
-def _load_model(text: str):
-    if text.startswith("preset:"):
-        return bundled_model(text[len("preset:"):])
-    if text.startswith("@"):
-        return construct_model(json.loads(Path(text[1:]).read_text()))
-    try:
-        return bundled_model(text)
-    except ValueError:
-        return construct_model(json.loads(text))
-
-
 def cmd_spectrum(args) -> int:
-    model = _load_model(args.ring)
+    model = _load(args.ring, bundled_model, construct_model)
     report = spectrum_report(model, prime_bound=args.primes_up_to)
     if args.format == "json":
         _emit_json(report.to_json())
@@ -163,7 +161,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    model = _load_model(args.ring)
+    model = _load(args.ring, bundled_model, construct_model)
     element = parse_element(model, args.element)
     report = verify_annihilated(model, element)
     preds = element_predicates(model, element)
@@ -220,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_annihilator)
 
     p = sub.add_parser("marks", help="compute a table of marks")
-    p.add_argument("--group", required=True, help=f"named:NAME ({', '.join(named_group_names())}) or @file")
+    p.add_argument("--group", required=True, help=f"named:NAME ({', '.join(named_group_names())}), JSON, or @file")
     p.add_argument("--check-paper", action="store_true", dest="check_paper",
                    help="compare against the bundled A5 reference table")
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -247,18 +245,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--element" in argv[:-1]:
+        # joined, so that an element starting with "-" is not read as an option
+        i = argv.index("--element")
+        argv[i:i + 2] = [f"--element={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BoundExceeded as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
         return BOUND_ERROR
-    except (ExpressionError, ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
+    except ExpressionError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ApringsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, KeyError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .config import default_limits
 from .errors import CheckFailed, NonIntegerCoefficient, UnsupportedOrder
-from .intpoly import IntPolynomial
+from .intpoly import IntPolynomial, format_terms, repeated_doubling
 
 
 # -- elementary number theory ------------------------------------------------
@@ -71,12 +72,14 @@ def moebius(n: int) -> int:
 # -- cyclotomic polynomials ----------------------------------------------------
 
 
-def cyclotomic_polynomial(m: int, max_degree: Optional[int] = None) -> IntPolynomial:
+def cyclotomic_polynomial(m: int) -> IntPolynomial:
     """The m-th cyclotomic polynomial Phi_m, computed by exact division
-    of X^m - 1 by the product of Phi_d over proper divisors d of m."""
+    of X^m - 1 by the product of Phi_d over proper divisors d of m.
+    Raises UnsupportedOrder when its degree exceeds
+    Limits.max_cyclotomic_degree."""
     if m < 1:
         raise ValueError("order must be positive")
-    cap = max_degree if max_degree is not None else default_limits().max_cyclotomic_degree
+    cap = default_limits().max_cyclotomic_degree
     if euler_phi(m) > cap:
         raise UnsupportedOrder(f"deg Phi_{m} = {euler_phi(m)} exceeds the cap {cap}")
     return _cyclotomic(m)
@@ -95,7 +98,9 @@ def _cyclotomic(m: int) -> IntPolynomial:
 
 @lru_cache(maxsize=None)
 def _reduction_state(m: int) -> tuple[int, tuple[int, ...]]:
-    phi = _cyclotomic(m)
+    # every element of order m is built through here, so this is where
+    # the degree cap is checked
+    phi = cyclotomic_polynomial(m)
     # X^d = -(low part of Phi_m) since Phi_m is monic
     return phi.degree, phi.coeffs[:-1]
 
@@ -189,7 +194,6 @@ class CyclotomicInteger:
         if self.order == other.order:
             return self, other
         target = lcm(self.order, other.order)
-        cyclotomic_polynomial(target)  # enforce the degree cap
         return self.lift(target), other.lift(target)
 
     # -- arithmetic ---------------------------------------------------
@@ -236,14 +240,7 @@ class CyclotomicInteger:
     def __pow__(self, n: int) -> "CyclotomicInteger":
         if n < 0:
             raise ValueError("negative exponent")
-        result = CyclotomicInteger.from_int(1, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return repeated_doubling(self, n, CyclotomicInteger.from_int(1, self.order), mul)
 
     # -- identity -----------------------------------------------------
 
@@ -271,23 +268,11 @@ class CyclotomicInteger:
         return f"CyclotomicInteger({self})"
 
     def __str__(self) -> str:
-        if self.is_rational:
-            return str(self.coords[0])
-        parts = []
-        for j, c in enumerate(self.coords):
-            if c == 0:
-                continue
-            if j == 0:
-                body = str(abs(c))
-            else:
-                gen = "i" if self.order == 4 else f"z{self.order}"
-                power = gen if j == 1 else f"{gen}^{j}"
-                body = power if abs(c) == 1 else f"{abs(c)}*{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" {'+' if c > 0 else '-'} {body}")
-        return "".join(parts)
+        gen = "i" if self.order == 4 else f"z{self.order}"
+        return format_terms(
+            (c, "" if j == 0 else gen if j == 1 else f"{gen}^{j}")
+            for j, c in enumerate(self.coords)
+        )
 
     # -- serialization ------------------------------------------------
 
@@ -310,16 +295,6 @@ def _coerce(value, order: int):
 # -- public operations -----------------------------------------------------------
 
 
-def root_of_unity(m: int, j: int = 1, max_degree: Optional[int] = None) -> CyclotomicInteger:
-    """zeta_m^j in canonical form; satisfies root_of_unity(m, j)**m == 1."""
-    cyclotomic_polynomial(m, max_degree=max_degree)
-    return CyclotomicInteger.zeta(m, j)
-
-
-def as_rational_integer(value: CyclotomicInteger) -> Optional[int]:
-    return value.as_int()
-
-
 def poly_from_roots(roots: Iterable[CyclotomicInteger]) -> IntPolynomial:
     """Monic integer polynomial with the given distinct cyclotomic roots.
 
@@ -330,10 +305,7 @@ def poly_from_roots(roots: Iterable[CyclotomicInteger]) -> IntPolynomial:
     rs = list(roots)
     if not rs:
         return IntPolynomial.constant(1)
-    target = 1
-    for r in rs:
-        target = lcm(target, r.order)
-    cyclotomic_polynomial(target)
+    target = lcm(*(r.order for r in rs))
     rs = sorted((r.lift(target) for r in rs), key=lambda r: r.sort_key())
     if len(set(rs)) != len(rs):
         raise ValueError("duplicate roots")

@@ -14,15 +14,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import product
-from math import lcm
-from typing import Iterable, Optional, Sequence
+from math import lcm, prod
+from typing import Callable, Iterable, Optional, Sequence
 
 from .config import Limits, default_limits
-from .cyclotomic import CyclotomicInteger, cyclotomic_polynomial
+from .cyclotomic import CyclotomicInteger
 from .errors import CheckFailed, ExponentMismatch, OrderBoundExceeded
 
 Perm = tuple[int, ...]
-Permutation = Perm
 
 
 # -- permutations ------------------------------------------------------------
@@ -69,13 +68,6 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, p: Perm) -> bool:
-        return p in self._element_set()
-
-    @lru_cache(maxsize=None)
-    def _element_set(self) -> frozenset:
-        return frozenset(self.elements)
-
     def to_json(self) -> dict:
         return {"degree": self.degree, "generators": [list(g) for g in self.generators]}
 
@@ -89,21 +81,24 @@ def close_group(
     for g in gens:
         if len(g) != degree:
             raise ValueError("generator degree mismatch")
-    elements = _closure(degree, gens, limits.max_group_order)
+    elements = closure(compose, identity_perm(degree), gens, limits.max_group_order)
     return PermGroup(degree=degree, generators=gens, elements=tuple(sorted(elements)))
 
 
-def _closure(degree: int, gens: Sequence[Perm], bound: int) -> frozenset:
-    identity = identity_perm(degree)
+def closure(op: Callable, identity, generators: Iterable, bound: Optional[int] = None) -> frozenset:
+    """The closure of {identity} under x -> op(x, g) for the generators g,
+    breadth first: in a finite group, the subgroup they generate.
+    Raises OrderBoundExceeded when it would grow past `bound` elements."""
+    gens = tuple(generators)
     seen = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for a in frontier:
             for g in gens:
-                c = compose(a, g)
+                c = op(a, g)
                 if c not in seen:
-                    if len(seen) + 1 > bound:
+                    if bound is not None and len(seen) + 1 > bound:
                         raise OrderBoundExceeded(
                             f"group closure exceeds the order bound {bound}"
                         )
@@ -117,7 +112,7 @@ def _closure(degree: int, gens: Sequence[Perm], bound: int) -> frozenset:
 
 
 def subgroup_closure(degree: int, gens: Iterable[Perm], bound: int) -> frozenset:
-    return _closure(degree, tuple(gens), bound)
+    return closure(compose, identity_perm(degree), gens, bound)
 
 
 @dataclass(frozen=True)
@@ -279,17 +274,11 @@ class FiniteAbelianGroup:
 
     @property
     def order(self) -> int:
-        n = 1
-        for o in self.factor_orders:
-            n *= o
-        return n
+        return prod(self.factor_orders)
 
     @property
     def exponent(self) -> int:
-        e = 1
-        for o in self.factor_orders:
-            e = lcm(e, o)
-        return e
+        return lcm(*self.factor_orders)
 
     @property
     def rank(self) -> int:
@@ -329,9 +318,9 @@ class Character:
 
     def value(self, g: tuple[int, ...]) -> CyclotomicInteger:
         m = self.target_order
-        total = 0
-        for gi, ti, oi in zip(g, self.exponents, self.group.factor_orders):
-            total += (m // oi) * ti * gi
+        total = sum(
+            (m // oi) * ti * gi for gi, ti, oi in zip(g, self.exponents, self.group.factor_orders)
+        )
         return CyclotomicInteger.zeta(m, total % m)
 
     def label(self) -> str:
@@ -344,7 +333,6 @@ def characters(G: FiniteAbelianGroup, m: int) -> list[Character]:
         raise ExponentMismatch(
             f"target order {m} is not a multiple of the exponent {G.exponent}"
         )
-    cyclotomic_polynomial(m)
     chars = [
         Character(group=G, target_order=m, exponents=exps)
         for exps in product(*(range(o) for o in G.factor_orders))

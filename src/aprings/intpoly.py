@@ -3,12 +3,49 @@
 Coefficients are stored in ascending degree order; the zero polynomial
 has an empty coefficient tuple and degree -1.  Python integers give
 arbitrary precision for free, so no coefficient ever overflows.
+
+The module also holds two routines shared by every exact arithmetic type
+of the package: `repeated_doubling` (powers and integer multiples) and
+`format_terms` (signed sums of terms).
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import Iterable, Sequence
+from math import prod
+from operator import mul
+from typing import Callable, Iterable, Sequence
+
+
+def repeated_doubling(x, n: int, identity, op: Callable):
+    """x combined with itself n >= 0 times under the associative `op`
+    (identity for n = 0), by repeated doubling."""
+    result = identity
+    while n:
+        if n & 1:
+            result = op(result, x)
+        x = op(x, x)
+        n >>= 1
+    return result
+
+
+def format_terms(terms: Iterable[tuple[int, str]]) -> str:
+    """The signed sum of the given (coefficient, monomial) terms, e.g.
+    "x^2 - 3*x + 1"; an empty monomial marks the constant term and zero
+    coefficients are skipped."""
+    parts = []
+    for c, monomial in terms:
+        if c == 0:
+            continue
+        if not monomial:
+            body = str(abs(c))
+        else:
+            body = monomial if abs(c) == 1 else f"{abs(c)}*{monomial}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f" {'+' if c > 0 else '-'} {body}")
+    return "".join(parts) if parts else "0"
 
 
 class IntPolynomial:
@@ -21,10 +58,6 @@ class IntPolynomial:
         self.coeffs = tuple(cs)
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "IntPolynomial":
-        return IntPolynomial()
 
     @staticmethod
     def constant(c: int) -> "IntPolynomial":
@@ -44,10 +77,7 @@ class IntPolynomial:
     def from_roots(roots: Iterable[int]) -> "IntPolynomial":
         """Monic product of (x - r) over distinct integer roots."""
         rs = sorted(set(int(r) for r in roots))
-        p = IntPolynomial.constant(1)
-        for r in rs:
-            p = p * IntPolynomial((-r, 1))
-        return p
+        return prod((IntPolynomial((-r, 1)) for r in rs), start=IntPolynomial.constant(1))
 
     # -- queries ------------------------------------------------------
 
@@ -112,14 +142,7 @@ class IntPolynomial:
     def __pow__(self, n: int) -> "IntPolynomial":
         if n < 0:
             raise ValueError("negative exponent")
-        result = IntPolynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return repeated_doubling(self, n, IntPolynomial.constant(1), mul)
 
     def __divmod__(self, other: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Exact long division over the integers.
@@ -177,25 +200,10 @@ class IntPolynomial:
         return f"IntPolynomial({self})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                var = "x" if k == 1 else f"x^{k}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
+        return format_terms(
+            (c, "" if k == 0 else "x" if k == 1 else f"x^{k}")
+            for k, c in reversed(list(enumerate(self.coeffs)))
+        )
 
     # -- serialization ------------------------------------------------
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 from math import lcm
 from random import Random
 from typing import Iterable, Optional, Sequence
@@ -36,10 +37,11 @@ from .groups import (
     FiniteAbelianGroup,
     TableOfMarks,
     characters,
+    closure,
     named_group,
     table_of_marks,
 )
-from .intpoly import IntPolynomial
+from .intpoly import IntPolynomial, format_terms, repeated_doubling
 
 
 class RingModel:
@@ -74,8 +76,8 @@ class RingModel:
         raise NotImplementedError
 
     def embed_int(self, n: int):
-        """n * 1_R through ring additions (double-and-add)."""
-        return _scaled(self, self.one(), n)
+        """n * 1_R."""
+        raise NotImplementedError
 
     # structure ---------------------------------------------------------
 
@@ -260,7 +262,9 @@ class FreeRing(RingModel):
         return tuple(out)
 
     def format_element(self, r):
-        return _format_combination(zip(self.labels, self.coordinates(r)))
+        return format_terms(
+            (c, "" if label == "1" else label) for label, c in zip(self.labels, self.coordinates(r))
+        )
 
 
 # -- Z ---------------------------------------------------------------------------
@@ -515,7 +519,7 @@ class FiniteQuotientRing(RingModel):
         gens = [self._normalize(v) for v in ideal_generators]
         # the Z/N-span of all group translates of the generators
         seeds = {self.cover.mul(g, e) for g in gens for _, e in self.cover.generators()}
-        kernel = additive_span(self._vec_add, (0,) * dim, seeds)
+        kernel = closure(self._vec_add, (0,) * dim, seeds)
         self._rep = self._coset_reps(kernel, dim)
         self._carrier = sorted(set(self._rep.values()))
         self.kernel_size = len(kernel)
@@ -537,16 +541,13 @@ class FiniteQuotientRing(RingModel):
         return tuple((x + y) % self.modulus for x, y in zip(a, b))
 
     def _coset_reps(self, kernel, dim) -> dict:
-        from itertools import product as iproduct
-
+        # vectors come in lexicographic order, so the first one of each
+        # coset is its minimum
         rep: dict = {}
-        for vec in iproduct(range(self.modulus), repeat=dim):
-            if vec in rep:
-                continue
-            coset = sorted(self._vec_add(vec, k) for k in kernel)
-            canon = coset[0]
-            for member in coset:
-                rep[member] = canon
+        for vec in product(range(self.modulus), repeat=dim):
+            if vec not in rep:
+                for k in kernel:
+                    rep[self._vec_add(vec, k)] = vec
         return rep
 
     def zero(self):
@@ -608,24 +609,6 @@ class FiniteQuotientRing(RingModel):
 
     def format_element(self, r):
         return self.cover.format_element(r)
-
-
-def additive_span(add, zero, seeds) -> frozenset:
-    """The subgroup generated by the seeds in a finite additive group
-    (given by its addition and zero), by breadth-first closure."""
-    seeds = set(seeds)
-    closed = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for s in seeds:
-                w = add(v, s)
-                if w not in closed:
-                    closed.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return frozenset(closed)
 
 
 def signed_ball(model: RingModel, radius: int) -> dict:
@@ -699,11 +682,7 @@ class ProductRing(RingModel):
         return tuple(out)
 
     def generating_polynomial(self):
-        roots = []
-        order = self._spec.common_order()
-        for r in self._spec.roots():
-            roots.append(r.lift(order))
-        return poly_from_roots(roots)
+        return poly_from_roots(self._spec.roots())
 
     def root_spec(self):
         return self._spec
@@ -753,7 +732,7 @@ def _merge_root_specs(a: RootSpec, b: RootSpec) -> RootSpec:
             unity_orders.append(atom.order)
     # mu_lcm contains mu_m for every atom order m; for pairwise
     # divisible orders this is exactly the union
-    kept: list[int] = [_lcm_all(unity_orders)] if unity_orders else []
+    kept: list[int] = [lcm(*unity_orders)] if unity_orders else []
     covered_ints = set()
     for o in kept:
         covered_ints.add(1)
@@ -768,13 +747,6 @@ def _merge_root_specs(a: RootSpec, b: RootSpec) -> RootSpec:
     if ints:
         atoms.append(IntegerRoots(tuple(sorted(ints))))
     return RootSpec(tuple(atoms))
-
-
-def _lcm_all(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        out = lcm(out, v)
-    return out
 
 
 # -- annihilation reports ---------------------------------------------------------------
@@ -859,31 +831,8 @@ def parse_element(model: RingModel, text: str):
 
 
 def _scaled(model: RingModel, element, n: int):
-    result = model.zero()
-    negate = n < 0
-    n = abs(n)
-    addend = element
-    while n:
-        if n & 1:
-            result = model.add(result, addend)
-        addend = model.add(addend, addend)
-        n >>= 1
-    return model.neg(result) if negate else result
-
-
-def _format_combination(pairs) -> str:
-    parts = []
-    for label, c in pairs:
-        if c == 0:
-            continue
-        body = label if abs(c) == 1 else f"{abs(c)}*{label}"
-        if label == "1":
-            body = str(abs(c))
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f" {'+' if c > 0 else '-'} {body}")
-    return "".join(parts) if parts else "0"
+    result = repeated_doubling(element, abs(n), model.zero(), model.add)
+    return model.neg(result) if n < 0 else result
 
 
 # -- model construction and registry ------------------------------------------------------

@@ -14,11 +14,12 @@ never materialized element sets; only the finite oracle enumerates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 from .config import Limits, default_limits
 from .errors import CheckFailed, UnsupportedModel
+from .groups import closure
 from .rings import (
     BurnsideModel,
     FiniteQuotientRing,
@@ -26,7 +27,6 @@ from .rings import (
     GhostColumn,
     ProductRing,
     RingModel,
-    additive_span,
     signed_ball,
 )
 
@@ -217,7 +217,7 @@ def fundamental_ideal_elements(model: FiniteQuotientRing) -> frozenset:
     for _, s in model.generators():
         seeds.add(model.sub(one, s))
         seeds.add(model.add(one, s))
-    return additive_span(model.add, model.zero(), seeds)
+    return closure(model.add, model.zero(), seeds)
 
 
 def ap_condition_check(model: RingModel, k: int, limits: Optional[Limits] = None) -> bool:
@@ -232,7 +232,7 @@ def ap_condition_check(model: RingModel, k: int, limits: Optional[Limits] = None
     power = ideal
     for _ in range(k - 1):
         products = {model.mul(x, y) for x in power for y in ideal}
-        power = additive_span(model.add, model.zero(), products)
+        power = closure(model.add, model.zero(), products)
     ball = signed_ball(model, 2**k - 1)
     zero = model.zero()
     return all(r == zero for r in ball.keys() & power)
@@ -252,30 +252,11 @@ class ElementPredicates:
     in_every_signature_ideal: Optional[bool]
 
     def unsupported(self) -> tuple[str, ...]:
-        return tuple(
-            name
-            for name in (
-                "nilpotent",
-                "torsion",
-                "unit",
-                "zero_divisor",
-                "idempotent",
-                "in_fundamental",
-                "in_every_signature_ideal",
-            )
-            if getattr(self, name) is None
-        )
+        return tuple(name for name, value in self.to_json().items() if value is None)
 
     def to_json(self) -> dict:
-        return {
-            "nilpotent": self.nilpotent,
-            "torsion": self.torsion,
-            "unit": self.unit,
-            "zero_divisor": self.zero_divisor,
-            "idempotent": self.idempotent,
-            "in_fundamental": self.in_fundamental,
-            "in_every_signature_ideal": self.in_every_signature_ideal,
-        }
+        """The predicates by name, in field order (the order of the text output)."""
+        return asdict(self)
 
 
 def element_predicates(

@@ -17,7 +17,7 @@ from aprings.annihilator import (
     root_sum_set,
 )
 from aprings.config import Limits
-from aprings.cyclotomic import CyclotomicInteger, root_of_unity
+from aprings.cyclotomic import CyclotomicInteger
 from aprings.errors import BoundExceeded
 from aprings.intpoly import IntPolynomial
 
@@ -64,7 +64,7 @@ def test_sum_set_spec_examples():
         0,
         2,
     }
-    i = root_of_unity(4)
+    i = CyclotomicInteger.zeta(4)
     expected = {0 * i, 2 + 0 * i, -2 + 0 * i, 2 * i, -2 * i, 1 + i, 1 - i, -1 + i, -1 - i}
     assert set(root_sum_set(RootSpec.unity(4), 2).elements) == expected
     unsigned = root_sum_set(RootSpec.integers(0, 2), 2, "unsigned")
@@ -122,7 +122,7 @@ def test_quartic_t_roots_are_exactly_the_l1_sphere():
     for n in range(1, 6):
         t = quartic_t(n)
         assert t.degree == 4 * n
-        i = root_of_unity(4)
+        i = CyclotomicInteger.zeta(4)
         for a in range(-n, n + 1):
             for b in (n - abs(a), abs(a) - n):
                 assert t(a + b * i) == 0

@@ -247,3 +247,51 @@ def test_verify_failure_survives_python_O():
     fails = [[l for l in out.splitlines() if l.startswith("[FAIL]")] for out in outputs]
     assert fails[0] == fails[1]
     assert len(fails[0]) == 1 and fails[0][0].startswith("[FAIL] c04 degree-bound: ")
+
+
+@pytest.mark.parametrize("element", ["-g", "-2*g + 1"])
+def test_analyze_element_starting_with_minus(capsys, element):
+    # `--element VALUE` must read a leading "-" as part of the value
+    joined = run_cli(capsys, "analyze", "--ring", "Z[C2]", f"--element={element}")
+    spaced = run_cli(capsys, "analyze", "--ring", "Z[C2]", "--element", element)
+    assert joined[0] == 0
+    assert spaced == joined
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["annihilator", "--q", "preset:x2-1", "--n", "0"],
+        ["annihilator", "--q", "preset:nope", "--n", "2"],
+        ["annihilator", "--q", '{"atoms":[{"kind":"roots_of_unity","order":3},'
+                               '{"kind":"roots_of_unity","order":6}]}', "--n", "2"],
+        ["annihilator", "--q", "@/nonexistent/spec.json", "--n", "2"],
+        ["marks", "--group", "named:nope"],
+        ["marks", "--group", '{"degree":2,"generators":[[0,0]]}'],
+        ["spectrum", "--ring", '{"kind":"nope"}'],
+        ["spectrum", "--ring", '{"kind":"product_z"}'],
+        ["analyze", "--ring", "nope", "--element", "1"],
+    ],
+)
+def test_malformed_input_is_a_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("usage error: ")
+
+
+def test_internal_fault_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("missing table entry")
+
+    monkeypatch.setattr("aprings.cli.spectrum_report", broken)
+    code, _, err = run_cli(capsys, "spectrum", "--ring", "Z")
+    assert code == 1
+    assert err.startswith("internal error: KeyError")
+
+
+def test_inline_json_group(capsys):
+    code, out, _ = run_cli(
+        capsys, "marks", "--group", '{"degree":2,"generators":[[1,0]]}', "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["marks"] == [[2, 0], [1, 1]]

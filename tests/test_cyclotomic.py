@@ -3,12 +3,10 @@ from hypothesis import given, strategies as st
 
 from aprings.cyclotomic import (
     CyclotomicInteger,
-    as_rational_integer,
     cyclotomic_polynomial,
     euler_phi,
     moebius,
     poly_from_roots,
-    root_of_unity,
 )
 from aprings.errors import NonIntegerCoefficient, UnsupportedOrder
 from aprings.intpoly import IntPolynomial
@@ -36,39 +34,39 @@ def test_degree_cap():
 
 
 def test_roots_of_unity():
-    assert root_of_unity(2, 1) == -1
-    assert root_of_unity(4, 3) == -1 * root_of_unity(4, 1)
-    assert root_of_unity(1, 0) == 1
+    assert CyclotomicInteger.zeta(2, 1) == -1
+    assert CyclotomicInteger.zeta(4, 3) == -1 * CyclotomicInteger.zeta(4, 1)
+    assert CyclotomicInteger.zeta(1, 0) == 1
     for m in (1, 2, 3, 4, 6, 8, 12):
-        z = root_of_unity(m)
+        z = CyclotomicInteger.zeta(m)
         assert z**m == 1
 
 
 def test_i_squared():
-    i = root_of_unity(4)
+    i = CyclotomicInteger.zeta(4)
     assert i * i == -1
 
 
 def test_gaussian_product():
-    i = root_of_unity(4)
+    i = CyclotomicInteger.zeta(4)
     assert (1 + i) * (1 - i) == 2
 
 
 def test_additive_inverse():
-    z = root_of_unity(8)
+    z = CyclotomicInteger.zeta(8)
     assert (1 + z) + (-1 - z) == 0
 
 
 def test_as_rational_integer():
-    assert as_rational_integer(CyclotomicInteger.from_int(5)) == 5
-    assert as_rational_integer(root_of_unity(4)) is None
-    i = root_of_unity(4)
-    assert as_rational_integer((1 + i) + (1 - i)) == 2
+    assert CyclotomicInteger.from_int(5).as_int() == 5
+    assert CyclotomicInteger.zeta(4).as_int() is None
+    i = CyclotomicInteger.zeta(4)
+    assert ((1 + i) + (1 - i)).as_int() == 2
 
 
 def test_cross_order_equality_and_hash():
-    i4 = root_of_unity(4)
-    i8 = root_of_unity(8) ** 2
+    i4 = CyclotomicInteger.zeta(4)
+    i8 = CyclotomicInteger.zeta(8) ** 2
     assert i4 == i8
     assert hash(i4) == hash(i8)
     two_at_8 = CyclotomicInteger.from_int(2, 8)
@@ -78,7 +76,7 @@ def test_cross_order_equality_and_hash():
 
 
 def test_lift_roundtrip():
-    z = root_of_unity(3)
+    z = CyclotomicInteger.zeta(3)
     lifted = z.lift(12)
     assert lifted == z
     assert lifted.order == 12
@@ -92,7 +90,7 @@ def test_poly_from_roots_simple():
 
 
 def test_poly_from_roots_gaussian():
-    i = root_of_unity(4)
+    i = CyclotomicInteger.zeta(4)
     roots = [1 + i, 1 - i, -1 + i, -1 - i]
     roots += [CyclotomicInteger.from_int(v).lift(4) for v in (-2, 2, 0)]
     roots += [2 * i, -2 * i]
@@ -107,7 +105,7 @@ def test_poly_from_roots_gaussian():
 
 
 def test_poly_from_roots_evaluates_to_zero_at_roots():
-    z = root_of_unity(8)
+    z = CyclotomicInteger.zeta(8)
     roots = [z**j for j in range(8)]
     p = poly_from_roots(roots)
     assert p == IntPolynomial.monomial(8) - 1
@@ -117,12 +115,12 @@ def test_poly_from_roots_evaluates_to_zero_at_roots():
 
 def test_poly_from_roots_rejects_unstable_sets():
     with pytest.raises(NonIntegerCoefficient):
-        poly_from_roots([root_of_unity(4)])
+        poly_from_roots([CyclotomicInteger.zeta(4)])
 
 
 def test_poly_from_roots_rejects_duplicates():
     with pytest.raises(ValueError):
-        poly_from_roots([root_of_unity(4), root_of_unity(8) ** 2])
+        poly_from_roots([CyclotomicInteger.zeta(4), CyclotomicInteger.zeta(8) ** 2])
 
 
 def test_moebius_and_phi():
@@ -160,4 +158,4 @@ def test_json_roundtrip(a):
 
 @given(small_ints)
 def test_integer_embedding_roundtrip(n):
-    assert as_rational_integer(CyclotomicInteger.from_int(n, 8)) == n
+    assert CyclotomicInteger.from_int(n, 8).as_int() == n

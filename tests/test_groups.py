@@ -157,9 +157,9 @@ def test_characters_c4():
     chars = characters(G, 4)
     assert len(chars) == 4
     values = {chi.value((1,)) for chi in chars}
-    from aprings.cyclotomic import root_of_unity
+    from aprings.cyclotomic import CyclotomicInteger
 
-    i = root_of_unity(4)
+    i = CyclotomicInteger.zeta(4)
     assert values == {1 + 0 * i, i, -1 + 0 * i, -i}
     for chi in chars:
         assert chi.value((1,)) ** 4 == 1
