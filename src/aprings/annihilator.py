@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm, prod
+from operator import add, sub
 from typing import Literal, Optional, Union
 
 from .config import Limits, default_limits
@@ -93,7 +94,7 @@ class RootSpec:
             else:
                 step = order // atom.order
                 out.extend(CyclotomicInteger.zeta(order, j * step) for j in range(atom.order))
-        if len(set(out)) != len(out):
+        if len({r.coords for r in out}) != len(out):
             raise ValueError("atoms overlap: the union of root sets must be duplicate-free")
         return tuple(sorted(out, key=lambda r: r.sort_key()))
 
@@ -122,9 +123,6 @@ class SumSet:
     n: int
     elements: tuple[CyclotomicInteger, ...]
 
-    def __contains__(self, value) -> bool:
-        return any(e == value for e in self.elements)
-
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -141,20 +139,23 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
+Coords = tuple[int, ...]
+
+
 def _extend(
-    current: set[CyclotomicInteger],
-    roots: tuple[CyclotomicInteger, ...],
-    mode: SignMode,
-    cap: int,
-) -> set[CyclotomicInteger]:
-    nxt: set[CyclotomicInteger] = set()
-    for t in current:
-        for r in roots:
-            nxt.add(t + r)
-            if mode == "signed":
-                nxt.add(t - r)
-            if len(nxt) > cap:
-                raise BoundExceeded(f"sum set exceeds the configured cap of {cap}")
+    current: set[Coords], roots: tuple[Coords, ...], mode: SignMode, cap: int
+) -> set[Coords]:
+    """All t + r (and t - r in signed mode) for t in current and r in roots,
+    as coordinate tuples at one common order."""
+    nxt: set[Coords] = set()
+    for r in roots:
+        nxt.update(tuple(map(add, t, r)) for t in current)
+        if mode == "signed":
+            nxt.update(tuple(map(sub, t, r)) for t in current)
+        if len(nxt) > cap:
+            raise BoundExceeded(
+                f"sum set exceeds the limit max_sumset = {cap}: reached {len(nxt)} elements"
+            )
     return nxt
 
 
@@ -173,21 +174,24 @@ def root_sum_set(
     return _sum_set_cached(spec, n, mode, limits)
 
 
-def _sums(specs: tuple[RootSpec, ...], mode: SignMode, cap: int) -> set[CyclotomicInteger]:
+def _sums(
+    specs: tuple[RootSpec, ...], mode: SignMode, cap: int
+) -> tuple[CyclotomicInteger, ...]:
     """All sums eps_1*s_1 + ... + eps_k*s_k with s_i a root of specs[i]
-    (eps_i = 1 in unsigned mode), at the common order of the specs."""
+    (eps_i = 1 in unsigned mode), sorted, at the common order of the specs.
+    The sums are enumerated as coordinate tuples, which hash and compare
+    far faster than CyclotomicInteger values."""
     order = lcm(*(spec.common_order() for spec in specs))
-    current = {CyclotomicInteger.from_int(0, order)}
+    current = {CyclotomicInteger.from_int(0, order).coords}
     for spec in specs:
-        roots = tuple(r.lift(order) for r in spec.roots())
+        roots = tuple(r.lift(order).coords for r in spec.roots())
         current = _extend(current, roots, mode, cap)
-    return current
+    return tuple(CyclotomicInteger(order, coords) for coords in sorted(current))
 
 
 @lru_cache(maxsize=512)
 def _sum_set_cached(spec: RootSpec, n: int, mode: SignMode, limits: Limits) -> SumSet:
-    sums = _sums((spec,) * n, mode, limits.max_sumset)
-    elements = tuple(sorted(sums, key=lambda r: r.sort_key()))
+    elements = _sums((spec,) * n, mode, limits.max_sumset)
     return SumSet(order=spec.common_order(), n=n, elements=elements)
 
 

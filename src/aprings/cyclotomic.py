@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 from .config import default_limits
 from .errors import CheckFailed, NonIntegerCoefficient, UnsupportedOrder
-from .intpoly import IntPolynomial, format_terms, repeated_doubling
+from .intpoly import IntPolynomial, balanced_product, format_terms, repeated_doubling
 
 
 # -- elementary number theory ------------------------------------------------
@@ -136,6 +136,13 @@ def _trace_table(m: int) -> tuple[int, ...]:
 
 
 class CyclotomicInteger:
+    """An element of Z[zeta_order], by its power-basis coordinates.
+
+    The trace hash is lift-invariant but collides heavily (for a 2-power
+    order it is the constant coordinate alone), so hot paths key on
+    coordinate tuples at one common order instead of on these objects.
+    """
+
     __slots__ = ("order", "coords", "_hash")
 
     def __init__(self, order: int, coords: Sequence[int]):
@@ -295,28 +302,29 @@ def _coerce(value, order: int):
 # -- public operations -----------------------------------------------------------
 
 
-def poly_from_roots(roots: Iterable[CyclotomicInteger]) -> IntPolynomial:
-    """Monic integer polynomial with the given distinct cyclotomic roots.
+@lru_cache(maxsize=None)
+def _galois_action(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The automorphisms zeta -> zeta^a, gcd(a, m) = 1, of Z[zeta_m] as
+    matrices acting on power-basis coordinates, each a tuple of rows."""
+    d, _ = _reduction_state(m)
+    return tuple(
+        tuple(zip(*(CyclotomicInteger.zeta(m, j * a).coords for j in range(d))))
+        for a in range(1, m + 1)
+        if gcd(a, m) == 1
+    )
 
-    Expands the product of (X - sigma) exactly over a common order and
-    descends every coefficient to Z; raises NonIntegerCoefficient when a
-    coefficient is irrational (impossible for Galois-stable root sets).
-    """
-    rs = list(roots)
-    if not rs:
-        return IntPolynomial.constant(1)
-    target = lcm(*(r.order for r in rs))
-    rs = sorted((r.lift(target) for r in rs), key=lambda r: r.sort_key())
-    if len(set(rs)) != len(rs):
-        raise ValueError("duplicate roots")
-    one = CyclotomicInteger.from_int(1, target)
-    coeffs: list[CyclotomicInteger] = [one]
-    for sigma in rs:
-        nxt = [CyclotomicInteger.from_int(0, target)] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k + 1] = nxt[k + 1] + c
-            nxt[k] = nxt[k] - sigma * c
-        coeffs = nxt
+
+def _orbit_polynomial(m: int, orbit: list[tuple[int, ...]]) -> IntPolynomial:
+    """prod (X - sigma) over one Galois orbit, expanded in Z[zeta_m] and
+    descended to Z."""
+    coeffs = [CyclotomicInteger.from_int(1, m)]
+    for key in orbit:
+        minus = -CyclotomicInteger(m, key)
+        coeffs = (
+            [minus * coeffs[0]]
+            + [lo + minus * hi for lo, hi in zip(coeffs, coeffs[1:])]
+            + [coeffs[-1]]
+        )
     out = []
     for k, c in enumerate(coeffs):
         n = c.as_int()
@@ -326,3 +334,39 @@ def poly_from_roots(roots: Iterable[CyclotomicInteger]) -> IntPolynomial:
             )
         out.append(n)
     return IntPolynomial(out)
+
+
+def poly_from_roots(roots: Iterable[CyclotomicInteger]) -> IntPolynomial:
+    """Monic integer polynomial with the given distinct cyclotomic roots.
+
+    The roots are lifted to their common order m and split into orbits
+    under zeta -> zeta^a, gcd(a, m) = 1.  Each orbit's minimal polynomial
+    (degree at most phi(m)) is expanded exactly in Z[zeta_m] and descended
+    to Z, and the integer factors are multiplied as a balanced product
+    tree.  Raises NonIntegerCoefficient when a conjugate of a root is
+    missing (then some coefficient is irrational) and ValueError on a
+    repeated root.
+    """
+    rs = list(roots)
+    if not rs:
+        return IntPolynomial.constant(1)
+    m = lcm(*(r.order for r in rs))
+    keys = sorted(r.lift(m).coords for r in rs)
+    remaining = set(keys)
+    if len(remaining) != len(keys):
+        raise ValueError("duplicate roots")
+    action = _galois_action(m)
+    factors = []
+    for key in keys:
+        if key not in remaining:
+            continue
+        orbit = {tuple(sum(map(mul, key, row)) for row in rows) for rows in action}
+        missing = orbit - remaining
+        if missing:
+            raise NonIntegerCoefficient(
+                f"the conjugate {CyclotomicInteger(m, min(missing))} of the root "
+                f"{CyclotomicInteger(m, key)} is missing"
+            )
+        remaining -= orbit
+        factors.append(_orbit_polynomial(m, sorted(orbit)))
+    return balanced_product(factors)

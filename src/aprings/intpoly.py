@@ -4,6 +4,14 @@ Coefficients are stored in ascending degree order; the zero polynomial
 has an empty coefficient tuple and degree -1.  Python integers give
 arbitrary precision for free, so no coefficient ever overflows.
 
+Polynomials are multiplied by signed Kronecker substitution: both factors
+are evaluated at X = 2^w as Python integers, the integers are multiplied
+(Karatsuba in CPython), and the product's base-2^w digits are the
+coefficients.  Packing and unpacking go through byte strings, so both are
+linear in the size of the result.  `balanced_product` multiplies many
+factors as a balanced product tree, so that the big multiplications are
+few and of equal size.
+
 The module also holds two routines shared by every exact arithmetic type
 of the package: `repeated_doubling` (powers and integer multiples) and
 `format_terms` (signed sums of terms).
@@ -12,7 +20,6 @@ of the package: `repeated_doubling` (powers and integer multiples) and
 from __future__ import annotations
 
 from itertools import zip_longest
-from math import prod
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -48,6 +55,41 @@ def format_terms(terms: Iterable[tuple[int, str]]) -> str:
     return "".join(parts) if parts else "0"
 
 
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """sum c_i * 2^(8*width*i) for integers |c_i| < 2^(8*width)."""
+    zero = bytes(width)
+    positive = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in coeffs)
+    negative = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in coeffs)
+    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
+
+
+def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two nonzero coefficient sequences."""
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    # every product coefficient lies in [-bound, bound], inside one signed
+    # digit of w = 8*width > bit_length(bound) bits
+    width = bound.bit_length() // 8 + 1
+    length = len(a) + len(b) - 1
+    # adding 2^(w-1) to every digit makes the digits nonnegative, so they
+    # can be cut out of the bytes without carries
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
+    data = (_pack(a, width) * _pack(b, width) + offset).to_bytes(width * length, "little")
+    half = 1 << (8 * width - 1)
+    return [int.from_bytes(data[i:i + width], "little") - half for i in range(0, len(data), width)]
+
+
+def balanced_product(factors: Iterable["IntPolynomial"]) -> "IntPolynomial":
+    """The product of the factors (1 for none), multiplied pairwise level
+    by level as a balanced product tree."""
+    level = list(factors)
+    if not level:
+        return IntPolynomial.constant(1)
+    while len(level) > 1:
+        odd = level[-1:] if len(level) % 2 else []
+        level = [level[i] * level[i + 1] for i in range(0, len(level) - 1, 2)] + odd
+    return level[0]
+
+
 class IntPolynomial:
     __slots__ = ("coeffs",)
 
@@ -75,9 +117,8 @@ class IntPolynomial:
 
     @staticmethod
     def from_roots(roots: Iterable[int]) -> "IntPolynomial":
-        """Monic product of (x - r) over distinct integer roots."""
-        rs = sorted(set(int(r) for r in roots))
-        return prod((IntPolynomial((-r, 1)) for r in rs), start=IntPolynomial.constant(1))
+        """Monic product of (x - r) over the integer roots, each counted once."""
+        return balanced_product(IntPolynomial((-r, 1)) for r in sorted(set(int(r) for r in roots)))
 
     # -- queries ------------------------------------------------------
 
@@ -129,13 +170,7 @@ class IntPolynomial:
             return IntPolynomial(c * other for c in self.coeffs)
         if self.is_zero or other.is_zero:
             return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial(_kronecker_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 

@@ -1,11 +1,13 @@
 """Sum-set enumeration against a naive brute force, plus the closed forms."""
 
-import itertools
+import re
 
 import pytest
 
 from aprings.annihilator import (
+    IntegerRoots,
     RootSpec,
+    RootsOfUnity,
     annihilating_polynomial,
     degree_bound,
     lewis_polynomial,
@@ -25,19 +27,23 @@ WIDE = Limits(max_summands=12)
 
 
 def brute_sum_set(spec: RootSpec, n: int, mode: str) -> set:
-    """Independent oracle: full tuple enumeration over roots and signs."""
+    """Independent oracle: the sum of every ordered n-tuple of (signed)
+    roots, in CyclotomicInteger arithmetic; tuples that share a prefix
+    share its partial sum."""
     roots = spec.roots()
-    order = spec.common_order()
-    zero = CyclotomicInteger.from_int(0, order)
-    out = set()
-    sign_choices = [(1, -1)] * n if mode == "signed" else [(1,)] * n
-    for tup in itertools.product(roots, repeat=n):
-        for signs in itertools.product(*sign_choices):
-            total = zero
-            for s, r in zip(signs, tup):
-                total = total + r if s == 1 else total - r
-            out.add(total)
-    return out
+    if mode == "signed":
+        roots += tuple(-r for r in roots)
+    out = {}
+
+    def walk(total, k):
+        if k == n:
+            out[total.coords] = total
+            return
+        for r in roots:
+            walk(total + r, k + 1)
+
+    walk(CyclotomicInteger.from_int(0, spec.common_order()), 0)
+    return set(out.values())
 
 
 @pytest.mark.parametrize("mode", ["signed", "unsigned"])
@@ -49,8 +55,11 @@ def brute_sum_set(spec: RootSpec, n: int, mode: str) -> set:
         RootSpec.integers(-2, 1, 3),
         RootSpec.unity(4),
         RootSpec.unity(8),
+        RootSpec.unity(12),
+        RootSpec.unity(5),
+        RootSpec((RootsOfUnity(3), IntegerRoots((0, 2)))),
     ],
-    ids=["pm1", "pfister", "lopsided", "mu4", "mu8"],
+    ids=["pm1", "pfister", "lopsided", "mu4", "mu8", "mu12", "mu5", "mu3+0,2"],
 )
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sum_set_matches_brute_force(spec, n, mode):
@@ -82,6 +91,20 @@ def test_summand_bound():
         root_sum_set(RootSpec.integers(-1, 1), 9)  # default cap is 8
     with pytest.raises(BoundExceeded):
         root_sum_set(RootSpec.unity(8), 4, limits=Limits(max_sumset=10))
+
+
+def test_sum_set_cap_error_names_the_limit_its_cap_and_the_size_reached():
+    with pytest.raises(BoundExceeded) as info:
+        root_sum_set(RootSpec.unity(8), 4, limits=Limits(max_sumset=10))
+    match = re.fullmatch(r"sum set exceeds the limit max_sumset = 10: reached (\d+) elements", str(info.value))
+    assert match and int(match.group(1)) > 10
+    with pytest.raises(BoundExceeded, match=r"max_sumset = 3: reached \d+ elements"):
+        mixed_annihilating_polynomial(
+            [RootSpec.unity(4), RootSpec.unity(3)], limits=Limits(max_sumset=3)
+        )
+    # the summand bound keeps its message
+    with pytest.raises(BoundExceeded, match=r"^n = 9 exceeds the summand bound 8$"):
+        root_sum_set(RootSpec.integers(-1, 1), 9)
 
 
 def test_mixed_annihilator_spec_example():

@@ -13,7 +13,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import aprings.cli  # noqa: F401  (imports every hooked module)
+import aprings.cli  # imports every hooked module
+from aprings import annihilator
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -32,3 +33,24 @@ def test_every_hook_target_resolves(monkeypatch):
     restore, missing = layers.install(layers.Recorder())
     restore()
     assert missing == []
+
+
+def test_annihilator_grid_hooks_record_calls(monkeypatch, capsys):
+    """A tiny annihilator-grid operation calls every hook whose home is
+    that workload, so a change that routes the work around one of them
+    fails here and not only in the traced benchmark run."""
+    layers = _load_layers(monkeypatch)
+    annihilator._sum_set_cached.cache_clear()
+    annihilator._poly_of_sumset.cache_clear()
+    rec = layers.Recorder()
+    restore, missing = layers.install(rec)
+    try:
+        code = aprings.cli.main([
+            "annihilator", "--q", '{"atoms":[{"kind":"roots_of_unity","order":5}]}',
+            "--n", "2", "--format", "json",
+        ])
+    finally:
+        restore()
+    capsys.readouterr()
+    assert missing == [] and code == 0
+    assert layers.silent_hooks(rec.calls, "annihilator-grid") == []

@@ -1,6 +1,9 @@
-import pytest
-from hypothesis import given, strategies as st
+import math
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from aprings.annihilator import IntegerRoots, RootSpec, RootsOfUnity, _sums, root_sum_set
 from aprings.cyclotomic import (
     CyclotomicInteger,
     cyclotomic_polynomial,
@@ -118,9 +121,81 @@ def test_poly_from_roots_rejects_unstable_sets():
         poly_from_roots([CyclotomicInteger.zeta(4)])
 
 
+def test_poly_from_roots_rejects_a_missing_conjugate():
+    t2 = root_sum_set(RootSpec.unity(8), 2).elements
+    assert poly_from_roots(t2).degree == len(t2)
+    irrational = [r for r in t2 if r.as_int() is None]
+    for dropped in (irrational[0], irrational[-1]):
+        with pytest.raises(NonIntegerCoefficient):
+            poly_from_roots([r for r in t2 if r != dropped])
+
+
 def test_poly_from_roots_rejects_duplicates():
     with pytest.raises(ValueError):
         poly_from_roots([CyclotomicInteger.zeta(4), CyclotomicInteger.zeta(8) ** 2])
+    t2 = list(root_sum_set(RootSpec.unity(4), 2).elements)
+    with pytest.raises(ValueError):
+        poly_from_roots(t2 + [t2[1].lift(12)])
+
+
+def test_poly_from_roots_lifts_to_the_common_order():
+    i = CyclotomicInteger.zeta(4)
+    w = CyclotomicInteger.zeta(3)
+    roots = [i, -i, w, w * w, CyclotomicInteger.from_int(2)]
+    # (x^2 + 1)(x^2 + x + 1)(x - 2)
+    expected = IntPolynomial((1, 0, 1)) * IntPolynomial((1, 1, 1)) * IntPolynomial((-2, 1))
+    assert poly_from_roots(roots) == expected
+    assert poly_from_roots(r.lift(24) for r in roots) == expected
+
+
+def reference_poly_from_roots(roots):
+    """The quadratic expansion of prod (X - sigma) with every coefficient
+    in Z[zeta_m], descended to Z at the end: an independent reference."""
+    rs = list(roots)
+    target = 1
+    for r in rs:
+        target = target * r.order // math.gcd(target, r.order)
+    coeffs = [CyclotomicInteger.from_int(1, target)]
+    for sigma in rs:
+        nxt = [CyclotomicInteger.from_int(0, target)] * (len(coeffs) + 1)
+        for k, c in enumerate(coeffs):
+            nxt[k + 1] = nxt[k + 1] + c
+            nxt[k] = nxt[k] - sigma * c
+        coeffs = nxt
+    values = [c.as_int() for c in coeffs]
+    assert None not in values
+    return IntPolynomial(values)
+
+
+@st.composite
+def root_specs(draw):
+    """A spec of one root atom, or of an integer atom next to mu_m."""
+    kind = draw(st.sampled_from(["unity", "integers", "mixed"]))
+    if kind == "integers":
+        return RootSpec.integers(*draw(st.sets(st.integers(-4, 4), min_size=1, max_size=4)))
+    m = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12, 16]))
+    if kind == "unity":
+        return RootSpec.unity(m)
+    in_mu = {1, -1} if m % 2 == 0 else {1}
+    values = draw(st.sets(st.integers(-4, 4).filter(lambda v: v not in in_mu), min_size=1, max_size=2))
+    return RootSpec((RootsOfUnity(m), IntegerRoots(tuple(values))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(root_specs(), min_size=1, max_size=3),
+    st.booleans(),
+    st.sampled_from(["signed", "unsigned"]),
+    st.randoms(use_true_random=False),
+)
+def test_poly_from_roots_matches_reference_expansion(specs, repeat, mode, rnd):
+    # T_n of one spec (repeat) or the mixed sum set of n specs, at their lcm order
+    specs = (specs[0],) * len(specs) if repeat else tuple(specs)
+    roots = list(_sums(specs, mode, 20000))
+    order = roots[0].order
+    assume(len(roots) * euler_phi(order) <= 600)
+    rnd.shuffle(roots)
+    assert poly_from_roots(roots) == reference_poly_from_roots(roots)
 
 
 def test_moebius_and_phi():

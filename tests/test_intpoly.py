@@ -1,9 +1,27 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from aprings.intpoly import IntPolynomial
+from aprings.intpoly import IntPolynomial, balanced_product
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)
+# coefficients straddling the byte boundaries of the Kronecker digit width
+wide_coeffs = st.one_of(
+    st.integers(min_value=-300, max_value=300),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.sampled_from([127, 128, -128, -129, 255, 256, -256, 2**63, -(2**63), 2**64 - 1]),
+)
+wide_lists = st.lists(wide_coeffs, max_size=24)
+
+
+def schoolbook(a, b):
+    """Reference product: the quadratic coefficient loop."""
+    if not a or not b:
+        return IntPolynomial()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return IntPolynomial(out)
 
 
 def test_normalization_strips_trailing_zeros():
@@ -16,6 +34,21 @@ def test_from_roots_collapses_duplicates():
     p = IntPolynomial.from_roots([1, -1, 1])
     assert p == IntPolynomial((-1, 0, 1))
     assert p.is_monic
+
+
+def test_from_roots_of_nothing_is_one():
+    assert IntPolynomial.from_roots([]) == 1
+
+
+def test_balanced_product():
+    factors = [IntPolynomial((-r, 1)) for r in range(-3, 4)]
+    expected = IntPolynomial.constant(1)
+    for f in factors:
+        expected = schoolbook(expected.coeffs, f.coeffs)
+    assert balanced_product(factors) == expected
+    assert balanced_product(iter(factors)) == IntPolynomial.from_roots(range(-3, 4))
+    assert balanced_product([]) == 1
+    assert balanced_product([IntPolynomial((2, 3))]) == IntPolynomial((2, 3))
 
 
 def test_str_rendering():
@@ -72,3 +105,20 @@ def test_division_invariant(a, roots):
     q, r = divmod(p, d)
     assert q * d + r == p
     assert r.degree < d.degree
+
+
+@given(wide_lists, wide_lists)
+def test_multiplication_matches_schoolbook(a, b):
+    p, q = IntPolynomial(a), IntPolynomial(b)
+    expected = schoolbook(p.coeffs, q.coeffs)
+    assert p * q == expected
+    assert q * p == expected
+
+
+def test_multiplication_at_digit_boundaries():
+    # product coefficients of exactly +-2^(8k-1), the edge of a signed digit
+    for k in (1, 2, 3):
+        half = 2 ** (8 * k - 1)
+        for p, q in [((half, 1), (1,)), ((-half, 1), (1,)), ((half - 1, -half), (1, 1))]:
+            assert IntPolynomial(p) * IntPolynomial(q) == schoolbook(p, q)
+    assert IntPolynomial((-1,) * 40) * IntPolynomial((1,) * 40) == schoolbook((-1,) * 40, (1,) * 40)
