@@ -1,10 +1,17 @@
 """Permutation groups, subgroup lattices and tables of marks.
 
-Permutations act on {0, ..., d-1} and are stored as image tuples.
-Subgroups are frozensets of permutations; conjugacy classes of
-subgroups are ordered by subgroup order ascending with ties broken by
-the lexicographically minimal sorted element list of the minimal
-conjugate, which makes every table of marks reproducible.
+Permutations act on {0, ..., d-1} and are stored as image tuples.  The
+lattice and the marks work on a Cayley table (`_cayley_table`): the
+elements of G indexed in sorted order, with multiplication and
+conjugation tables on the indices.  A subgroup is an int bitmask over
+those indices; the lattice grows by cyclic extension, closing the
+generators of a known subgroup plus one more element (G. Pfeiffer,
+"The subgroups of M24, or how to compute the table of marks of a finite
+group", Experiment. Math. 6 (1997)).  Conjugacy classes of subgroups
+are ordered by subgroup order ascending with ties broken by the
+lexicographically minimal sorted element list of the minimal conjugate
+(ascending bit indices, as index order is sorted order), which makes
+every table of marks reproducible.
 """
 
 from __future__ import annotations
@@ -50,11 +57,6 @@ def inverse_perm(p: Perm) -> Perm:
     return tuple(out)
 
 
-def conjugate_perm(g: Perm, h: Perm) -> Perm:
-    """g^-1 h g."""
-    return compose(inverse_perm(g), compose(h, g))
-
-
 # -- groups -------------------------------------------------------------------
 
 
@@ -88,7 +90,9 @@ def close_group(
 def closure(op: Callable, identity, generators: Iterable, bound: Optional[int] = None) -> frozenset:
     """The closure of {identity} under x -> op(x, g) for the generators g,
     breadth first: in a finite group, the subgroup they generate.
-    Raises OrderBoundExceeded when it would grow past `bound` elements."""
+    Raises OrderBoundExceeded when a breadth-first level takes it past
+    `bound` elements; the message names `max_group_order`, the limit that
+    `close_group`, the one caller with a bound, passes."""
     gens = tuple(generators)
     seen = {identity}
     frontier = [identity]
@@ -98,21 +102,87 @@ def closure(op: Callable, identity, generators: Iterable, bound: Optional[int] =
             for g in gens:
                 c = op(a, g)
                 if c not in seen:
-                    if bound is not None and len(seen) + 1 > bound:
-                        raise OrderBoundExceeded(
-                            f"group closure exceeds the order bound {bound}"
-                        )
                     seen.add(c)
                     nxt.append(c)
+        if bound is not None and len(seen) > bound:
+            raise OrderBoundExceeded(
+                f"group closure exceeds the limit max_group_order = {bound}: "
+                f"reached {len(seen)} elements"
+            )
         frontier = nxt
     return frozenset(seen)
+
+
+# -- Cayley table -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _CayleyTable:
+    """G.elements indexed in their order, which `close_group` makes the
+    sorted order, with the multiplication and conjugation tables on the
+    indices.
+
+    Index 0 is the identity (the sorted-first permutation), and a set of
+    elements is an int bitmask with bit i for element i, so ascending bit
+    order is sorted element order.
+    """
+
+    index: dict[Perm, int]
+    mul: tuple[tuple[int, ...], ...]   # mul[a][b]: index of elements[a] . elements[b]
+    conj: tuple[tuple[int, ...], ...]  # conj[g][h]: index of g^-1 h g
+
+
+@lru_cache(maxsize=64)
+def _cayley_table(G: PermGroup) -> _CayleyTable:
+    index = {p: i for i, p in enumerate(G.elements)}
+    mul = tuple(tuple(index[compose(a, b)] for b in G.elements) for a in G.elements)
+    inv = [index[inverse_perm(a)] for a in G.elements]
+    conj = tuple(
+        tuple(mul[inv[g]][row[g]] for row in mul) for g in range(G.order)
+    )
+    return _CayleyTable(index=index, mul=mul, conj=conj)
+
+
+def _mask(indices: Iterable[int]) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _conjugates(table: _CayleyTable, members: Sequence[int]) -> list[int]:
+    """The mask of H^g for every g, in index order, H given by its members."""
+    return [_mask(row[h] for h in members) for row in table.conj]
 
 
 # -- subgroup lattice -----------------------------------------------------------
 
 
-def subgroup_closure(degree: int, gens: Iterable[Perm], bound: int) -> frozenset:
-    return closure(compose, identity_perm(degree), gens, bound)
+def subgroup_closure(mul: Sequence[Sequence[int]], gens: tuple[int, ...]) -> int:
+    """The subgroup generated by the element indices `gens`, as a mask:
+    the closure of the identity under x -> x . g over the multiplication
+    table, breadth first (`found` grows while it is walked)."""
+    seen = bytearray(len(mul))
+    seen[0] = 1
+    found = [0]
+    for a in found:
+        row = mul[a]
+        for g in gens:
+            c = row[g]
+            if not seen[c]:
+                seen[c] = 1
+                found.append(c)
+    return _mask(found)
 
 
 @dataclass(frozen=True)
@@ -129,11 +199,11 @@ class SubgroupClass:
 
 
 def subgroup_classes(G: PermGroup, limits: Optional[Limits] = None) -> list[SubgroupClass]:
-    """All conjugacy classes of subgroups, found by iterated extension."""
+    """All conjugacy classes of subgroups, found by cyclic extension."""
     limits = limits or default_limits()
     if G.order > limits.max_subgroup_order:
         raise OrderBoundExceeded(
-            f"|G| = {G.order} exceeds the subgroup enumeration bound "
+            f"|G| = {G.order} exceeds the limit max_subgroup_order = "
             f"{limits.max_subgroup_order}"
         )
     return list(_subgroup_classes_cached(G))
@@ -141,36 +211,43 @@ def subgroup_classes(G: PermGroup, limits: Optional[Limits] = None) -> list[Subg
 
 @lru_cache(maxsize=64)
 def _subgroup_classes_cached(G: PermGroup) -> list[SubgroupClass]:
-    subgroups = _all_subgroups(G)
-    classes: list[tuple[tuple[Perm, ...], int]] = []
-    remaining = set(subgroups)
+    table = _cayley_table(G)
+    classes: list[tuple[tuple[int, ...], int]] = []
+    remaining = set(_all_subgroups(G))
     while remaining:
-        H = next(iter(remaining))
-        orbit = {frozenset(conjugate_perm(g, h) for h in H) for g in G.elements}
+        orbit = set(_conjugates(table, _bits(next(iter(remaining)))))
         remaining -= orbit
-        rep = min(tuple(sorted(K)) for K in orbit)
-        classes.append((rep, len(orbit)))
+        classes.append((min(_bits(K) for K in orbit), len(orbit)))
+    # Sorted indices compare as the sorted elements do.
     classes.sort(key=lambda item: (len(item[0]), item[0]))
     labels = _order_labels([len(rep) for rep, _ in classes])
     return [
-        SubgroupClass(label=label, order=len(rep), size=size, representative=rep)
+        SubgroupClass(
+            label=label,
+            order=len(rep),
+            size=size,
+            representative=tuple(G.elements[i] for i in rep),
+        )
         for label, (rep, size) in zip(labels, classes)
     ]
 
 
-def _all_subgroups(G: PermGroup) -> set[frozenset]:
-    trivial = frozenset({identity_perm(G.degree)})
-    known = {trivial}
-    frontier = [trivial]
+def _all_subgroups(G: PermGroup) -> dict[int, tuple[int, ...]]:
+    """Every subgroup as mask -> generating indices, by cyclic extension:
+    <H, g> for every known H and every g outside it (Pfeiffer 1997)."""
+    mul = _cayley_table(G).mul
+    known = {1: ()}
+    frontier = [1]
     while frontier:
         nxt = []
         for H in frontier:
-            for g in G.elements:
-                if g in H:
+            for g in range(G.order):
+                if H >> g & 1:
                     continue
-                K = subgroup_closure(G.degree, tuple(H) + (g,), G.order)
+                gens = known[H] + (g,)
+                K = subgroup_closure(mul, gens)
                 if K not in known:
-                    known.add(K)
+                    known[K] = gens
                     nxt.append(K)
         frontier = nxt
     return known
@@ -188,11 +265,6 @@ def _order_labels(orders: list[int]) -> list[str]:
     return labels
 
 
-def is_subconjugate(G: PermGroup, H2: Iterable[Perm], H1: frozenset) -> bool:
-    H2 = tuple(H2)
-    return any(all(conjugate_perm(g, h) in H1 for h in H2) for g in G.elements)
-
-
 # -- marks ---------------------------------------------------------------------
 
 
@@ -202,14 +274,18 @@ def mark(G: PermGroup, H1: Iterable[Perm], H2: Iterable[Perm]) -> int:
     A coset gH1 is fixed by H2 exactly when g^-1 H2 g lies in H1, so the
     count is #{g : H2^g <= H1} / |H1|.
     """
-    H1set = frozenset(H1)
-    H2t = tuple(H2)
-    count = sum(
-        1 for g in G.elements if all(conjugate_perm(g, h) in H1set for h in H2t)
-    )
-    if count % len(H1set):
-        raise CheckFailed(f"{count} conjugators is not a multiple of |H1| = {len(H1set)}")
-    return count // len(H1set)
+    table = _cayley_table(G)
+    H1mask = _mask(table.index[h] for h in H1)
+    return _mark(H1mask, _conjugates(table, [table.index[h] for h in H2]))
+
+
+def _mark(H1: int, conjugates: Iterable[int]) -> int:
+    """#{g : H2^g <= H1} / |H1|, from the masks H2^g for every g."""
+    count = sum(1 for K in conjugates if K & ~H1 == 0)
+    order = H1.bit_count()
+    if count % order:
+        raise CheckFailed(f"{count} conjugators is not a multiple of |H1| = {order}")
+    return count // order
 
 
 @dataclass(frozen=True)
@@ -251,10 +327,11 @@ class TableOfMarks:
 
 def table_of_marks(G: PermGroup, limits: Optional[Limits] = None) -> TableOfMarks:
     classes = subgroup_classes(G, limits)
-    reps = [frozenset(c.representative) for c in classes]
+    table = _cayley_table(G)
+    members = [[table.index[h] for h in c.representative] for c in classes]
+    conjugates = [_conjugates(table, m) for m in members]
     marks = tuple(
-        tuple(mark(G, reps[i], reps[j]) for j in range(len(reps)))
-        for i in range(len(reps))
+        tuple(_mark(H1, conj) for conj in conjugates) for H1 in map(_mask, members)
     )
     return TableOfMarks(group_order=G.order, classes=tuple(classes), marks=marks)
 

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,15 +13,93 @@ from aprings.groups import (
     characters,
     close_group,
     compose,
-    conjugate_perm,
+    group_from_json,
     identity_perm,
     inverse_perm,
-    is_subconjugate,
     mark,
     named_group,
+    named_group_names,
     subgroup_classes,
     table_of_marks,
 )
+
+PERFBENCH_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+
+
+# -- brute-force reference: the lattice on permutation tuples ----------------------
+#
+# An independent path to the same table: subgroups are frozensets of
+# permutations, each extension closes every element of H plus g, orbits and
+# marks conjugate permutation by permutation.
+
+
+def conjugate_perm(g, h):
+    """g^-1 h g."""
+    return compose(inverse_perm(g), compose(h, g))
+
+
+def reference_closure(degree, gens):
+    seen = {identity_perm(degree)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                c = compose(a, g)
+                if c not in seen:
+                    seen.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def reference_subgroups(G):
+    trivial = frozenset({identity_perm(G.degree)})
+    known = {trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for H in frontier:
+            for g in G.elements:
+                if g not in H:
+                    K = reference_closure(G.degree, tuple(H) + (g,))
+                    if K not in known:
+                        known.add(K)
+                        nxt.append(K)
+        frontier = nxt
+    return known
+
+
+def reference_classes(G):
+    """(sorted elements of the minimal conjugate, class size), in table order."""
+    classes = []
+    remaining = set(reference_subgroups(G))
+    while remaining:
+        H = next(iter(remaining))
+        orbit = {frozenset(conjugate_perm(g, h) for h in H) for g in G.elements}
+        remaining -= orbit
+        classes.append((min(tuple(sorted(K)) for K in orbit), len(orbit)))
+    classes.sort(key=lambda item: (len(item[0]), item[0]))
+    return classes
+
+
+def reference_mark(G, H1, H2):
+    H1 = frozenset(H1)
+    count = sum(1 for g in G.elements if all(conjugate_perm(g, h) in H1 for h in H2))
+    assert count % len(H1) == 0
+    return count // len(H1)
+
+
+def is_subconjugate(G, H2, H1):
+    return any(all(conjugate_perm(g, h) in H1 for h in H2) for g in G.elements)
+
+
+def _group(name):
+    if name == "S5":
+        return close_group(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+    if (PERFBENCH_INPUTS / f"{name}.json").exists():
+        return group_from_json(json.loads((PERFBENCH_INPUTS / f"{name}.json").read_text()))
+    return named_group(name)
 
 
 def test_permutation_helpers():
@@ -35,7 +115,8 @@ def test_close_group_examples():
 
 
 def test_close_group_bound():
-    with pytest.raises(OrderBoundExceeded):
+    limit = r"^group closure exceeds the limit max_group_order = 30: reached \d+ elements$"
+    with pytest.raises(OrderBoundExceeded, match=limit):
         close_group(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], Limits(max_group_order=30))
 
 
@@ -59,8 +140,36 @@ def test_cyclic_subgroup_count_is_divisor_count(n):
 
 
 def test_subgroup_bound():
-    with pytest.raises(OrderBoundExceeded):
+    limit = r"^\|G\| = 60 exceeds the limit max_subgroup_order = 30$"
+    with pytest.raises(OrderBoundExceeded, match=limit):
         subgroup_classes(named_group("A5"), Limits(max_subgroup_order=30))
+
+
+@pytest.mark.parametrize(
+    "name", named_group_names() + [f"C{n}" for n in range(7, 31)] + ["d12", "agl1_5", "c4xc4"]
+)
+def test_table_of_marks_matches_brute_force(name):
+    G = _group(name)
+    table = table_of_marks(G)
+    ref = reference_classes(G)
+    assert [(c.representative, c.size) for c in table.classes] == ref
+    assert [c.order for c in table.classes] == [len(rep) for rep, _ in ref]
+    assert [list(row) for row in table.marks] == [
+        [reference_mark(G, H1, H2) for H2, _ in ref] for H1, _ in ref
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, classes, subgroups", [("S5", 19, 156), ("S4", 11, 30), ("A5", 9, 59)]
+)
+def test_lattice_counts(name, classes, subgroups):
+    G = _group(name)
+    table = table_of_marks(G)
+    assert table.size == classes
+    assert sum(c.size for c in table.classes) == subgroups
+    # class size |G : N(H)| times diagonal mark |N(H) : H| times |H| is |G|
+    for i, c in enumerate(table.classes):
+        assert c.size * table.marks[i][i] * c.order == G.order
 
 
 def test_mark_examples():
@@ -128,6 +237,7 @@ def test_table_invariants_on_corpus(name):
                 G, classes[j].representative, frozenset(classes[i].representative)
             )
             assert positive == subconj
+        assert classes[i].size * table.marks[i][i] * classes[i].order == G.order
     det = 1
     for i in range(k):
         det *= table.marks[i][i]
