@@ -12,6 +12,7 @@ from aprings.groups import (
     a5_reference_table,
     characters,
     close_group,
+    closure,
     compose,
     group_from_json,
     identity_perm,
@@ -29,28 +30,13 @@ PERFBENCH_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 # -- brute-force reference: the lattice on permutation tuples ----------------------
 #
 # An independent path to the same table: subgroups are frozensets of
-# permutations, each extension closes every element of H plus g, orbits and
-# marks conjugate permutation by permutation.
+# permutations, each extension closes every element of H plus g under
+# composition, orbits and marks conjugate permutation by permutation.
 
 
 def conjugate_perm(g, h):
     """g^-1 h g."""
     return compose(inverse_perm(g), compose(h, g))
-
-
-def reference_closure(degree, gens):
-    seen = {identity_perm(degree)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                c = compose(a, g)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return frozenset(seen)
 
 
 def reference_subgroups(G):
@@ -62,7 +48,7 @@ def reference_subgroups(G):
         for H in frontier:
             for g in G.elements:
                 if g not in H:
-                    K = reference_closure(G.degree, tuple(H) + (g,))
+                    K = closure(compose, identity_perm(G.degree), tuple(H) + (g,))
                     if K not in known:
                         known.add(K)
                         nxt.append(K)
