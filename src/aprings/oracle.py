@@ -5,6 +5,12 @@ per-element predicate scans.  Nothing here reuses the analytic
 machinery of the spectrum module: the tables come from plain ring
 arithmetic and every question is answered by enumeration, which is
 what makes this usable as an oracle against the structural shortcuts.
+
+The tables come from commutative, associative rings with 1, so the
+principal ideal Rx = {r x} is already an ideal (it holds x = 1 x and
+is closed under sums and multiples by distributivity and
+associativity), and so is the sum I + J = {i + j} of two ideals.  The
+ideals are built as such sums, with no closure loop.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .config import Limits, default_limits
-from .errors import BoundExceeded
+from .errors import CarrierBoundExceeded
 from .groups import TableOfMarks
 
 
@@ -50,7 +56,10 @@ def table_for_model(model, limits: Optional[Limits] = None) -> FiniteRingTable:
     carrier = model.carrier()
     n = len(carrier)
     if n > limits.max_carrier:
-        raise BoundExceeded(f"carrier size {n} exceeds the bound {limits.max_carrier}")
+        raise CarrierBoundExceeded(
+            f"carrier exceeds the limit max_carrier = {limits.max_carrier}: "
+            f"reached {n} elements"
+        )
     index = {r: i for i, r in enumerate(carrier)}
     add = [[index[model.add(a, b)] for b in carrier] for a in carrier]
     mul = [[index[model.mul(a, b)] for b in carrier] for a in carrier]
@@ -129,41 +138,33 @@ def burnside_mod_p_table(marks: TableOfMarks, p: int) -> FiniteRingTable:
 # -- ideal enumeration ------------------------------------------------------------
 
 
-def ideal_closure(T: FiniteRingTable, seed) -> frozenset:
-    """Smallest ideal containing the seed indices: close under addition,
-    negation and multiplication by every ring element.
+def ideal_sum(T: FiniteRingTable, I, J) -> frozenset:
+    """I + J = {i + j}, an ideal whenever I and J are."""
+    return frozenset(T.add[i][j] for i in I for j in J)
 
-    Worklist closure: when an element is processed it is summed with
-    everything already closed; for any pair the later-processed member
-    sees the earlier one, so no sum is missed.
-    """
-    closed = {T.zero} | set(seed)
-    frontier = list(closed)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            candidates = [T.neg[x]]
-            candidates.extend(T.mul[r][x] for r in range(T.size))
-            candidates.extend(T.add[x][y] for y in closed)
-            for c in candidates:
-                if c not in closed:
-                    closed.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return frozenset(closed)
+
+def ideal_closure(T: FiniteRingTable, seed) -> frozenset:
+    """Smallest ideal containing the seed indices: the sum of the
+    principal ideals Rx = {r x}, one per seed element."""
+    ideal = frozenset({T.zero})
+    for x in seed:
+        ideal = ideal_sum(T, ideal, set(T.mul[x]))
+    return ideal
 
 
 def all_ideals(T: FiniteRingTable, limits: Optional[Limits] = None) -> list[frozenset]:
-    """Every ideal, found by saturation: extend each known ideal by one
-    outside element and close, until no new ideals appear.
+    """Every ideal, found by saturation: extend each known ideal I by
+    one outside element x as I + Rx, until no new ideals appear.
 
-    Elements in the same coset of an ideal generate the same extension,
-    so only one representative per coset is tried.
+    Elements in the same coset of I give the same I + Rx, so only one
+    representative per coset is tried.
     """
     limits = limits or default_limits()
-    if T.size > limits.max_oracle_spectrum:
-        raise BoundExceeded(
-            f"ideal enumeration bounded at {limits.max_oracle_spectrum} elements"
+    cap = limits.max_oracle_spectrum
+    if T.size > cap:
+        raise CarrierBoundExceeded(
+            f"ideal enumeration exceeds the limit max_oracle_spectrum = {cap}: "
+            f"reached a carrier of {T.size} elements"
         )
     zero_ideal = frozenset({T.zero})
     known = {zero_ideal}
@@ -176,7 +177,7 @@ def all_ideals(T: FiniteRingTable, limits: Optional[Limits] = None) -> list[froz
                 if x in covered:
                     continue
                 covered.update(T.add[x][i] for i in ideal)
-                bigger = ideal_closure(T, ideal | {x})
+                bigger = ideal_sum(T, ideal, set(T.mul[x]))
                 if bigger not in known:
                     known.add(bigger)
                     nxt.append(bigger)

@@ -514,7 +514,8 @@ class FiniteQuotientRing(RingModel):
         size = modulus**dim
         if size > limits.max_carrier:
             raise CarrierBoundExceeded(
-                f"carrier size {size} exceeds the bound {limits.max_carrier}"
+                f"carrier exceeds the limit max_carrier = {limits.max_carrier}: "
+                f"reached {size} elements"
             )
         gens = [self._normalize(v) for v in ideal_generators]
         # the Z/N-span of all group translates of the generators
@@ -593,11 +594,13 @@ class FiniteQuotientRing(RingModel):
         return list(self._carrier)
 
     def length(self, r):
+        radius = self._limits.max_length_radius
         if self._length_cache is None:
-            self._length_cache = signed_ball(self, self._limits.max_length_radius)
+            self._length_cache = signed_ball(self, radius)
         if r not in self._length_cache:
             raise LengthBoundExceeded(
-                f"element not reachable within radius {self._limits.max_length_radius}"
+                f"length search exceeds the limit max_length_radius = {radius}: "
+                f"reached {len(self._length_cache)} elements, not {self.format_element(r)}"
             )
         return self._length_cache[r]
 

@@ -220,7 +220,7 @@ def fundamental_ideal_elements(model: FiniteQuotientRing) -> frozenset:
     return closure(model.add, model.zero(), seeds)
 
 
-def ap_condition_check(model: RingModel, k: int, limits: Optional[Limits] = None) -> bool:
+def ap_condition_check(model: RingModel, k: int) -> bool:
     """Arason-Pfister condition AP(k): every sum of fewer than 2^k
     signed generators lying in I^k is zero.  Decided exhaustively, so
     the model must be finite."""
@@ -259,9 +259,7 @@ class ElementPredicates:
         return asdict(self)
 
 
-def element_predicates(
-    model: RingModel, r, limits: Optional[Limits] = None
-) -> ElementPredicates:
+def element_predicates(model: RingModel, r) -> ElementPredicates:
     """Structure predicates for one element; zero divisors include 0.
 
     On a free model they are read off the ghost map, which is an
@@ -278,8 +276,8 @@ def element_predicates(
         return _finite_predicates(model, r, idempotent, in_fundamental, in_every_sig)
 
     if isinstance(model, ProductRing):
-        left = element_predicates(model.left, r[0], limits)
-        right = element_predicates(model.right, r[1], limits)
+        left = element_predicates(model.left, r[0])
+        right = element_predicates(model.right, r[1])
         return ElementPredicates(
             nilpotent=_both(left.nilpotent, right.nilpotent),
             torsion=_both(left.torsion, right.torsion),
@@ -318,27 +316,20 @@ def _either(a: Optional[bool], b: Optional[bool]) -> Optional[bool]:
 
 
 def _finite_predicates(model, r, idempotent, in_fundamental, in_every_sig):
-    zero = model.zero()
-    one = model.one()
-    carrier = model.carrier()
-
-    nilpotent = False
+    """Walk the powers r, r^2, ... until one repeats: r is nilpotent when
+    0 appears and a unit when 1 appears.  In a finite commutative ring
+    every element is a unit or a zero divisor, never both."""
     seen = set()
     power = r
     while power not in seen:
         seen.add(power)
-        if power == zero:
-            nilpotent = True
-            break
         power = model.mul(power, r)
-
-    unit = any(model.mul(r, s) == one for s in carrier)
-    zero_divisor = any(model.mul(r, s) == zero for s in carrier if s != zero)
+    unit = model.one() in seen
     return ElementPredicates(
-        nilpotent=nilpotent,
+        nilpotent=model.zero() in seen,
         torsion=True,  # finite additive group
         unit=unit,
-        zero_divisor=zero_divisor,
+        zero_divisor=not unit,
         idempotent=idempotent,
         in_fundamental=in_fundamental,
         in_every_signature_ideal=in_every_sig,

@@ -1,9 +1,16 @@
+import random
+from dataclasses import fields
+from functools import lru_cache
+from math import prod
+
 import pytest
 
 from aprings.config import Limits
-from aprings.errors import BoundExceeded
+from aprings.errors import CarrierBoundExceeded
+from aprings.groups import FiniteAbelianGroup
 from aprings.oracle import (
     FiniteRingTable,
+    OraclePredicates,
     all_ideals,
     burnside_mod_p_table,
     exhaustive_predicates,
@@ -13,8 +20,8 @@ from aprings.oracle import (
     product_table,
     table_for_model,
 )
-from aprings.rings import bundled_model
-from aprings.spectrum import fundamental_ideal_elements, is_admissible
+from aprings.rings import FINITE_BUNDLED, FiniteQuotientRing, bundled_model
+from aprings.spectrum import element_predicates, fundamental_ideal_elements, is_admissible
 
 
 def test_modular_table_z4():
@@ -97,8 +104,15 @@ def test_all_ideals_of_z12_match_divisors():
 def test_oracle_bound():
     model = bundled_model("Z8[C2]")
     T = table_for_model(model)
-    with pytest.raises(BoundExceeded):
+    limit = r"^ideal enumeration exceeds the limit max_oracle_spectrum = 32: reached a carrier of 64 elements$"
+    with pytest.raises(CarrierBoundExceeded, match=limit):
         all_ideals(T, Limits(max_oracle_spectrum=32))
+
+
+def test_table_carrier_bound():
+    limit = r"^carrier exceeds the limit max_carrier = 16: reached 64 elements$"
+    with pytest.raises(CarrierBoundExceeded, match=limit):
+        table_for_model(bundled_model("Z8[C2]"), Limits(max_carrier=16))
 
 
 def test_nilpotents_are_torsion_everywhere():
@@ -141,3 +155,143 @@ def test_table_validation_rejects_broken_tables():
             zero=0,
             one=1,
         )
+
+
+# -- reference ideals: worklist closure and saturation -------------------------------
+
+
+def reference_closure(T: FiniteRingTable, seed) -> frozenset:
+    """Smallest ideal containing the seed: close under negation, addition
+    and multiplication by every ring element.  When an element is
+    processed it is summed with everything already closed; for any pair
+    the later-processed member sees the earlier one, so no sum is missed.
+    """
+    closed = {T.zero} | set(seed)
+    frontier = list(closed)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            candidates = [T.neg[x]]
+            candidates.extend(T.mul[r][x] for r in range(T.size))
+            candidates.extend(T.add[x][y] for y in closed)
+            for c in candidates:
+                if c not in closed:
+                    closed.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return frozenset(closed)
+
+
+def reference_ideals(T: FiniteRingTable) -> list[frozenset]:
+    """Saturation: close each known ideal plus one outside element until
+    no new ideal appears.  Elements in the same coset of an ideal give the
+    same closure, so one representative per coset is tried."""
+    known = {frozenset({T.zero})}
+    frontier = list(known)
+    while frontier:
+        nxt = []
+        for ideal in frontier:
+            covered = set(ideal)
+            for x in range(T.size):
+                if x in covered:
+                    continue
+                covered.update(T.add[x][i] for i in ideal)
+                bigger = reference_closure(T, ideal | {x})
+                if bigger not in known:
+                    known.add(bigger)
+                    nxt.append(bigger)
+        frontier = nxt
+    return sorted(known, key=lambda s: (len(s), sorted(s)))
+
+
+def reference_primes(T: FiniteRingTable, ideals) -> list[frozenset]:
+    primes = []
+    for ideal in ideals:
+        outside = [x for x in range(T.size) if x not in ideal]
+        if outside and all(T.mul[x][y] not in ideal for x in outside for y in outside):
+            primes.append(ideal)
+    return primes
+
+
+GROUPS = ((), (2,), (3,), (4,), (2, 2))
+
+
+def random_generator(rng, modulus, dim):
+    """A vector in the augmentation ideal, or a multiple of a divisor of N,
+    so that the quotient is rarely the zero ring."""
+    vec = [rng.randrange(modulus) for _ in range(dim)]
+    if rng.random() < 0.5:
+        vec[-1] = -sum(vec[:-1])
+        return vec
+    d = rng.choice([d for d in range(2, modulus + 1) if modulus % d == 0])
+    return [d * x for x in vec]
+
+
+@lru_cache(maxsize=None)
+def random_quotients(count=20, seed=0x1DEA, max_carrier=144):
+    """Seeded (Z/N)[G]/J with at least two and at most max_carrier elements."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        orders = rng.choice(GROUPS)
+        dim = prod(orders)
+        modulus = rng.randint(2, 12)
+        if modulus**dim > 4096:
+            continue
+        gens = [random_generator(rng, modulus, dim) for _ in range(rng.randint(0, 2))]
+        model = FiniteQuotientRing(modulus, FiniteAbelianGroup(orders), gens)
+        if 1 < len(model.carrier()) <= max_carrier:
+            out.append(model)
+    return tuple(out)
+
+
+STRUCTURE_CARRIERS = ("Z8[C2]", "Z9[C2]", "Z3[C2xC2]", "Z12[C2]")
+NAMED = tuple(dict.fromkeys(FINITE_BUNDLED + STRUCTURE_CARRIERS))
+
+
+def zero_ring():
+    return FiniteQuotientRing(2, FiniteAbelianGroup((2,)), [(1, 0)], name="Z2[C2]/(1)")
+
+
+def test_random_quotients_cover_every_group():
+    models = random_quotients()
+    assert {m.group.factor_orders for m in models} == set(GROUPS)
+    assert any(m.kernel_size > 1 for m in models)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [pytest.param(bundled_model(name), id=name) for name in NAMED]
+    + [pytest.param(m, id=f"random{i}") for i, m in enumerate(random_quotients())]
+    + [pytest.param(zero_ring(), id="zero-ring")],
+)
+def test_ideals_and_primes_match_reference(model):
+    T = table_for_model(model)
+    ideals = reference_ideals(T)
+    assert all_ideals(T) == ideals
+    assert prime_ideals(T) == reference_primes(T, ideals)
+    for ideal in ideals:
+        assert ideal_closure(T, ideal) == ideal
+
+
+@pytest.mark.parametrize(
+    "model",
+    [pytest.param(m, id=f"random{i}") for i, m in enumerate(random_quotients())]
+    + [pytest.param(zero_ring(), id="zero-ring")],
+)
+def test_element_predicates_match_exhaustive(model):
+    T = table_for_model(model)
+    for r, record in zip(T.elements, exhaustive_predicates(T)):
+        preds = element_predicates(model, r)
+        for field in fields(OraclePredicates):
+            assert getattr(preds, field.name) == getattr(record, field.name), (
+                f"{model.name}: {field.name} differs at {model.format_element(r)}"
+            )
+
+
+def test_zero_ring_predicates():
+    model = zero_ring()
+    (zero,) = model.carrier()
+    preds = element_predicates(model, zero)
+    assert preds.nilpotent and preds.unit and not preds.zero_divisor
+    assert prime_ideals(table_for_model(model)) == []

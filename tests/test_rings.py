@@ -144,7 +144,8 @@ def test_quotient_length_radius_cap():
     model = FiniteQuotientRing(
         16, FiniteAbelianGroup(()), limits=Limits(max_length_radius=3)
     )
-    with pytest.raises(LengthBoundExceeded):
+    limit = r"^length search exceeds the limit max_length_radius = 3: reached 7 elements, not 8$"
+    with pytest.raises(LengthBoundExceeded, match=limit):
         model.length(model.embed_int(8))
 
 
@@ -177,7 +178,8 @@ def test_closed_form_length_agrees_with_bfs(name):
 
 
 def test_carrier_bound():
-    with pytest.raises(CarrierBoundExceeded):
+    limit = r"^carrier exceeds the limit max_carrier = 10: reached 16 elements$"
+    with pytest.raises(CarrierBoundExceeded, match=limit):
         FiniteQuotientRing(2, FiniteAbelianGroup((2, 2)), limits=Limits(max_carrier=10))
 
 
