@@ -208,7 +208,7 @@ def mixed_annihilating_polynomial(
         raise ValueError("at least one root spec is required")
     if len(specs) > limits.max_summands:
         raise BoundExceeded(
-            f"{len(specs)} summands exceed the bound {limits.max_summands}"
+            f"{len(specs)} summands exceed the limit max_summands = {limits.max_summands}"
         )
     return poly_from_roots(_sums(specs, mode, limits.max_sumset))
 

@@ -336,28 +336,30 @@ def _orbit_polynomial(m: int, orbit: list[tuple[int, ...]]) -> IntPolynomial:
     return IntPolynomial(out)
 
 
-def poly_from_roots(roots: Iterable[CyclotomicInteger]) -> IntPolynomial:
-    """Monic integer polynomial with the given distinct cyclotomic roots.
+def _halved(m: int, keys: list[tuple[int, ...]]):
+    """For roots whose nonzero part is nonempty and closed under negation:
+    whether 0 is a root, and the squares of one root of each +- pair.
+    Since s^2 = t^2 only when s = +-t, the squares are distinct, and
+    prod (X - s) = X^[0 is a root] * prod (X^2 - s^2).  None otherwise."""
+    nonzero = set(keys) - {(0,) * len(keys[0])}
+    negated = {key: tuple(-c for c in key) for key in nonzero}
+    if not nonzero or set(negated.values()) != nonzero:
+        return None
+    squares = []
+    for key, minus in negated.items():
+        if key > minus:
+            s = CyclotomicInteger(m, key)
+            squares.append((s * s).coords)
+    return len(nonzero) < len(keys), squares
 
-    The roots are lifted to their common order m and split into orbits
-    under zeta -> zeta^a, gcd(a, m) = 1.  Each orbit's minimal polynomial
-    (degree at most phi(m)) is expanded exactly in Z[zeta_m] and descended
-    to Z, and the integer factors are multiplied as a balanced product
-    tree.  Raises NonIntegerCoefficient when a conjugate of a root is
-    missing (then some coefficient is irrational) and ValueError on a
-    repeated root.
-    """
-    rs = list(roots)
-    if not rs:
-        return IntPolynomial.constant(1)
-    m = lcm(*(r.order for r in rs))
-    keys = sorted(r.lift(m).coords for r in rs)
+
+def _galois_orbits(m: int, keys: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
+    """The distinct roots split into orbits under zeta -> zeta^a, each
+    sorted; raises NonIntegerCoefficient naming a missing conjugate."""
     remaining = set(keys)
-    if len(remaining) != len(keys):
-        raise ValueError("duplicate roots")
     action = _galois_action(m)
-    factors = []
-    for key in keys:
+    orbits = []
+    for key in sorted(keys):
         if key not in remaining:
             continue
         orbit = {tuple(sum(map(mul, key, row)) for row in rows) for rows in action}
@@ -368,5 +370,46 @@ def poly_from_roots(roots: Iterable[CyclotomicInteger]) -> IntPolynomial:
                 f"{CyclotomicInteger(m, key)} is missing"
             )
         remaining -= orbit
-        factors.append(_orbit_polynomial(m, sorted(orbit)))
-    return balanced_product(factors)
+        orbits.append(sorted(orbit))
+    return orbits
+
+
+def poly_from_roots(roots: Iterable[CyclotomicInteger]) -> IntPolynomial:
+    """Monic integer polynomial with the given distinct cyclotomic roots.
+
+    The roots are lifted to their common order m.  While the nonzero
+    roots are closed under negation, the product is X^[0 is a root] *
+    Q(X^2), with Q taken over the squares of one root of each +- pair
+    (signed sum sets are symmetric, and mu_4 halves twice).  The roots
+    left are split into orbits under zeta -> zeta^a, gcd(a, m) = 1.  Each
+    orbit's minimal polynomial (degree at most phi(m)) is expanded
+    exactly in Z[zeta_m] and descended to Z, and the integer factors are
+    multiplied as a balanced product tree.  Raises NonIntegerCoefficient
+    when a conjugate of a root is missing (then some coefficient is
+    irrational) and ValueError on a repeated root.
+    """
+    rs = list(roots)
+    if not rs:
+        return IntPolynomial.constant(1)
+    m = lcm(*(r.order for r in rs))
+    keys = [r.lift(m).coords for r in rs]
+    if len(set(keys)) != len(keys):
+        raise ValueError("duplicate roots")
+    zero_roots = []
+    level = keys
+    while (halved := _halved(m, level)) is not None:
+        has_zero, level = halved
+        zero_roots.append(has_zero)
+    try:
+        orbits = _galois_orbits(m, level)
+    except NonIntegerCoefficient:
+        # the squares are Galois-closed exactly when the roots are, so the
+        # roots themselves name a missing conjugate
+        _galois_orbits(m, keys)
+        raise
+    p = balanced_product(_orbit_polynomial(m, orbit) for orbit in orbits)
+    for has_zero in reversed(zero_roots):
+        coeffs = [0] * (2 * len(p.coeffs) - 1 + has_zero)
+        coeffs[has_zero::2] = p.coeffs
+        p = IntPolynomial(coeffs)
+    return p

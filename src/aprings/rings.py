@@ -103,6 +103,10 @@ class RingModel:
     def carrier(self) -> list:
         raise UnsupportedModel(f"{self.name} is not a finite model")
 
+    def is_root(self, p: IntPolynomial, r) -> bool:
+        """Whether p(r) = 0 in the ring, by Horner evaluation in it."""
+        return poly_eval_in_ring(p, r, self) == self.zero()
+
     def random_element(self, rng: Random, max_length: int = 5):
         gens = self.generators()
         r = self.zero()
@@ -173,7 +177,10 @@ class FreeRing(RingModel):
     decomposition of an element is its coefficient vector, so its length
     is the L1 norm.  The ghost (a tuple of GhostColumn) is a jointly
     injective family of ring homomorphisms into Z or Z[zeta]: identity
-    coordinates, group characters or marks.
+    coordinates, group characters or marks.  Each column is unital, so it
+    sends p(r) to p(its value at r) for an integer polynomial p, and
+    p(r) = 0 exactly when p vanishes at every ghost value of r; `is_root`
+    evaluates p there instead of in the ring.
     """
 
     def __init__(
@@ -209,6 +216,9 @@ class FreeRing(RingModel):
     def ghost_map(self, r) -> tuple:
         coords = self.coordinates(r)
         return tuple(col.evaluate(coords) for col in self.ghost)
+
+    def is_root(self, p, r):
+        return all(p(value) == 0 for value in set(self.ghost_map(r)))
 
     def zero(self):
         return (0,) * len(self.labels)
@@ -706,6 +716,9 @@ class ProductRing(RingModel):
     def carrier(self) -> list:
         return [(a, b) for a in self.left.carrier() for b in self.right.carrier()]
 
+    def is_root(self, p, r):
+        return self.left.is_root(p, r[0]) and self.right.is_root(p, r[1])
+
     def element_to_json(self, r):
         return {
             "left": self.left.element_to_json(r[0]),
@@ -775,17 +788,16 @@ def verify_annihilated(
     model: RingModel, r, limits: Optional[Limits] = None
 ) -> AnnihilationReport:
     """Compute n = length(r), build p_n from the model's root spec
-    (signed mode) and check p_n(r) = 0 by Horner evaluation."""
+    (signed mode) and check p_n(r) = 0 with the model's `is_root`."""
     n = model.length(r)
     if n == 0:
         p = IntPolynomial.x()
     else:
         p = annihilating_polynomial(model.root_spec(), n, "signed", limits)
-    value = poly_eval_in_ring(p, r, model)
     return AnnihilationReport(
         length=n,
         degree=p.degree,
-        annihilated=(value == model.zero()),
+        annihilated=model.is_root(p, r),
         polynomial=p,
     )
 

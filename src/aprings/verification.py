@@ -35,6 +35,7 @@ from .intpoly import IntPolynomial
 from .rings import (
     FINITE_BUNDLED,
     bundled_model,
+    poly_eval_in_ring,
     verify_annihilated,
 )
 from .spectrum import (
@@ -208,7 +209,7 @@ def check_annihilation_random() -> str:
     total = 0
     for name in ANNIHILATION_MODELS:
         model = bundled_model(name)
-        for _ in range(100):
+        for i in range(100):
             r = model.random_element(rng, max_length=5)
             report = verify_annihilated(model, r, SUITE_LIMITS)
             _require(
@@ -216,6 +217,14 @@ def check_annihilation_random() -> str:
                 f"{name}: p_{report.length} does not annihilate "
                 f"{model.format_element(r)}",
             )
+            if i % 10 == 0:
+                # independent cross-check of is_root: Horner in the ring
+                in_ring = poly_eval_in_ring(report.polynomial, r, model) == model.zero()
+                _require(
+                    in_ring == report.annihilated,
+                    f"{name}: is_root and Horner in the ring disagree on "
+                    f"{model.format_element(r)}",
+                )
             total += 1
     return f"p_length(r) = 0 for {total} random elements across {len(ANNIHILATION_MODELS)} models"
 

@@ -102,9 +102,12 @@ def test_sum_set_cap_error_names_the_limit_its_cap_and_the_size_reached():
         mixed_annihilating_polynomial(
             [RootSpec.unity(4), RootSpec.unity(3)], limits=Limits(max_sumset=3)
         )
-    # the summand bound keeps its message
+    # the summand bound of root_sum_set keeps its message (the golden
+    # outputs record it); the mixed one names the limit
     with pytest.raises(BoundExceeded, match=r"^n = 9 exceeds the summand bound 8$"):
         root_sum_set(RootSpec.integers(-1, 1), 9)
+    with pytest.raises(BoundExceeded, match=r"^3 summands exceed the limit max_summands = 2$"):
+        mixed_annihilating_polynomial([RootSpec.unity(2)] * 3, limits=Limits(max_summands=2))
 
 
 def test_mixed_annihilator_spec_example():

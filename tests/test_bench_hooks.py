@@ -13,8 +13,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import aprings.cli  # imports every hooked module
-from aprings import annihilator
+from aprings import annihilator, verification
+from aprings.annihilator import RootSpec
+from aprings.rings import bundled_model
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -82,3 +86,53 @@ def test_structure_hooks_record_calls(monkeypatch, capsys):
     assert missing == [] and codes == [0, 0, 0]
     assert layers.silent_hooks(rec.calls, "structure") == []
     assert rec.calls["groups.subgroup_closure"] == 20
+
+
+@pytest.mark.parametrize(
+    "spec, n, mode",
+    [
+        (RootSpec.unity(4), 3, "signed"),  # squared twice
+        (RootSpec.unity(8), 2, "signed"),
+        (RootSpec.unity(3), 2, "unsigned"),  # not symmetric
+        (RootSpec.integers(-1, 1), 4, "signed"),
+        (bundled_model("burnside-A5").root_spec(), 2, "signed"),
+    ],
+)
+def test_each_p_n_is_one_poly_from_roots_call(monkeypatch, spec, n, mode):
+    """The even step of `poly_from_roots` squares the roots in a loop, not
+    by calling itself through the module name the traced run wraps: one
+    p_n stays one recorded call, and roots_total stays its degree."""
+    layers = _load_perfbench(monkeypatch, "layers")
+    _clear_aprings_caches()
+    rec = layers.Recorder()
+    restore, missing = layers.install(rec)
+    try:
+        p = annihilator.annihilating_polynomial(spec, n, mode)
+    finally:
+        restore()
+    metrics = layers.pass_metrics(rec)
+    assert missing == []
+    assert metrics["cyclotomic.poly_from_roots.calls"] == 1
+    assert metrics["cyclotomic.poly_from_roots.roots_total"] == p.degree
+    assert p.degree == len(annihilator.root_sum_set(spec, n, mode))
+
+
+def test_annihilation_check_still_evaluates_in_the_ring(monkeypatch):
+    """`annihilation-random` checks p_n(r) = 0 through the ghost on the
+    free models and cross-checks one element in ten by Horner in the
+    ring, so the verify-paper hook on `rings.poly_eval_in_ring` keeps
+    recording calls even without the finite model in the list."""
+    layers = _load_perfbench(monkeypatch, "layers")
+    _clear_aprings_caches()
+    free = ("Z[C4]", "burnside-A5")
+    for name in free:
+        bundled_model(name)  # built outside the trace: no R2 evaluations
+    monkeypatch.setattr(verification, "ANNIHILATION_MODELS", free)
+    rec = layers.Recorder()
+    restore, missing = layers.install(rec)
+    try:
+        verification.check_annihilation_random()
+    finally:
+        restore()
+    assert missing == []
+    assert rec.calls["rings.poly_eval_in_ring"] == 10 * len(free)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from aprings.annihilator import IntegerRoots, RootSpec, RootsOfUnity, _sums, root_sum_set
 from aprings.cyclotomic import (
     CyclotomicInteger,
+    _halved,
     cyclotomic_polynomial,
     euler_phi,
     moebius,
@@ -13,6 +15,7 @@ from aprings.cyclotomic import (
 )
 from aprings.errors import NonIntegerCoefficient, UnsupportedOrder
 from aprings.intpoly import IntPolynomial
+from aprings.rings import bundled_model
 
 
 def test_cyclotomic_base_cases():
@@ -196,6 +199,86 @@ def test_poly_from_roots_matches_reference_expansion(specs, repeat, mode, rnd):
     assume(len(roots) * euler_phi(order) <= 600)
     rnd.shuffle(roots)
     assert poly_from_roots(roots) == reference_poly_from_roots(roots)
+
+
+def halvings(roots):
+    """How often poly_from_roots squares the roots before it splits them
+    into Galois orbits."""
+    m = math.lcm(*(r.order for r in roots))
+    keys = [r.lift(m).coords for r in roots]
+    count = 0
+    while (halved := _halved(m, keys)) is not None:
+        keys = halved[1]
+        count += 1
+    return count
+
+
+def integers(*values):
+    return [CyclotomicInteger.from_int(v) for v in values]
+
+
+def gaussians(*pairs):
+    i = CyclotomicInteger.zeta(4)
+    return [a + b * i for a, b in pairs]
+
+
+def mu(m):
+    return [CyclotomicInteger.zeta(m, j) for j in range(m)]
+
+
+GAUSSIAN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+EVEN_STEP_CASES = {
+    # name: (roots, number of squarings)
+    "integers": (integers(-3, -1, 1, 3), 1),
+    "integers and 0": (integers(-3, -1, 0, 1, 3), 1),
+    # +-(1 + i), +-(1 - i) square to +-2i, which square to -4
+    "gaussians": (gaussians(*GAUSSIAN_PAIRS), 2),
+    "gaussians and 0": (gaussians(*GAUSSIAN_PAIRS, (0, 0)), 2),
+    # mu_4 -> {1, -1} -> {1}, and mu_8 -> mu_4 -> ...
+    "mu4": (mu(4), 2),
+    "mu8": (mu(8), 3),
+    # symmetric except for one +- pair: the plain path
+    "integers, one pair broken": (integers(-3, -1, 1, 2, 3), 0),
+    "gaussians, one pair broken": (gaussians(*GAUSSIAN_PAIRS, (2, 0)), 0),
+}
+
+
+@pytest.mark.parametrize("name", EVEN_STEP_CASES)
+def test_even_step_matches_reference_expansion(name):
+    roots, steps = EVEN_STEP_CASES[name]
+    assert halvings(roots) == steps
+    assert poly_from_roots(roots) == reference_poly_from_roots(roots)
+
+
+def test_even_step_on_the_burnside_a5_sum_set():
+    # signed T_5 for the marks of A5: 475 integer roots, squared once
+    roots = root_sum_set(bundled_model("burnside-A5").root_spec(), 5).elements
+    assert len(roots) == 475 and halvings(roots) == 1
+    assert poly_from_roots(roots) == reference_poly_from_roots(roots)
+
+
+def test_nested_even_steps_give_x_to_the_m_minus_1():
+    for m in (4, 8, 16):
+        assert poly_from_roots(mu(m)) == IntPolynomial.monomial(m) - 1
+
+
+def test_symmetric_set_with_a_missing_conjugate_names_a_given_root():
+    with pytest.raises(
+        NonIntegerCoefficient, match=r"^the conjugate -1 \+ i of the root -1 - i is missing$"
+    ):
+        poly_from_roots(gaussians((1, 1), (-1, -1)))
+    # drop a +- pair of irrational roots from the symmetric T_2 of mu_8:
+    # the squares name no conjugate, the caller's roots do
+    t2 = list(root_sum_set(RootSpec.unity(8), 2).elements)
+    for dropped in [r for r in t2 if r.as_int() is None][:4]:
+        roots = [r for r in t2 if r != dropped and r != -dropped]
+        assert halvings(roots) >= 1
+        with pytest.raises(NonIntegerCoefficient) as info:
+            poly_from_roots(roots)
+        match = re.fullmatch(r"the conjugate (.+) of the root (.+) is missing", str(info.value))
+        names = {str(r) for r in roots}
+        assert match and match.group(1) not in names and match.group(2) in names
 
 
 def test_moebius_and_phi():

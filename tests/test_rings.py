@@ -12,7 +12,7 @@ from aprings.errors import (
     NonIntegralPullback,
     R2Violation,
 )
-from aprings.groups import FiniteAbelianGroup, SubgroupClass, TableOfMarks
+from aprings.groups import FiniteAbelianGroup, SubgroupClass, TableOfMarks, named_group_names
 from aprings.intpoly import IntPolynomial
 from aprings.rings import (
     BurnsideModel,
@@ -25,6 +25,7 @@ from aprings.rings import (
     construct_model,
     parse_element,
     poly_eval_in_ring,
+    signed_ball,
     verify_annihilated,
 )
 
@@ -292,7 +293,54 @@ def test_group_ring_c2xc2_commutative_product(a, b):
     assert model.mul(a, b) == model.mul(b, a)
 
 
-@pytest.mark.parametrize("name", ["Z", "Z^3", "Z[C2]", "Z[C2xC2]", "Z[C4]", "burnside-S3"])
+FREE_PRESETS = ["Z", "Z^3", "Z[C2]", "Z[C2xC2]", "Z[C4]"] + [
+    f"burnside-{group}" for group in named_group_names()
+]
+PRODUCT_SPEC = {"kind": "product", "left": {"kind": "Z"}, "right": {"kind": "group_ring", "factor_orders": [4]}}
+
+
+def _preset(name):
+    return construct_model(PRODUCT_SPEC) if name == "product" else bundled_model(name)
+
+
+def _integer_ghost_values(model, r):
+    if isinstance(model, ProductRing):
+        return _integer_ghost_values(model.left, r[0]) | _integer_ghost_values(model.right, r[1])
+    values = {v if isinstance(v, int) else v.as_int() for v in model.ghost_map(r)}
+    return values - {None}
+
+
+@pytest.mark.parametrize("name", FREE_PRESETS + ["product"])
+def test_is_root_agrees_with_horner_in_the_ring(name):
+    """is_root reads p(r) = 0 off the ghost values of r; Horner in the
+    ring is the independent reference, on p_n (a root), p_n + 1 (never a
+    root) and x - c for integer ghost values c of r and of another
+    element (a root only at r = c)."""
+    model = _preset(name)
+    xs = random_elements(model, 5, seed=29)
+    for r, other in zip(xs, xs[1:] + xs[:1]):
+        p = verify_annihilated(model, r).polynomial
+        cases = [(p, True), (p + 1, False)]
+        for c in _integer_ghost_values(model, r) | _integer_ghost_values(model, other):
+            cases.append((IntPolynomial((-c, 1)), r == model.embed_int(c)))
+        for poly, expected in cases:
+            in_ring = poly_eval_in_ring(poly, r, model) == model.zero()
+            assert model.is_root(poly, r) == in_ring == expected, (poly, model.format_element(r))
+
+
+@pytest.mark.parametrize("name", ["Z[C2]", "Z[C2xC2]", "Z[C4]"])
+def test_group_ring_ghost_map_is_injective_on_a_ball(name):
+    model = bundled_model(name)
+    ball = signed_ball(model, 3)
+    order = model.group.exponent
+    ghosts = {
+        tuple(v if isinstance(v, int) else v.lift(order).coords for v in model.ghost_map(r))
+        for r in ball
+    }
+    assert len(ghosts) == len(ball)
+
+
+@pytest.mark.parametrize("name", FREE_PRESETS)
 def test_ghost_map_is_a_ring_homomorphism(name):
     model = bundled_model(name)
     ghost = model.ghost_map
