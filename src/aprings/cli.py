@@ -24,7 +24,6 @@ from .annihilator import (
     root_spec_preset,
     root_sum_set,
 )
-from .config import default_limits
 from .errors import ApringsError, BoundExceeded, ExpressionError
 from .groups import (
     A5_LABEL_ALIASES,
@@ -35,7 +34,7 @@ from .groups import (
     table_of_marks,
 )
 from .rings import bundled_model, construct_model, parse_element, verify_annihilated
-from .spectrum import element_predicates, spectrum_report
+from .spectrum import LISTED_PRIME_BOUND, element_predicates, spectrum_report
 from .verification import paper_checks
 
 USAGE_ERROR = 2
@@ -226,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="prime spectrum report")
     p.add_argument("--ring", required=True, help="preset:NAME, JSON, or @file")
-    p.add_argument("--primes-up-to", type=int, default=default_limits().max_listed_prime)
+    p.add_argument("--primes-up-to", type=int, default=LISTED_PRIME_BOUND)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_spectrum)
 

@@ -22,7 +22,6 @@ class Limits:
     max_summands: int = 8              # n cap for root_sum_set
     max_length_radius: int = 12        # breadth-first length search
     max_cyclotomic_degree: int = 64    # deg Phi_m cap
-    max_listed_prime: int = 13         # concrete maximal-ideal listings
 
 
 _ENV_FIELDS = {

@@ -81,7 +81,9 @@ def cyclotomic_polynomial(m: int) -> IntPolynomial:
         raise ValueError("order must be positive")
     cap = default_limits().max_cyclotomic_degree
     if euler_phi(m) > cap:
-        raise UnsupportedOrder(f"deg Phi_{m} = {euler_phi(m)} exceeds the cap {cap}")
+        raise UnsupportedOrder(
+            f"deg Phi_{m} = {euler_phi(m)} exceeds the limit max_cyclotomic_degree = {cap}"
+        )
     return _cyclotomic(m)
 
 

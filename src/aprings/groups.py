@@ -364,22 +364,8 @@ class FiniteAbelianGroup:
     def elements(self) -> list[tuple[int, ...]]:
         return sorted(product(*(range(o) for o in self.factor_orders)))
 
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * self.rank
-
     def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((x + y) % o for x, y, o in zip(a, b, self.factor_orders))
-
-    def neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((-x) % o for x, o in zip(a, self.factor_orders))
-
-    def generators(self) -> list[tuple[int, ...]]:
-        gens = []
-        for i in range(self.rank):
-            e = [0] * self.rank
-            e[i] = 1
-            gens.append(tuple(e))
-        return gens
 
     def describe(self) -> str:
         return "x".join(f"C{o}" for o in self.factor_orders) if self.factor_orders else "C1"

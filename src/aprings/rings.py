@@ -4,7 +4,7 @@ Every model carries a monic squarefree generating polynomial q, a
 finite named generating set S with q(s) = 0 for each s in S (checked at
 construction), and the length map: the least l such that the element is
 a sum of l terms +-s with s in S.  Elements are plain hashable data
-(ints, tuples, pairs); the model object owns the arithmetic.
+(tuples, pairs); the model object owns the arithmetic.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .intpoly import IntPolynomial, format_terms, repeated_doubling
 class RingModel:
     """Common interface of all ring models."""
 
-    kind: str = "abstract"
     # e when the model is presented with q = X^e - 1 and S inside the
     # e-th roots of unity (Z, group rings and their quotients), else None
     unity_exponent: Optional[int] = None
@@ -130,9 +129,6 @@ class RingModel:
     def element_to_json(self, r):
         raise NotImplementedError
 
-    def element_from_json(self, data):
-        raise NotImplementedError
-
     def format_element(self, r) -> str:
         raise NotImplementedError
 
@@ -155,7 +151,8 @@ def poly_eval_in_ring(p: IntPolynomial, r, model: RingModel):
 @dataclass(frozen=True)
 class GhostColumn:
     """One coordinate of a ghost map: a ring homomorphism into Z or into
-    a ring of cyclotomic integers, given by its values on the basis.
+    a ring of cyclotomic integers, given by its values on the basis, so
+    it evaluates a free-model element (its coefficient vector) directly.
     `kernel` is the (kind, label) under which its kernel is listed as a
     minimal prime."""
 
@@ -163,24 +160,26 @@ class GhostColumn:
     values: tuple
     kernel: tuple[str, str]
 
-    def evaluate(self, coords: Sequence[int]):
-        return sum(c * v for c, v in zip(coords, self.values) if c)
+    def evaluate(self, r: Sequence[int]):
+        return sum(c * v for c, v in zip(r, self.values) if c)
 
 
 class FreeRing(RingModel):
     """A ring that is free as a Z-module on a labelled basis, the basis
     being the generating set S.
 
-    Elements are dense integer coefficient tuples over the basis, and
-    multiplication follows the sparse structure constants
-    e_i * e_j = sum_l c_ijl e_l.  Since S is a basis, the minimal signed
-    decomposition of an element is its coefficient vector, so its length
-    is the L1 norm.  The ghost (a tuple of GhostColumn) is a jointly
-    injective family of ring homomorphisms into Z or Z[zeta]: identity
-    coordinates, group characters or marks.  Each column is unital, so it
-    sends p(r) to p(its value at r) for an integer polynomial p, and
-    p(r) = 0 exactly when p vanishes at every ghost value of r; `is_root`
-    evaluates p there instead of in the ring.
+    Elements are dense integer coefficient tuples over the basis (1-tuples
+    for Z), and multiplication follows the sparse structure constants
+    e_i * e_j = sum_l c_ijl e_l.  Subclasses supply data only: labels,
+    structure constants, the one-vector, root spec, q and the ghost; the
+    arithmetic, generators and length live here.  Since S is a basis,
+    the minimal signed decomposition of an element is its coefficient
+    vector, so its length is the L1 norm.  The ghost (a tuple of
+    GhostColumn) is a jointly injective family of ring homomorphisms
+    into Z or Z[zeta]: identity coordinates, group characters or marks.
+    Each column is unital, so it sends p(r) to p(its value at r) for an
+    integer polynomial p, and p(r) = 0 exactly when p vanishes at every
+    ghost value of r; `is_root` evaluates p there instead of in the ring.
     """
 
     def __init__(
@@ -209,13 +208,8 @@ class FreeRing(RingModel):
     def ghost(self) -> tuple[GhostColumn, ...]:
         raise NotImplementedError
 
-    def coordinates(self, r) -> tuple[int, ...]:
-        """The coefficient vector of r over the basis."""
-        return r
-
     def ghost_map(self, r) -> tuple:
-        coords = self.coordinates(r)
-        return tuple(col.evaluate(coords) for col in self.ghost)
+        return tuple(col.evaluate(r) for col in self.ghost)
 
     def is_root(self, p, r):
         return all(p(value) == 0 for value in set(self.ghost_map(r)))
@@ -257,23 +251,14 @@ class FreeRing(RingModel):
         return self._spec
 
     def length(self, r):
-        return sum(abs(x) for x in self.coordinates(r))
+        return sum(abs(x) for x in r)
 
     def element_to_json(self, r):
         return [[label, str(c)] for label, c in zip(self.labels, r) if c]
 
-    def element_from_json(self, data):
-        out = [0] * len(self.labels)
-        lookup = {label: i for i, label in enumerate(self.labels)}
-        for label, value in data:
-            if label not in lookup:
-                raise ExpressionError(f"unknown basis label {label!r}")
-            out[lookup[label]] = int(value)
-        return tuple(out)
-
     def format_element(self, r):
         return format_terms(
-            (c, "" if label == "1" else label) for label, c in zip(self.labels, self.coordinates(r))
+            (c, "" if label == "1" else label) for label, c in zip(self.labels, r)
         )
 
 
@@ -281,49 +266,19 @@ class FreeRing(RingModel):
 
 
 class ZRing(FreeRing):
-    """The rational integers with S = {1, -1} and q = X^2 - 1.
+    """The rational integers with S = {1, -1} and q = X^2 - 1; the ghost
+    is the identity."""
 
-    Elements are plain ints; the ghost is the identity.
-    """
-
-    kind = "Z"
     unity_exponent = 2
     ghost = (GhostColumn("id", (1,), ("signature", "ker id")),)
 
     def __init__(self):
         super().__init__(
-            "Z", ("1",), (((0, 1),),), (1,), RootSpec.integers(-1, 1), IntPolynomial((-1, 0, 1))
+            "Z", ("1",), [[((0, 1),)]], (1,), RootSpec.integers(-1, 1), IntPolynomial((-1, 0, 1))
         )
 
-    def coordinates(self, r):
-        return (r,)
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def embed_int(self, n):
-        return n
-
-    def generators(self):
-        return (("1", 1),)
-
     def element_to_json(self, r):
-        return str(r)
-
-    def element_from_json(self, data):
-        return int(data)
+        return str(r[0])
 
 
 # -- products of copies of Z -------------------------------------------------------
@@ -331,8 +286,6 @@ class ZRing(FreeRing):
 
 class ProductZRing(FreeRing):
     """Z^k with S = {e_i} and q = X^3 - X; the ghost is the projections."""
-
-    kind = "product_z"
 
     def __init__(self, k: int):
         if k < 1:
@@ -358,12 +311,6 @@ class ProductZRing(FreeRing):
     def element_to_json(self, r):
         return [str(x) for x in r]
 
-    def element_from_json(self, data):
-        vec = tuple(int(x) for x in data)
-        if len(vec) != self.k:
-            raise ExpressionError(f"expected {self.k} coordinates")
-        return vec
-
     def format_element(self, r):
         return "(" + ", ".join(str(x) for x in r) + ")"
 
@@ -379,8 +326,6 @@ class GroupRingModel(FreeRing):
     G into the exp(G)-th roots of unity, as integer signs when
     exp(G) <= 2.
     """
-
-    kind = "group_ring"
 
     def __init__(self, group: FiniteAbelianGroup, name: Optional[str] = None):
         self.group = group
@@ -435,8 +380,6 @@ class BurnsideModel(FreeRing):
     the ghost.  The structure constants are the triangular pullbacks of
     the pointwise products of the basis mark vectors, computed once.
     """
-
-    kind = "burnside"
 
     def __init__(self, table: TableOfMarks, name: Optional[str] = None):
         self.table = table
@@ -502,8 +445,6 @@ class FiniteQuotientRing(RingModel):
     Labels, structure constants, generating set and polynomial come
     from the cover Z[G]; lengths come from breadth-first search.
     """
-
-    kind = "finite_quotient"
 
     def __init__(
         self,
@@ -617,9 +558,6 @@ class FiniteQuotientRing(RingModel):
     def element_to_json(self, r):
         return self.cover.element_to_json(r)
 
-    def element_from_json(self, data):
-        return self._rep[self._reduce(self.cover.element_from_json(data))]
-
     def format_element(self, r):
         return self.cover.format_element(r)
 
@@ -658,8 +596,6 @@ class ProductRing(RingModel):
     generating polynomial must vanish at 0: its root set is the union
     of the factors' roots together with 0.
     """
-
-    kind = "product"
 
     def __init__(self, left: RingModel, right: RingModel, name: Optional[str] = None):
         self.left = left
@@ -725,12 +661,6 @@ class ProductRing(RingModel):
             "right": self.right.element_to_json(r[1]),
         }
 
-    def element_from_json(self, data):
-        return (
-            self.left.element_from_json(data["left"]),
-            self.right.element_from_json(data["right"]),
-        )
-
     def format_element(self, r):
         return f"({self.left.format_element(r[0])} | {self.right.format_element(r[1])})"
 
@@ -774,14 +704,6 @@ class AnnihilationReport:
     degree: int
     annihilated: bool
     polynomial: IntPolynomial
-
-    def to_json(self) -> dict:
-        return {
-            "length": self.length,
-            "degree": self.degree,
-            "annihilated": self.annihilated,
-            "polynomial": self.polynomial.to_json(),
-        }
 
 
 def verify_annihilated(

@@ -56,25 +56,16 @@ def signatures(model: RingModel) -> list[Signature]:
     if isinstance(model, FreeRing):
         if not _integral_ghost(model):
             raise UnsupportedModel("signature enumeration needs an exponent-2 group")
-        return [
-            Signature(
-                label=col.label,
-                values=col.values,
-                _eval=lambda r, col=col: col.evaluate(model.coordinates(r)),
-            )
-            for col in model.ghost
-        ]
+        return [Signature(col.label, col.values, col.evaluate) for col in model.ghost]
     if isinstance(model, ProductRing):
         out = []
         for idx, (side, sub) in enumerate((("L", model.left), ("R", model.right))):
             for sig in signatures(sub):
-                out.append(
-                    Signature(
-                        label=f"{side}.{sig.label}",
-                        values=sig.values,
-                        _eval=lambda r, sig=sig, idx=idx: sig(r[idx]),
-                    )
-                )
+                def evaluate(r, sig=sig, idx=idx):
+                    return sig(r[idx])
+
+                values = tuple(evaluate(s) for _, s in model.generators())
+                out.append(Signature(f"{side}.{sig.label}", values, evaluate))
         return out
     if model.characteristic() > 0:
         return []
@@ -115,12 +106,12 @@ def signature_ideal(sig: Signature) -> PrimeIdeal:
     )
 
 
-def ghost_kernel(model: FreeRing, col: GhostColumn) -> PrimeIdeal:
+def ghost_kernel(col: GhostColumn) -> PrimeIdeal:
     kind, label = col.kernel
     return PrimeIdeal(
         kind=kind,
         label=label,
-        _member=lambda r: col.evaluate(model.coordinates(r)) == 0,
+        _member=lambda r: col.evaluate(r) == 0,
     )
 
 
@@ -179,7 +170,7 @@ def minimal_primes(model: RingModel) -> list[PrimeIdeal]:
         raise UnsupportedModel(
             f"minimal primes need a basis model, not {model.name}"
         )
-    return [ghost_kernel(model, col) for col in model.ghost]
+    return [ghost_kernel(col) for col in model.ghost]
 
 
 # -- admissibility ------------------------------------------------------------------
@@ -354,26 +345,6 @@ class DressRelations:
     minimal: dict  # member -> bool, from the containment graph
     maximal: dict
 
-    def to_json(self) -> dict:
-        return {
-            "model": self.model_name,
-            "members": [
-                {"class": m.class_label, "p": m.p} for m in self.members
-            ],
-            "containments": [
-                {"lower": {"class": a.class_label, "p": a.p},
-                 "upper": {"class": b.class_label, "p": b.p}}
-                for (a, b), holds in sorted(
-                    self.subset.items(),
-                    key=lambda kv: (kv[0][0].class_index, kv[0][0].p,
-                                    kv[0][1].class_index, kv[0][1].p),
-                )
-                if holds and a != b
-            ],
-            "minimal": {f"{m.class_label},{m.p}": v for m, v in self.minimal.items()},
-            "maximal": {f"{m.class_label},{m.p}": v for m, v in self.maximal.items()},
-        }
-
 
 def dress_relations(model: BurnsideModel, primes: list[int]) -> DressRelations:
     """Containments among the ideals p_(U,p) for p in {0} u primes.
@@ -505,6 +476,10 @@ class SpectrumReport:
         }
 
 
+# the maximal-ideal families list their primes up to this bound by default
+LISTED_PRIME_BOUND = 13
+
+
 def _primes_up_to(bound: int) -> list[int]:
     out = []
     for n in range(2, bound + 1):
@@ -515,7 +490,7 @@ def _primes_up_to(bound: int) -> list[int]:
 
 def spectrum_report(
     model: RingModel,
-    prime_bound: Optional[int] = None,
+    prime_bound: int = LISTED_PRIME_BOUND,
     limits: Optional[Limits] = None,
 ) -> SpectrumReport:
     """Min/Max classification of the prime spectrum.
@@ -526,8 +501,7 @@ def spectrum_report(
     fundamental ideal.
     """
     limits = limits or default_limits()
-    bound = prime_bound if prime_bound is not None else limits.max_listed_prime
-    primes = _primes_up_to(bound)
+    primes = _primes_up_to(prime_bound)
 
     if isinstance(model, FiniteQuotientRing):
         return _finite_spectrum_report(model, limits)
@@ -541,7 +515,7 @@ def spectrum_report(
     # an integer-valued character is a signature, and its kernel is
     # listed as a signature ideal
     minimal = [
-        signature_ideal(sig) if col.kernel[0] == "character" else ghost_kernel(model, col)
+        signature_ideal(sig) if col.kernel[0] == "character" else ghost_kernel(col)
         for sig, col in zip(sigs, model.ghost)
     ]
     fundamental = fundamental_ideal(model) if _has_two_power_q(model) else None

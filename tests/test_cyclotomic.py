@@ -35,8 +35,10 @@ def test_divisor_product_identity(m):
 
 
 def test_degree_cap():
-    with pytest.raises(UnsupportedOrder):
-        cyclotomic_polynomial(101)  # phi(101) = 100 > 64
+    with pytest.raises(
+        UnsupportedOrder, match=r"deg Phi_101 = 100 exceeds the limit max_cyclotomic_degree = 64"
+    ):
+        cyclotomic_polynomial(101)
 
 
 def test_roots_of_unity():

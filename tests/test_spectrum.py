@@ -5,7 +5,8 @@ import pytest
 
 from aprings import oracle
 from aprings.errors import UnsupportedModel
-from aprings.rings import bundled_model, parse_element
+from aprings.groups import named_group_names
+from aprings.rings import bundled_model, construct_model, parse_element
 from aprings.spectrum import (
     ap_condition_check,
     dress_relations,
@@ -49,6 +50,29 @@ def test_signatures_are_ring_homomorphisms():
                 for b in xs:
                     assert sig(model.add(a, b)) == sig(a) + sig(b)
                     assert sig(model.mul(a, b)) == sig(a) * sig(b)
+
+
+# every free preset with an integer-valued ghost; Z[C4] has no signature list
+SIGNATURE_PRESETS = ["Z", "Z^3", "Z[C2]", "Z[C2xC2]"] + [
+    f"burnside-{group}" for group in named_group_names()
+]
+PRODUCT_SPECS = {
+    "ZxZ[C2]": {"kind": "product", "left": {"kind": "Z"},
+                "right": {"kind": "group_ring", "factor_orders": [2]}},
+    "Z4[C2]xZ^2": {"kind": "product",
+                   "left": {"kind": "finite_quotient", "modulus": 4, "factor_orders": [2]},
+                   "right": {"kind": "product_z", "copies": 2}},
+}
+
+
+@pytest.mark.parametrize("name", SIGNATURE_PRESETS + list(PRODUCT_SPECS))
+def test_signature_values_are_values_on_the_generators(name):
+    spec = PRODUCT_SPECS.get(name)
+    model = construct_model(spec) if spec else bundled_model(name)
+    sigs = signatures(model)
+    assert sigs
+    for sig in sigs:
+        assert sig.values == tuple(sig(s) for _, s in model.generators()), sig.label
 
 
 def test_signatures_of_z_c2():
@@ -106,7 +130,7 @@ def test_spectrum_z():
     assert report.fundamental is not None
     assert report.max_families[0].primes == [3, 5, 7, 11, 13]
     # the fundamental ideal of Z is the even integers
-    assert report.fundamental.contains(4) and not report.fundamental.contains(3)
+    assert report.fundamental.contains((4,)) and not report.fundamental.contains((3,))
 
 
 def test_spectrum_z_c2():
@@ -269,7 +293,7 @@ def test_predicates_product_model():
     from aprings.rings import ProductRing, ZRing
 
     prod = ProductRing(ZRing(), ZRing())
-    preds = element_predicates(prod, (1, 0))
+    preds = element_predicates(prod, ((1,), (0,)))
     assert preds.zero_divisor and not preds.nilpotent and preds.idempotent
 
 
