@@ -199,6 +199,12 @@ class CyclotomicInteger:
             vec[j * step] = c
         return CyclotomicInteger(target, _reduce(target, vec))
 
+    def conjugate(self) -> "CyclotomicInteger":
+        """The complex conjugate: the automorphism zeta -> zeta^-1, the last
+        one of `_galois_action` (a = m - 1 is the largest unit below m)."""
+        rows = _galois_action(self.order)[-1]
+        return CyclotomicInteger(self.order, tuple(sum(map(mul, self.coords, row)) for row in rows))
+
     def _common(self, other: "CyclotomicInteger"):
         if self.order == other.order:
             return self, other

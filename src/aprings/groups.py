@@ -4,14 +4,15 @@ Permutations act on {0, ..., d-1} and are stored as image tuples.  The
 lattice and the marks work on a Cayley table (`_cayley_table`): the
 elements of G indexed in sorted order, with multiplication and
 conjugation tables on the indices.  A subgroup is an int bitmask over
-those indices; the lattice grows by cyclic extension, closing the
-generators of a known subgroup plus one more element (G. Pfeiffer,
-"The subgroups of M24, or how to compute the table of marks of a finite
-group", Experiment. Math. 6 (1997)).  Conjugacy classes of subgroups
-are ordered by subgroup order ascending with ties broken by the
-lexicographically minimal sorted element list of the minimal conjugate
-(ascending bit indices, as index order is sorted order), which makes
-every table of marks reproducible.
+those indices; the lattice grows by cyclic extension up to conjugacy,
+one g per coset: one subgroup H of each class found so far is extended
+by one element g of each right coset Hg, closing the generators of H
+plus g (G. Pfeiffer, "The subgroups of M24, or how to compute the table
+of marks of a finite group", Experiment. Math. 6 (1997)).  Conjugacy
+classes of subgroups are ordered by subgroup order ascending with ties
+broken by the lexicographically minimal sorted element list of the
+minimal conjugate (ascending bit indices, as index order is sorted
+order), which makes every table of marks reproducible.
 """
 
 from __future__ import annotations
@@ -211,13 +212,39 @@ def subgroup_classes(G: PermGroup, limits: Optional[Limits] = None) -> list[Subg
 
 @lru_cache(maxsize=64)
 def _subgroup_classes_cached(G: PermGroup) -> list[SubgroupClass]:
+    """Every conjugacy class of subgroups, by cyclic extension up to
+    conjugacy, one g per coset (Pfeiffer 1997).
+
+    A new subgroup K = <gens(H), g> is mapped through `conj` once, which
+    records its whole class; only that one member of the class is
+    extended.  An extended H tries one g per right coset Hg, since
+    <H, g> = <H, hg> for h in H.  Every class turns up: a subgroup K other
+    than 1 has a maximal subgroup H, which some x conjugates to the
+    extended member H0 of its class, and then K^x = <H0, g^x> for any g
+    in K - H.
+    """
     table = _cayley_table(G)
-    classes: list[tuple[tuple[int, ...], int]] = []
-    remaining = set(_all_subgroups(G))
-    while remaining:
-        orbit = set(_conjugates(table, _bits(next(iter(remaining)))))
-        remaining -= orbit
-        classes.append((min(_bits(K) for K in orbit), len(orbit)))
+    mul = table.mul
+    found = {1}
+    classes: list[tuple[tuple[int, ...], int]] = [((0,), 1)]
+    frontier: list[tuple[int, tuple[int, ...]]] = [(1, ())]
+    while frontier:
+        nxt = []
+        for H, gens in frontier:
+            members = _bits(H)
+            done = H
+            for g in range(G.order):
+                if done >> g & 1:
+                    continue
+                done |= _mask(mul[h][g] for h in members)
+                K = subgroup_closure(mul, gens + (g,))
+                if K in found:
+                    continue
+                orbit = set(_conjugates(table, _bits(K)))
+                found |= orbit
+                classes.append((min(map(_bits, orbit)), len(orbit)))
+                nxt.append((K, gens + (g,)))
+        frontier = nxt
     # Sorted indices compare as the sorted elements do.
     classes.sort(key=lambda item: (len(item[0]), item[0]))
     labels = _order_labels([len(rep) for rep, _ in classes])
@@ -230,27 +257,6 @@ def _subgroup_classes_cached(G: PermGroup) -> list[SubgroupClass]:
         )
         for label, (rep, size) in zip(labels, classes)
     ]
-
-
-def _all_subgroups(G: PermGroup) -> dict[int, tuple[int, ...]]:
-    """Every subgroup as mask -> generating indices, by cyclic extension:
-    <H, g> for every known H and every g outside it (Pfeiffer 1997)."""
-    mul = _cayley_table(G).mul
-    known = {1: ()}
-    frontier = [1]
-    while frontier:
-        nxt = []
-        for H in frontier:
-            for g in range(G.order):
-                if H >> g & 1:
-                    continue
-                gens = known[H] + (g,)
-                K = subgroup_closure(mul, gens)
-                if K not in known:
-                    known[K] = gens
-                    nxt.append(K)
-        frontier = nxt
-    return known
 
 
 def _order_labels(orders: list[int]) -> list[str]:

@@ -24,7 +24,7 @@ from .annihilator import (
     annihilating_polynomial,
 )
 from .config import Limits, default_limits
-from .cyclotomic import poly_from_roots
+from .cyclotomic import CyclotomicInteger, poly_from_roots
 from .errors import (
     CarrierBoundExceeded,
     ExpressionError,
@@ -212,7 +212,21 @@ class FreeRing(RingModel):
         return tuple(col.evaluate(r) for col in self.ghost)
 
     def is_root(self, p, r):
-        return all(p(value) == 0 for value in set(self.ghost_map(r)))
+        # p has integer coefficients, so p(conj v) = conj p(v): of a
+        # complex-conjugate pair of ghost values only one is evaluated,
+        # and a rational cyclotomic value is evaluated as an int
+        skip = set()
+        for value in set(self.ghost_map(r)):
+            if value in skip:
+                continue
+            if isinstance(value, CyclotomicInteger):
+                if value.is_rational:
+                    value = value.as_int()
+                else:
+                    skip.add(value.conjugate())
+            if p(value) != 0:
+                return False
+        return True
 
     def zero(self):
         return (0,) * len(self.labels)

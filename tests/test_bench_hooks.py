@@ -72,7 +72,9 @@ def test_structure_hooks_record_calls(monkeypatch, capsys):
     """The three tiny structure operations call every hook whose home is
     that workload; a subgroup closure called around the hooked
     `groups.subgroup_closure` name would leave it silent.  Every aprings
-    cache is cleared first, as the benchmark runs each operation cold."""
+    cache is cleared first, as the benchmark runs each operation cold.
+    The tiny marks operation is on S3: one closure per coset of each
+    class representative, 5 + 2 + 1 + 0 = 8."""
     layers = _load_perfbench(monkeypatch, "layers")
     workloads = _load_perfbench(monkeypatch, "workloads")
     _clear_aprings_caches()
@@ -85,7 +87,7 @@ def test_structure_hooks_record_calls(monkeypatch, capsys):
     capsys.readouterr()
     assert missing == [] and codes == [0, 0, 0]
     assert layers.silent_hooks(rec.calls, "structure") == []
-    assert rec.calls["groups.subgroup_closure"] == 20
+    assert rec.calls["groups.subgroup_closure"] == 8
 
 
 @pytest.mark.parametrize(

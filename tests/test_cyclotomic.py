@@ -90,6 +90,19 @@ def test_lift_roundtrip():
     assert lifted.order == 12
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 12, 15])
+def test_conjugate_inverts_zeta_and_is_a_ring_automorphism(m):
+    d = euler_phi(m)
+    x = CyclotomicInteger(m, [3 * j - 2 for j in range(d)])
+    y = CyclotomicInteger(m, [(-1) ** j * (j + 1) for j in range(d)])
+    for j in range(m):
+        assert CyclotomicInteger.zeta(m, j).conjugate() == CyclotomicInteger.zeta(m, -j)
+    assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+    assert (x + y).conjugate() == x.conjugate() + y.conjugate()
+    assert x.conjugate().conjugate() == x
+    assert CyclotomicInteger.from_int(-7, m).conjugate() == -7
+
+
 def test_poly_from_roots_simple():
     roots = [CyclotomicInteger.from_int(v) for v in (-1, 1)]
     assert poly_from_roots(roots) == IntPolynomial((-1, 0, 1))

@@ -6,6 +6,7 @@ import pytest
 
 from aprings.errors import ExponentMismatch, OrderBoundExceeded
 from aprings.config import Limits
+from aprings import groups
 from aprings.groups import (
     A5_LABEL_ALIASES,
     FiniteAbelianGroup,
@@ -156,6 +157,51 @@ def test_lattice_counts(name, classes, subgroups):
     # class size |G : N(H)| times diagonal mark |N(H) : H| times |H| is |G|
     for i, c in enumerate(table.classes):
         assert c.size * table.marks[i][i] * c.order == G.order
+
+
+@pytest.mark.parametrize("name, closures", [("S4", 73), ("A5", 150)])
+def test_closure_count_is_one_per_coset_of_each_class(monkeypatch, name, closures):
+    """The lattice extends one subgroup per conjugacy class by one element
+    per coset: sum of |G : H| - 1 over the class representatives, not the
+    sum of |G| - |H| over every subgroup (577 and 3189)."""
+    G = _group(name)
+    groups._cayley_table(G)
+    groups._subgroup_classes_cached.cache_clear()
+    calls = []
+    closure_of = groups.subgroup_closure
+
+    def counted(mul, gens):
+        calls.append(gens)
+        return closure_of(mul, gens)
+
+    monkeypatch.setattr(groups, "subgroup_closure", counted)
+    classes = subgroup_classes(G)
+    groups._subgroup_classes_cached.cache_clear()
+    assert len(calls) == closures == sum(G.order // c.order - 1 for c in classes)
+
+
+def _random_group(seed):
+    """The closure of two random permutations of 3 to 6 points, drawn
+    again until its order is between 3 and 60 (so the reference stays
+    fast)."""
+    rng = random.Random(seed)
+    while True:
+        degree = rng.randint(3, 6)
+        gens = [rng.sample(range(degree), degree) for _ in range(2)]
+        G = close_group(degree, gens)
+        if 2 < G.order <= 60:
+            return G
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_random_groups_match_brute_force(seed):
+    G = _random_group(seed)
+    table = table_of_marks(G)
+    ref = reference_classes(G)
+    assert [(c.representative, c.size) for c in table.classes] == ref
+    assert [list(row) for row in table.marks] == [
+        [reference_mark(G, H1, H2) for H2, _ in ref] for H1, _ in ref
+    ]
 
 
 def test_mark_examples():

@@ -1,10 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from aprings.annihilator import RootSpec
 from aprings.config import Limits
+from aprings.cyclotomic import poly_from_roots
 from aprings.errors import (
     CarrierBoundExceeded,
     ExpressionError,
@@ -336,6 +338,27 @@ def test_is_root_agrees_with_horner_in_the_ring(name):
         for poly, expected in cases:
             in_ring = poly_eval_in_ring(poly, r, model) == model.zero()
             assert model.is_root(poly, r) == in_ring == expected, (poly, model.format_element(r))
+
+
+def test_is_root_on_non_real_ghost_values():
+    """On Z[C4], is_root evaluates one value of each complex-conjugate pair
+    of characters.  Horner in the ring is the reference, on elements whose
+    values at the characters g -> +-i are not real, for the polynomial
+    vanishing on each union of Galois orbits of their ghost values: p(r) = 0
+    exactly when the union holds every ghost value."""
+    model = bundled_model("Z[C4]")
+    elements = [r for r in random_elements(model, 12, seed=31) if r[1] != r[3]]
+    elements += [(0, 1, 0, 0), (1, 1, 0, 0), (2, -1, 3, 0)]
+    for r in elements:
+        values = set(model.ghost_map(r))
+        orbits = {frozenset({v, v.conjugate()}) for v in values}
+        assert any(len(orbit) == 2 for orbit in orbits)
+        for k in range(1, len(orbits) + 1):
+            for chosen in combinations(orbits, k):
+                roots = frozenset().union(*chosen)
+                poly = poly_from_roots(roots)
+                in_ring = poly_eval_in_ring(poly, r, model) == model.zero()
+                assert model.is_root(poly, r) == in_ring == (roots == values), (poly, r)
 
 
 @pytest.mark.parametrize("name", ["Z[C2]", "Z[C2xC2]", "Z[C4]"])
