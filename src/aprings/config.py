@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .errors import ExpressionError
+
 
 @dataclass(frozen=True)
 class Limits:
@@ -35,6 +37,9 @@ def default_limits() -> Limits:
     overrides = {}
     for field, env in _ENV_FIELDS.items():
         raw = os.environ.get(env)
-        if raw is not None:
-            overrides[field] = int(raw)
+        if raw is None:
+            continue
+        if not raw.strip().isdecimal() or int(raw) < 1:
+            raise ExpressionError(f"{env} must be a positive integer, got {raw!r}")
+        overrides[field] = int(raw)
     return Limits(**overrides)

@@ -289,15 +289,6 @@ class CyclotomicInteger:
             for j, c in enumerate(self.coords)
         )
 
-    # -- serialization ------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"order": self.order, "coords": [str(c) for c in self.coords]}
-
-    @staticmethod
-    def from_json(data: dict) -> "CyclotomicInteger":
-        return CyclotomicInteger(int(data["order"]), [int(c) for c in data["coords"]])
-
 
 def _coerce(value, order: int):
     if isinstance(value, CyclotomicInteger):

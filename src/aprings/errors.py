@@ -46,7 +46,7 @@ class UnsupportedModel(ApringsError):
 
 
 class ExpressionError(ApringsError):
-    """Malformed element expression."""
+    """Malformed user input: an expression, JSON or an APRINGS_* value."""
 
 
 class CheckFailed(ApringsError):

@@ -71,9 +71,6 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def to_json(self) -> dict:
-        return {"degree": self.degree, "generators": [list(g) for g in self.generators]}
-
 
 def close_group(
     degree: int, generators: Iterable[Sequence[int]], limits: Optional[Limits] = None

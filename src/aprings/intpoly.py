@@ -130,10 +130,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def coefficient(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
@@ -199,13 +195,6 @@ class IntPolynomial:
                 rem[i - d + j] -= f * b
         return IntPolynomial(quot), IntPolynomial(rem)
 
-    def divides(self, other: "IntPolynomial") -> bool:
-        try:
-            _, r = divmod(other, self)
-        except ValueError:
-            return False
-        return r.is_zero
-
     def __call__(self, value):
         """Horner evaluation; works for ints and any ring-like value."""
         result = 0
@@ -239,10 +228,6 @@ class IntPolynomial:
     def to_json(self) -> list[str]:
         """Coefficients in ascending degree, as decimal strings."""
         return [str(c) for c in self.coeffs]
-
-    @staticmethod
-    def from_json(data: Sequence) -> "IntPolynomial":
-        return IntPolynomial(int(c) for c in data)
 
 
 def _coerce(value) -> IntPolynomial:

@@ -20,12 +20,11 @@ from typing import Optional
 
 from .config import Limits, default_limits
 from .errors import CarrierBoundExceeded
-from .groups import TableOfMarks
 
 
 @dataclass
 class FiniteRingTable:
-    """Commutative ring with 1 on indices 0..n-1."""
+    """Commutative ring with 1 on indices 0..n-1, built by `table_for_model`."""
 
     elements: list
     add: list[list[int]]
@@ -74,82 +73,12 @@ def table_for_model(model, limits: Optional[Limits] = None) -> FiniteRingTable:
     )
 
 
-def modular_table(n: int) -> FiniteRingTable:
-    """Z/n directly, without going through a ring model."""
-    if n < 2:
-        raise ValueError("modulus must be at least 2")
-    elems = list(range(n))
-    return FiniteRingTable(
-        elements=elems,
-        add=[[(a + b) % n for b in elems] for a in elems],
-        mul=[[(a * b) % n for b in elems] for a in elems],
-        neg=[(-a) % n for a in elems],
-        zero=0,
-        one=1,
-    )
-
-
-def product_table(t1: FiniteRingTable, t2: FiniteRingTable) -> FiniteRingTable:
-    pairs = [(i, j) for i in range(t1.size) for j in range(t2.size)]
-    index = {p: k for k, p in enumerate(pairs)}
-    add = [
-        [index[(t1.add[a1][b1], t2.add[a2][b2])] for (b1, b2) in pairs]
-        for (a1, a2) in pairs
-    ]
-    mul = [
-        [index[(t1.mul[a1][b1], t2.mul[a2][b2])] for (b1, b2) in pairs]
-        for (a1, a2) in pairs
-    ]
-    neg = [index[(t1.neg[a1], t2.neg[a2])] for (a1, a2) in pairs]
-    return FiniteRingTable(
-        elements=[(t1.elements[i], t2.elements[j]) for i, j in pairs],
-        add=add,
-        mul=mul,
-        neg=neg,
-        zero=index[(t1.zero, t2.zero)],
-        one=index[(t1.one, t2.one)],
-    )
-
-
-def burnside_mod_p_table(marks: TableOfMarks, p: int) -> FiniteRingTable:
-    """The Burnside ring reduced mod p: the model's integer products of
-    coefficient vectors, reduced mod p (a ring homomorphism)."""
-    from itertools import product as iproduct
-
-    from .rings import BurnsideModel
-
-    model = BurnsideModel(marks)
-    vectors = [tuple(v) for v in iproduct(range(p), repeat=model.k)]
-    index = {v: i for i, v in enumerate(vectors)}
-
-    def reduced(v) -> int:
-        return index[tuple(x % p for x in v)]
-
-    return FiniteRingTable(
-        elements=vectors,
-        add=[[reduced(model.add(a, b)) for b in vectors] for a in vectors],
-        mul=[[reduced(model.mul(a, b)) for b in vectors] for a in vectors],
-        neg=[reduced(model.neg(v)) for v in vectors],
-        zero=reduced(model.zero()),
-        one=reduced(model.one()),
-    )
-
-
 # -- ideal enumeration ------------------------------------------------------------
 
 
 def ideal_sum(T: FiniteRingTable, I, J) -> frozenset:
     """I + J = {i + j}, an ideal whenever I and J are."""
     return frozenset(T.add[i][j] for i in I for j in J)
-
-
-def ideal_closure(T: FiniteRingTable, seed) -> frozenset:
-    """Smallest ideal containing the seed indices: the sum of the
-    principal ideals Rx = {r x}, one per seed element."""
-    ideal = frozenset({T.zero})
-    for x in seed:
-        ideal = ideal_sum(T, ideal, set(T.mul[x]))
-    return ideal
 
 
 def all_ideals(T: FiniteRingTable, limits: Optional[Limits] = None) -> list[frozenset]:

@@ -431,9 +431,6 @@ class BurnsideModel(FreeRing):
             for j, cls in enumerate(self.table.classes)
         )
 
-    def marks_vector(self, x) -> tuple[int, ...]:
-        return self.ghost_map(x)
-
     def from_marks(self, v: Sequence[int]) -> tuple[int, ...]:
         """Solve the (transposed, triangular) mark system exactly."""
         M = self.table.marks
@@ -488,7 +485,6 @@ class FiniteQuotientRing(RingModel):
         kernel = closure(self._vec_add, (0,) * dim, seeds)
         self._rep = self._coset_reps(kernel, dim)
         self._carrier = sorted(set(self._rep.values()))
-        self.kernel_size = len(kernel)
         super().__init__(name or f"Z{modulus}[{group.describe()}]")
         self._length_cache: Optional[dict] = None
         self._limits = limits

@@ -242,9 +242,6 @@ class ElementPredicates:
     in_fundamental: Optional[bool]
     in_every_signature_ideal: Optional[bool]
 
-    def unsupported(self) -> tuple[str, ...]:
-        return tuple(name for name, value in self.to_json().items() if value is None)
-
     def to_json(self) -> dict:
         """The predicates by name, in field order (the order of the text output)."""
         return asdict(self)

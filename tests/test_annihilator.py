@@ -211,7 +211,7 @@ def test_nesting_and_divisibility(spec, mode):
         assert small <= large
         p_small = annihilating_polynomial(spec, n, mode)
         p_large = annihilating_polynomial(spec, n + 2, mode)
-        assert p_small.divides(p_large)
+        assert divmod(p_large, p_small)[1].is_zero
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -279,6 +279,21 @@ def test_malformed_input_is_a_usage_error(capsys, argv):
     assert err.startswith("usage error: ")
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+@pytest.mark.parametrize(
+    "env, argv",
+    [
+        ("APRINGS_MAX_SUMSET", ["annihilator", "--q", "preset:x2-1", "--n", "3"]),
+        ("APRINGS_MAX_CARRIER", ["spectrum", "--ring", "Z4[C2]"]),
+    ],
+)
+def test_malformed_limit_variable_is_a_usage_error(capsys, monkeypatch, env, argv, value):
+    monkeypatch.setenv(env, value)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == f"usage error: {env} must be a positive integer, got {value!r}\n"
+
+
 def test_internal_fault_is_not_a_usage_error(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise KeyError("missing table entry")

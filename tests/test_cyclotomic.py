@@ -324,11 +324,6 @@ def test_ring_axioms(a, b, c):
     assert a * 1 == a and a * 0 == 0
 
 
-@given(cyclotomics())
-def test_json_roundtrip(a):
-    assert CyclotomicInteger.from_json(a.to_json()) == a
-
-
 @given(small_ints)
 def test_integer_embedding_roundtrip(n):
     assert CyclotomicInteger.from_int(n, 8).as_int() == n

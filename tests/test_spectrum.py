@@ -285,7 +285,6 @@ def test_predicates_z_c4_unit_unsupported():
     model = bundled_model("Z[C4]")
     preds = element_predicates(model, model.one())
     assert preds.unit is None
-    assert "unit" in preds.unsupported()
     assert preds.nilpotent is False and preds.zero_divisor is False
 
 
@@ -363,12 +362,31 @@ def test_dress_mod2_coincidences_exist():
     assert equal_pairs
 
 
+def burnside_mod_p_table(model, p: int) -> oracle.FiniteRingTable:
+    """Burnside(G) reduced mod p: the model's integer sums and products
+    of coefficient vectors, reduced mod p (a ring homomorphism)."""
+    vectors = list(itertools.product(range(p), repeat=model.k))
+    index = {v: i for i, v in enumerate(vectors)}
+
+    def reduced(v) -> int:
+        return index[tuple(x % p for x in v)]
+
+    return oracle.FiniteRingTable(
+        elements=vectors,
+        add=[[reduced(model.add(a, b)) for b in vectors] for a in vectors],
+        mul=[[reduced(model.mul(a, b)) for b in vectors] for a in vectors],
+        neg=[reduced(model.neg(v)) for v in vectors],
+        zero=reduced(model.zero()),
+        one=reduced(model.one()),
+    )
+
+
 def test_dress_flags_agree_with_oracle_on_small_burnside():
     # reduce Burnside(G) mod p: the oracle's prime ideals must coincide
     # with the distinct Dress ideals p(U,p) pushed down to the quotient
     for group_name, p in (("C2", 2), ("C2", 3), ("S3", 2), ("S3", 3)):
         model = bundled_model(f"burnside-{group_name}")
-        table = oracle.burnside_mod_p_table(model.table, p)
+        table = burnside_mod_p_table(model, p)
         oracle_primes = {
             frozenset(table.elements[i] for i in P)
             for P in oracle.prime_ideals(table)
