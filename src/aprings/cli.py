@@ -48,16 +48,30 @@ def _emit_json(payload) -> None:
 def _load(text: str, by_name: Callable, from_json: Callable):
     """An input argument: `preset:NAME`, `named:NAME` or a bare NAME,
     looked up by `by_name`, or `@FILE` or inline JSON, built by
-    `from_json`.  Malformed input raises ExpressionError."""
-    try:
-        if text.startswith("@"):
-            return from_json(json.loads(Path(text[1:]).read_text()))
-        if text.lstrip().startswith("{"):
-            return from_json(json.loads(text))
-        prefix, _, name = text.partition(":")
-        return by_name(name if prefix in ("preset", "named") else text)
-    except (ValueError, KeyError, OSError) as exc:
-        raise ExpressionError(str(exc)) from exc
+    `from_json`.  An unreadable file or malformed JSON raises
+    ExpressionError here; `by_name` and `from_json` raise it themselves
+    for an unknown name or a malformed description."""
+    if text.startswith("@") or text.lstrip().startswith("{"):
+        try:
+            data = json.loads(Path(text[1:]).read_text() if text.startswith("@") else text)
+        except (ValueError, OSError) as exc:
+            raise ExpressionError(str(exc)) from exc
+        return from_json(data)
+    prefix, _, name = text.partition(":")
+    return by_name(name if prefix in ("preset", "named") else text)
+
+
+def _reading(build: Callable) -> Callable:
+    """`build` with its ValueError and KeyError reported as malformed
+    input: the group and root-spec readers raise those on bad input."""
+
+    def read(arg):
+        try:
+            return build(arg)
+        except (ValueError, KeyError) as exc:
+            raise ExpressionError(str(exc)) from exc
+
+    return read
 
 
 def _root_spec_from_json(data) -> tuple[RootSpec, str, None]:
@@ -68,7 +82,9 @@ def _root_spec_from_json(data) -> tuple[RootSpec, str, None]:
 
 def cmd_annihilator(args) -> int:
     spec, default_mode, preset = _load(
-        args.q, lambda name: (*root_spec_preset(name), name), _root_spec_from_json
+        args.q,
+        _reading(lambda name: (*root_spec_preset(name), name)),
+        _reading(_root_spec_from_json),
     )
     if args.n < 1:
         raise ExpressionError("n must be positive")
@@ -110,7 +126,7 @@ def cmd_annihilator(args) -> int:
 
 
 def cmd_marks(args) -> int:
-    table = table_of_marks(_load(args.group, named_group, group_from_json))
+    table = table_of_marks(_load(args.group, named_group, _reading(group_from_json)))
     if args.check_paper:
         reference = a5_reference_table()
         expected_labels = [A5_LABEL_ALIASES[l] for l in reference["labels"]]

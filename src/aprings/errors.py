@@ -46,7 +46,8 @@ class UnsupportedModel(ApringsError):
 
 
 class ExpressionError(ApringsError):
-    """Malformed user input: an expression, JSON or an APRINGS_* value."""
+    """Malformed user input: an expression, an unknown name, a malformed
+    model description, JSON or an APRINGS_* value."""
 
 
 class CheckFailed(ApringsError):

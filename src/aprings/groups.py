@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .config import Limits, default_limits
 from .cyclotomic import CyclotomicInteger
-from .errors import CheckFailed, ExponentMismatch, OrderBoundExceeded
+from .errors import CheckFailed, ExponentMismatch, ExpressionError, OrderBoundExceeded
 
 Perm = tuple[int, ...]
 
@@ -350,7 +350,7 @@ class FiniteAbelianGroup:
 
     def __post_init__(self):
         if any(o < 1 for o in self.factor_orders):
-            raise ValueError("factor orders must be positive")
+            raise ExpressionError("factor orders must be positive")
 
     @property
     def order(self) -> int:
@@ -438,13 +438,13 @@ def named_group_names() -> list[str]:
 
 @lru_cache(maxsize=None)
 def named_group(name: str) -> PermGroup:
-    if name.startswith("C") and name[1:].isdigit() and name not in _NAMED:
+    if name in _NAMED:
+        degree, gens = _NAMED[name]
+        return close_group(degree, gens)
+    if name.startswith("C") and name[1:].isdigit() and int(name[1:]) > 0:
         n = int(name[1:])
         return close_group(n, (_cycle(n),))
-    if name not in _NAMED:
-        raise ValueError(f"unknown named group: {name!r}")
-    degree, gens = _NAMED[name]
-    return close_group(degree, gens)
+    raise ExpressionError(f"unknown named group: {name!r}")
 
 
 def group_from_json(data: dict, limits: Optional[Limits] = None) -> PermGroup:

@@ -6,6 +6,15 @@ machinery of the spectrum module: the tables come from plain ring
 arithmetic and every question is answered by enumeration, which is
 what makes this usable as an oracle against the structural shortcuts.
 
+The tables are filled from the rows of the additive generators S,
+with |S| n calls each to the model's `add` and `mul` instead of n^2.
+The ring is additively generated by S, so a breadth-first walk from
+0 along y -> y + s reaches every element.  Each step is the same
+distributive arithmetic the model would do: the row of y + s is the
+row of y shifted by s, and (y + s) c = y c + s c is read off the
+rows already built.  The table checks then compare rows reached
+along different paths, so they still test the model's arithmetic.
+
 The tables come from commutative, associative rings with 1, so the
 principal ideal Rx = {r x} is already an ideal (it holds x = 1 x and
 is closed under sums and multiples by distributivity and
@@ -19,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .config import Limits, default_limits
-from .errors import CarrierBoundExceeded
+from .errors import CarrierBoundExceeded, CheckFailed
 
 
 @dataclass
@@ -50,7 +59,8 @@ class FiniteRingTable:
 
 
 def table_for_model(model, limits: Optional[Limits] = None) -> FiniteRingTable:
-    """Materialize the operation tables of a finite model."""
+    """Materialize the operation tables of a finite model from the rows
+    of its additive generators."""
     limits = limits or default_limits()
     carrier = model.carrier()
     n = len(carrier)
@@ -60,15 +70,44 @@ def table_for_model(model, limits: Optional[Limits] = None) -> FiniteRingTable:
             f"reached {n} elements"
         )
     index = {r: i for i, r in enumerate(carrier)}
-    add = [[index[model.add(a, b)] for b in carrier] for a in carrier]
-    mul = [[index[model.mul(a, b)] for b in carrier] for a in carrier]
-    neg = [index[model.neg(a)] for a in carrier]
+    shift = {}  # generator index s -> [index(s + c) for c in carrier]
+    times = {}  # generator index s -> [index(s c) for c in carrier]
+    for _, s in model.generators():
+        if index[s] not in shift:
+            shift[index[s]] = [index[model.add(s, c)] for c in carrier]
+            times[index[s]] = [index[model.mul(s, c)] for c in carrier]
+
+    zero = index[model.zero()]
+    add: list = [None] * n
+    add[zero] = list(range(n))
+    edges = []  # (y, s, y + s), in the order the rows were built
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for s, row in shift.items():
+                z = row[y]
+                if add[z] is None:
+                    add[z] = [row[k] for k in add[y]]
+                    edges.append((y, s, z))
+                    nxt.append(z)
+        frontier = nxt
+    if len(edges) + 1 < n:
+        raise CheckFailed(
+            f"the generators of {model.name} do not span its carrier: "
+            f"their sums reach {len(edges) + 1} of {n} elements"
+        )
+
+    mul: list = [None] * n
+    mul[zero] = [zero] * n
+    for y, s, z in edges:
+        mul[z] = [add[a][b] for a, b in zip(mul[y], times[s])]
     return FiniteRingTable(
         elements=list(carrier),
         add=add,
         mul=mul,
-        neg=neg,
-        zero=index[model.zero()],
+        neg=[index[model.neg(a)] for a in carrier],
+        zero=zero,
         one=index[model.one()],
     )
 

@@ -303,7 +303,7 @@ class ProductZRing(FreeRing):
 
     def __init__(self, k: int):
         if k < 1:
-            raise ValueError("k must be positive")
+            raise ExpressionError("k must be positive")
         self.k = k
         structure = [[((i, 1),) if i == j else () for j in range(k)] for i in range(k)]
         super().__init__(
@@ -466,7 +466,7 @@ class FiniteQuotientRing(RingModel):
         limits: Optional[Limits] = None,
     ):
         if modulus < 2:
-            raise ValueError("modulus must be at least 2")
+            raise ExpressionError("modulus must be at least 2")
         limits = limits or default_limits()
         self.modulus = modulus
         self.group = group
@@ -491,10 +491,13 @@ class FiniteQuotientRing(RingModel):
         self._check_r2()
 
     def _normalize(self, vec) -> tuple[int, ...]:
-        vec = self._reduce(int(x) for x in vec)
-        if len(vec) != len(self.cover.labels):
-            raise ValueError("ideal generator has the wrong number of coordinates")
-        return vec
+        try:
+            coords = self._reduce(int(x) for x in vec)
+        except (TypeError, ValueError) as exc:
+            raise ExpressionError(f"ideal generator {vec!r} is not a list of integers") from exc
+        if len(coords) != len(self.cover.labels):
+            raise ExpressionError("ideal generator has the wrong number of coordinates")
+        return coords
 
     def _reduce(self, vec) -> tuple[int, ...]:
         return tuple(x % self.modulus for x in vec)
@@ -785,32 +788,60 @@ def _scaled(model: RingModel, element, n: int):
 # -- model construction and registry ------------------------------------------------------
 
 
+def _field(spec: dict, key: str):
+    if key not in spec:
+        raise ExpressionError(f"model description {spec.get('kind')!r} needs {key!r}")
+    return spec[key]
+
+
+def _int_field(spec: dict, key: str) -> int:
+    value = _field(spec, key)
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ExpressionError(f"{key!r} must be an integer, got {value!r}") from exc
+
+
+def _group(orders) -> FiniteAbelianGroup:
+    try:
+        return FiniteAbelianGroup(tuple(int(o) for o in orders))
+    except (TypeError, ValueError) as exc:
+        raise ExpressionError(f"'factor_orders' must list integers, got {orders!r}") from exc
+
+
 def construct_model(spec: dict, limits: Optional[Limits] = None) -> RingModel:
-    """Build a model from its JSON description."""
+    """Build a model from its JSON description.  A malformed description
+    (unknown kind, missing key, non-integer or out-of-range field) raises
+    ExpressionError; any other error is a fault of the construction."""
+    if not isinstance(spec, dict):
+        raise ExpressionError(f"a model description must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "Z":
         return ZRing()
     if kind == "product_z":
-        return ProductZRing(int(spec["copies"]))
+        return ProductZRing(_int_field(spec, "copies"))
     if kind == "group_ring":
-        group = FiniteAbelianGroup(tuple(int(o) for o in spec["factor_orders"]))
-        return GroupRingModel(group)
+        return GroupRingModel(_group(_field(spec, "factor_orders")))
     if kind == "burnside":
-        G = named_group(spec["group"])
-        return BurnsideModel(table_of_marks(G, limits), name=f"Burnside({spec['group']})")
+        name = _field(spec, "group")
+        G = named_group(str(name))
+        return BurnsideModel(table_of_marks(G, limits), name=f"Burnside({name})")
     if kind == "finite_quotient":
-        group = FiniteAbelianGroup(tuple(int(o) for o in spec.get("factor_orders", ())))
+        ideal = spec.get("ideal", ())
+        if not isinstance(ideal, (list, tuple)):
+            raise ExpressionError(f"'ideal' must be a list of coordinate lists, got {ideal!r}")
         return FiniteQuotientRing(
-            int(spec["modulus"]),
-            group,
-            spec.get("ideal", ()),
+            _int_field(spec, "modulus"),
+            _group(spec.get("factor_orders", ())),
+            ideal,
             limits=limits,
         )
     if kind == "product":
         return ProductRing(
-            construct_model(spec["left"], limits), construct_model(spec["right"], limits)
+            construct_model(_field(spec, "left"), limits),
+            construct_model(_field(spec, "right"), limits),
         )
-    raise ValueError(f"unknown model kind: {kind!r}")
+    raise ExpressionError(f"unknown model kind: {kind!r}")
 
 
 @lru_cache(maxsize=None)
@@ -838,7 +869,7 @@ def bundled_model(name: str) -> RingModel:
     m = re.fullmatch(r"Z(\d+)", name)
     if m:
         return FiniteQuotientRing(int(m.group(1)), FiniteAbelianGroup(()), name=name)
-    raise ValueError(f"unknown bundled model: {name!r}")
+    raise ExpressionError(f"unknown bundled model: {name!r}")
 
 
 # Finite models exercised by the oracle-agreement checks.

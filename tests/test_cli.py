@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from aprings.cli import main
+from aprings.rings import FiniteQuotientRing, bundled_model
 
 
 def run_cli(capsys, *argv):
@@ -270,6 +271,13 @@ def test_analyze_element_starting_with_minus(capsys, element):
         ["marks", "--group", '{"degree":2,"generators":[[0,0]]}'],
         ["spectrum", "--ring", '{"kind":"nope"}'],
         ["spectrum", "--ring", '{"kind":"product_z"}'],
+        ["spectrum", "--ring", '{"kind":"product_z","copies":"x"}'],
+        ["spectrum", "--ring", '{"kind":"group_ring","factor_orders":[0]}'],
+        ["spectrum", "--ring", '{"kind":"finite_quotient","modulus":1}'],
+        ["spectrum", "--ring", '{"kind":"finite_quotient","modulus":4,"factor_orders":[2],"ideal":[[1]]}'],
+        ["spectrum", "--ring", '{"kind":"finite_quotient","modulus":4,"ideal":5}'],
+        ["spectrum", "--ring", '{"kind":"burnside","group":"C0"}'],
+        ["spectrum", "--ring", '{"kind":"product","left":{"kind":"Z"}}'],
         ["analyze", "--ring", "nope", "--element", "1"],
     ],
 )
@@ -277,6 +285,18 @@ def test_malformed_input_is_a_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("ring", ["Z4[C2]", '{"kind":"finite_quotient","modulus":4,"factor_orders":[2]}'])
+def test_fault_while_building_a_model_is_internal(capsys, monkeypatch, ring):
+    def broken(self):
+        raise KeyError("missing coset representative")
+
+    monkeypatch.setattr(FiniteQuotientRing, "_check_r2", broken)
+    bundled_model.cache_clear()  # so that the named ring is built again
+    code, _, err = run_cli(capsys, "spectrum", "--ring", ring)
+    assert code == 1
+    assert err == "internal error: KeyError: 'missing coset representative'\n"
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import fields
 from functools import lru_cache
 from math import prod
@@ -6,7 +7,7 @@ from math import prod
 import pytest
 
 from aprings.config import Limits
-from aprings.errors import CarrierBoundExceeded
+from aprings.errors import CarrierBoundExceeded, CheckFailed
 from aprings.groups import FiniteAbelianGroup
 from aprings.oracle import (
     FiniteRingTable,
@@ -276,3 +277,78 @@ def test_zero_ring_predicates():
     preds = element_predicates(model, zero)
     assert preds.nilpotent and preds.unit and not preds.zero_divisor
     assert prime_ideals(table_for_model(model)) == []
+
+
+# -- reference tables: every sum and product through the model ------------------------
+
+
+def reference_table(model) -> FiniteRingTable:
+    """Both tables by brute force: n^2 calls each to the model's add and mul."""
+    carrier = model.carrier()
+    index = {r: i for i, r in enumerate(carrier)}
+    return FiniteRingTable(
+        elements=list(carrier),
+        add=[[index[model.add(a, b)] for b in carrier] for a in carrier],
+        mul=[[index[model.mul(a, b)] for b in carrier] for a in carrier],
+        neg=[index[model.neg(a)] for a in carrier],
+        zero=index[model.zero()],
+        one=index[model.one()],
+    )
+
+
+LARGE_CARRIERS = ("Z16[C2]", "Z4[C2xC2]", "Z2[C2xC2xC2]")
+
+
+def two_quotient_product():
+    left = FiniteQuotientRing(4, FiniteAbelianGroup((2,)), [(2, 2)])
+    right = FiniteQuotientRing(3, FiniteAbelianGroup((2,)), [(1, 1)])
+    return ProductRing(left, right)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [pytest.param(bundled_model(name), id=name) for name in NAMED + LARGE_CARRIERS]
+    + [pytest.param(m, id=f"random{i}") for i, m in enumerate(random_quotients())]
+    + [
+        pytest.param(zero_ring(), id="zero-ring"),
+        pytest.param(ProductRing(bundled_model("Z2"), bundled_model("Z4")), id="Z2xZ4"),
+        pytest.param(two_quotient_product(), id="quotient-product"),
+    ],
+)
+def test_table_matches_reference(model):
+    T = table_for_model(model)
+    ref = reference_table(model)
+    for field in fields(FiniteRingTable):
+        assert getattr(T, field.name) == getattr(ref, field.name), f"{model.name}: {field.name}"
+
+
+class OneGenerator(FiniteQuotientRing):
+    """Z4[C2] presented with S = {1} only, whose sums reach 4 of 16 elements."""
+
+    def generators(self):
+        return super().generators()[:1]
+
+
+def test_generators_that_do_not_span_are_rejected():
+    model = OneGenerator(4, FiniteAbelianGroup((2,)), name="Z4[C2] on S = {1}")
+    message = r"^the generators of Z4\[C2\] on S = \{1\} do not span its carrier: their sums reach 4 of 16 elements$"
+    with pytest.raises(CheckFailed, match=message):
+        table_for_model(model)
+
+
+def test_table_makes_n_ring_operations_per_generator(monkeypatch):
+    model = bundled_model("Z12[C2]")
+    n = len(model.carrier())
+    counts = Counter()
+    for name in ("add", "mul"):
+        def counted(a, b, method=getattr(model, name), name=name):
+            counts[name] += 1
+            return method(a, b)
+
+        monkeypatch.setattr(model, name, counted)
+    table_for_model(model)
+    # n ring operations per generator row, plus whatever the neg, zero
+    # and one lookups may spend; n^2 would be 20,736 each
+    budget = len(model.generators()) * n + n + 2
+    assert 0 < counts["add"] <= budget
+    assert 0 < counts["mul"] <= budget

@@ -265,7 +265,7 @@ def test_construct_model_kinds():
         {"kind": "product", "left": {"kind": "Z"}, "right": {"kind": "Z"}}
     )
     assert m.one() == ((1,), (1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ExpressionError, match="^unknown model kind: 'nope'$"):
         construct_model({"kind": "nope"})
 
 
