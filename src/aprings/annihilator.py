@@ -20,7 +20,7 @@ from typing import Literal, Optional, Union
 
 from .config import Limits, default_limits
 from .cyclotomic import CyclotomicInteger, poly_from_roots
-from .errors import BoundExceeded
+from .errors import BoundExceeded, ExpressionError
 from .intpoly import IntPolynomial
 
 SignMode = Literal["signed", "unsigned"]
@@ -37,7 +37,7 @@ class IntegerRoots:
     def __post_init__(self):
         values = tuple(int(v) for v in self.values)
         if len(set(values)) != len(values):
-            raise ValueError("integer roots must be pairwise distinct")
+            raise ExpressionError("integer roots must be pairwise distinct")
         object.__setattr__(self, "values", tuple(sorted(values)))
 
     def to_json(self) -> dict:
@@ -52,7 +52,7 @@ class RootsOfUnity:
 
     def __post_init__(self):
         if self.order < 1:
-            raise ValueError("order must be positive")
+            raise ExpressionError("order must be positive")
 
     def to_json(self) -> dict:
         return {"kind": "roots_of_unity", "order": self.order}
@@ -70,7 +70,7 @@ class RootSpec:
     def __post_init__(self):
         atoms = tuple(self.atoms)
         if not atoms:
-            raise ValueError("a root spec needs at least one atom")
+            raise ExpressionError("a root spec needs at least one atom")
         object.__setattr__(self, "atoms", atoms)
 
     @staticmethod
@@ -95,7 +95,7 @@ class RootSpec:
                 step = order // atom.order
                 out.extend(CyclotomicInteger.zeta(order, j * step) for j in range(atom.order))
         if len({r.coords for r in out}) != len(out):
-            raise ValueError("atoms overlap: the union of root sets must be duplicate-free")
+            raise ExpressionError("atoms overlap: the union of root sets must be duplicate-free")
         return tuple(sorted(out, key=lambda r: r.sort_key()))
 
     def to_json(self) -> dict:
@@ -103,16 +103,31 @@ class RootSpec:
 
     @staticmethod
     def from_json(data: dict) -> "RootSpec":
+        """The spec that `to_json` writes; a malformed one raises
+        ExpressionError."""
+        raw_atoms = data.get("atoms") if isinstance(data, dict) else None
+        if not isinstance(raw_atoms, list):
+            raise ExpressionError(f"a root spec needs a list 'atoms', got {data!r}")
         atoms: list[Atom] = []
-        for raw in data["atoms"]:
-            kind = raw.get("kind")
+        for raw in raw_atoms:
+            kind = raw.get("kind") if isinstance(raw, dict) else None
             if kind == "integers":
-                atoms.append(IntegerRoots(tuple(int(v) for v in raw["values"])))
+                values = raw.get("values")
+                if not isinstance(values, list):
+                    raise ExpressionError(f"'values' must be a list of integers, got {values!r}")
+                atoms.append(IntegerRoots(tuple(_json_int("values", v) for v in values)))
             elif kind == "roots_of_unity":
-                atoms.append(RootsOfUnity(int(raw["order"])))
+                atoms.append(RootsOfUnity(_json_int("order", raw.get("order"))))
             else:
-                raise ValueError(f"unknown root atom kind: {kind!r}")
+                raise ExpressionError(f"unknown root atom kind: {kind!r}")
         return RootSpec(tuple(atoms))
+
+
+def _json_int(key: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ExpressionError(f"{key!r}: {value!r} is not an integer") from exc
 
 
 @dataclass(frozen=True)
@@ -297,17 +312,14 @@ def root_spec_preset(name: str) -> tuple[RootSpec, SignMode]:
         return RootSpec.integers(-1, 1), "signed"
     if key == "x4-1" and len(parts) == 1:
         return RootSpec.unity(4), "signed"
-    if key == "x2k-1" and len(parts) == 2:
+    if key in ("x2k-1", "pfister") and len(parts) == 2:
+        if not parts[1].isdecimal():
+            raise ExpressionError(f"k must be a nonnegative integer, got {parts[1]!r}")
         k = int(parts[1])
-        if k < 0:
-            raise ValueError("k must be nonnegative")
-        return RootSpec.unity(2**k), "signed"
-    if key == "pfister" and len(parts) == 2:
-        k = int(parts[1])
-        if k < 0:
-            raise ValueError("k must be nonnegative")
+        if key == "x2k-1":
+            return RootSpec.unity(2**k), "signed"
         return RootSpec.integers(0, 2**k), "unsigned"
-    raise ValueError(f"unknown root spec preset: {name!r}")
+    raise ExpressionError(f"unknown root spec preset: {name!r}")
 
 
 def closed_form_for_preset(name: str, n: int) -> Optional[IntPolynomial]:

@@ -61,30 +61,15 @@ def _load(text: str, by_name: Callable, from_json: Callable):
     return by_name(name if prefix in ("preset", "named") else text)
 
 
-def _reading(build: Callable) -> Callable:
-    """`build` with its ValueError and KeyError reported as malformed
-    input: the group and root-spec readers raise those on bad input."""
-
-    def read(arg):
-        try:
-            return build(arg)
-        except (ValueError, KeyError) as exc:
-            raise ExpressionError(str(exc)) from exc
-
-    return read
-
-
 def _root_spec_from_json(data) -> tuple[RootSpec, str, None]:
     spec = RootSpec.from_json(data)
-    spec.roots()  # overlapping atoms are malformed input
+    spec.roots()  # overlapping atoms raise ExpressionError
     return spec, "signed", None
 
 
 def cmd_annihilator(args) -> int:
     spec, default_mode, preset = _load(
-        args.q,
-        _reading(lambda name: (*root_spec_preset(name), name)),
-        _reading(_root_spec_from_json),
+        args.q, lambda name: (*root_spec_preset(name), name), _root_spec_from_json
     )
     if args.n < 1:
         raise ExpressionError("n must be positive")
@@ -126,7 +111,7 @@ def cmd_annihilator(args) -> int:
 
 
 def cmd_marks(args) -> int:
-    table = table_of_marks(_load(args.group, named_group, _reading(group_from_json)))
+    table = table_of_marks(_load(args.group, named_group, group_from_json))
     if args.check_paper:
         reference = a5_reference_table()
         expected_labels = [A5_LABEL_ALIASES[l] for l in reference["labels"]]

@@ -40,9 +40,13 @@ def identity_perm(degree: int) -> Perm:
 
 
 def check_perm(p: Sequence[int]) -> Perm:
-    images = tuple(int(x) for x in p)
+    """p as an image tuple; anything else raises ExpressionError."""
+    try:
+        images = tuple(int(x) for x in p)
+    except (TypeError, ValueError) as exc:
+        raise ExpressionError(f"not a permutation: {p!r}") from exc
     if sorted(images) != list(range(len(images))):
-        raise ValueError(f"not a permutation: {p!r}")
+        raise ExpressionError(f"not a permutation: {p!r}")
     return images
 
 
@@ -75,12 +79,14 @@ class PermGroup:
 def close_group(
     degree: int, generators: Iterable[Sequence[int]], limits: Optional[Limits] = None
 ) -> PermGroup:
-    """Close the generators under composition (breadth first)."""
+    """Close the generators under composition (breadth first).  A
+    generator that is not a permutation of `degree` points raises
+    ExpressionError."""
     limits = limits or default_limits()
     gens = tuple(check_perm(g) for g in generators)
     for g in gens:
         if len(g) != degree:
-            raise ValueError("generator degree mismatch")
+            raise ExpressionError("generator degree mismatch")
     elements = closure(compose, identity_perm(degree), gens, limits.max_group_order)
     return PermGroup(degree=degree, generators=gens, elements=tuple(sorted(elements)))
 
@@ -132,8 +138,34 @@ class _CayleyTable:
 
 @lru_cache(maxsize=64)
 def _cayley_table(G: PermGroup) -> _CayleyTable:
+    """The tables from one left-regular row per generator s,
+    row_s[b] = index(s . b): breadth first from the identity, the row of
+    g . s is the row of g read at row_s, as (g . s) . b = g . (s . b).
+    |S| |G| compositions instead of |G|^2."""
     index = {p: i for i, p in enumerate(G.elements)}
-    mul = tuple(tuple(index[compose(a, b)] for b in G.elements) for a in G.elements)
+    rows = {}  # generator index s -> [index(s . b) for b in G.elements]
+    for s in G.generators:
+        if index[s] not in rows:
+            rows[index[s]] = [index[compose(s, b)] for b in G.elements]
+    mul: list = [None] * G.order
+    mul[0] = tuple(range(G.order))
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            row_g = mul[g]
+            for s, row in rows.items():
+                z = row_g[s]
+                if mul[z] is None:
+                    mul[z] = tuple(row_g[j] for j in row)
+                    nxt.append(z)
+        frontier = nxt
+    if None in mul:
+        raise CheckFailed(
+            f"the generators reach {G.order - mul.count(None)} of the "
+            f"{G.order} elements of the group"
+        )
+    mul = tuple(mul)
     inv = [index[inverse_perm(a)] for a in G.elements]
     conj = tuple(
         tuple(mul[inv[g]][row[g]] for row in mul) for g in range(G.order)
@@ -448,7 +480,18 @@ def named_group(name: str) -> PermGroup:
 
 
 def group_from_json(data: dict, limits: Optional[Limits] = None) -> PermGroup:
-    return close_group(int(data["degree"]), data["generators"], limits)
+    """The group of {"degree": d, "generators": [[images], ...]}; a
+    malformed description raises ExpressionError."""
+    if not isinstance(data, dict) or "degree" not in data or "generators" not in data:
+        raise ExpressionError(f"a group description needs 'degree' and 'generators', got {data!r}")
+    try:
+        degree = int(data["degree"])
+    except (TypeError, ValueError) as exc:
+        raise ExpressionError(f"'degree' must be an integer, got {data['degree']!r}") from exc
+    generators = data["generators"]
+    if not isinstance(generators, list):
+        raise ExpressionError(f"'generators' must be a list of permutations, got {generators!r}")
+    return close_group(degree, generators, limits)
 
 
 # -- bundled A5 reference data ------------------------------------------------------

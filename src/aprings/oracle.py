@@ -16,10 +16,16 @@ rows already built.  The table checks then compare rows reached
 along different paths, so they still test the model's arithmetic.
 
 The tables come from commutative, associative rings with 1, so the
-principal ideal Rx = {r x} is already an ideal (it holds x = 1 x and
-is closed under sums and multiples by distributivity and
-associativity), and so is the sum I + J = {i + j} of two ideals.  The
-ideals are built as such sums, with no closure loop.
+principal ideal Rx = {r x} (the set of row x of the multiplication
+table) is already an ideal: it holds x = 1 x and is closed under sums
+and multiples by distributivity and associativity.  So is the sum
+I + J = {i + j} of two ideals, and it is the union of the cosets
+I + j for j in J: as I is an additive subgroup, a j already covered by
+the union adds nothing new, and only one row of the addition table is
+read per coset.  The ideals are built as such sums, with no closure
+loop, and saturating over the distinct principal ideals reaches them
+all: every ideal J is the sum of the Rx for x in J, so adding those
+one at a time from 0 passes only through ideals.
 """
 
 from __future__ import annotations
@@ -116,16 +122,27 @@ def table_for_model(model, limits: Optional[Limits] = None) -> FiniteRingTable:
 
 
 def ideal_sum(T: FiniteRingTable, I, J) -> frozenset:
-    """I + J = {i + j}, an ideal whenever I and J are."""
-    return frozenset(T.add[i][j] for i in I for j in J)
+    """I + J = {i + j}, an ideal whenever I and J are.
+
+    It is the union of the cosets I + j for j in J.  I is an ideal,
+    so an additive subgroup, and a j that an earlier coset I + j' already covers has
+    I + j = I + j', and only the uncovered j add their coset: about
+    |I + J| + |J| table reads instead of |I| |J|.
+    """
+    total = set(I)
+    for j in J:
+        if j not in total:
+            total.update(map(T.add[j].__getitem__, I))
+    return frozenset(total)
 
 
 def all_ideals(T: FiniteRingTable, limits: Optional[Limits] = None) -> list[frozenset]:
     """Every ideal, found by saturation: extend each known ideal I by
-    one outside element x as I + Rx, until no new ideals appear.
+    each distinct principal ideal P not inside it, as I + P, until no
+    new ideals appear.
 
-    Elements in the same coset of I give the same I + Rx, so only one
-    representative per coset is tried.
+    Every ideal J is the sum of the principal ideals Rx for x in J, so
+    adding them one at a time from 0 walks through known ideals to J.
     """
     limits = limits or default_limits()
     cap = limits.max_oracle_spectrum
@@ -134,18 +151,17 @@ def all_ideals(T: FiniteRingTable, limits: Optional[Limits] = None) -> list[froz
             f"ideal enumeration exceeds the limit max_oracle_spectrum = {cap}: "
             f"reached a carrier of {T.size} elements"
         )
+    principal = list(dict.fromkeys(map(frozenset, T.mul)))
     zero_ideal = frozenset({T.zero})
     known = {zero_ideal}
     frontier = [zero_ideal]
     while frontier:
         nxt = []
         for ideal in frontier:
-            covered = set(ideal)
-            for x in range(T.size):
-                if x in covered:
+            for P in principal:
+                if P <= ideal:
                     continue
-                covered.update(T.add[x][i] for i in ideal)
-                bigger = ideal_sum(T, ideal, set(T.mul[x]))
+                bigger = ideal_sum(T, ideal, P)
                 if bigger not in known:
                     known.add(bigger)
                     nxt.append(bigger)
@@ -154,12 +170,21 @@ def all_ideals(T: FiniteRingTable, limits: Optional[Limits] = None) -> list[froz
 
 
 def prime_ideals(T: FiniteRingTable, limits: Optional[Limits] = None) -> list[frozenset]:
-    """Proper ideals whose quotient has no zero divisors."""
+    """Proper ideals P with x y not in P for all x, y not in P.
+
+    x y mod P depends only on the cosets of x and y, so the products are
+    read for one representative per coset outside P.
+    """
     primes = []
     for ideal in all_ideals(T, limits):
         if len(ideal) == T.size:
             continue
-        outside = [x for x in range(T.size) if x not in ideal]
+        covered = set(ideal)
+        outside = []
+        for x in range(T.size):
+            if x not in covered:
+                outside.append(x)
+                covered.update(map(T.add[x].__getitem__, ideal))
         if all(T.mul[x][y] not in ideal for x in outside for y in outside):
             primes.append(ideal)
     return primes

@@ -20,7 +20,7 @@ from aprings.annihilator import (
 )
 from aprings.config import Limits
 from aprings.cyclotomic import CyclotomicInteger
-from aprings.errors import BoundExceeded
+from aprings.errors import BoundExceeded, ExpressionError
 from aprings.intpoly import IntPolynomial
 
 WIDE = Limits(max_summands=12)
@@ -243,7 +243,7 @@ def test_degree_bound_fails_for_larger_k():
 
 
 def test_root_spec_rejects_overlap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ExpressionError, match="^atoms overlap"):
         RootSpec(
             (RootSpec.integers(1, 2).atoms[0], RootSpec.unity(2).atoms[0])
         ).roots()
@@ -264,5 +264,5 @@ def test_presets():
     assert mode == "unsigned" and {r.as_int() for r in spec.roots()} == {0, 4}
     spec, mode = root_spec_preset("x2k-1:3")
     assert len(spec.roots()) == 8
-    with pytest.raises(ValueError):
+    with pytest.raises(ExpressionError, match="^unknown root spec preset: 'nope'$"):
         root_spec_preset("nope")

@@ -269,6 +269,14 @@ def test_analyze_element_starting_with_minus(capsys, element):
         ["annihilator", "--q", "@/nonexistent/spec.json", "--n", "2"],
         ["marks", "--group", "named:nope"],
         ["marks", "--group", '{"degree":2,"generators":[[0,0]]}'],
+        ["marks", "--group", '{"degree":2,"generators":[5]}'],
+        ["marks", "--group", '{"degree":2,"generators":5}'],
+        ["marks", "--group", '{"degree":"x","generators":[]}'],
+        ["marks", "--group", '{"generators":[[1,0]]}'],
+        ["annihilator", "--q", '{"nope":1}', "--n", "2"],
+        ["annihilator", "--q", '{"atoms":[{"kind":"roots_of_unity"}]}', "--n", "2"],
+        ["annihilator", "--q", '{"atoms":[{"kind":"integers","values":[1,1]}]}', "--n", "2"],
+        ["annihilator", "--q", "preset:x2k-1:x", "--n", "2"],
         ["spectrum", "--ring", '{"kind":"nope"}'],
         ["spectrum", "--ring", '{"kind":"product_z"}'],
         ["spectrum", "--ring", '{"kind":"product_z","copies":"x"}'],
@@ -312,6 +320,16 @@ def test_malformed_limit_variable_is_a_usage_error(capsys, monkeypatch, env, arg
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err == f"usage error: {env} must be a positive integer, got {value!r}\n"
+
+
+def test_fault_while_closing_a_group_is_internal(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("orbit table entry")
+
+    monkeypatch.setattr("aprings.groups.close_group", broken)
+    code, _, err = run_cli(capsys, "marks", "--group", '{"degree":2,"generators":[[1,0]]}')
+    assert code == 1
+    assert err == "internal error: KeyError: 'orbit table entry'\n"
 
 
 def test_internal_fault_is_not_a_usage_error(capsys, monkeypatch):

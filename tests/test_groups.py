@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from aprings.errors import ExponentMismatch, OrderBoundExceeded
+from aprings.errors import CheckFailed, ExponentMismatch, OrderBoundExceeded
 from aprings.config import Limits
 from aprings import groups
 from aprings.groups import (
@@ -89,6 +89,16 @@ def _group(name):
     return named_group(name)
 
 
+def reference_cayley(G):
+    """Both tables by brute force: |G|^2 compositions for mul, and
+    conj[g][h] = g^-1 h g read off it."""
+    index = {p: i for i, p in enumerate(G.elements)}
+    mul = tuple(tuple(index[compose(a, b)] for b in G.elements) for a in G.elements)
+    inv = [index[inverse_perm(a)] for a in G.elements]
+    conj = tuple(tuple(mul[inv[g]][row[g]] for row in mul) for g in range(G.order))
+    return mul, conj
+
+
 def test_permutation_helpers():
     p = (1, 2, 0)
     assert compose(p, inverse_perm(p)) == identity_perm(3)
@@ -132,9 +142,10 @@ def test_subgroup_bound():
         subgroup_classes(named_group("A5"), Limits(max_subgroup_order=30))
 
 
-@pytest.mark.parametrize(
-    "name", named_group_names() + [f"C{n}" for n in range(7, 31)] + ["d12", "agl1_5", "c4xc4"]
-)
+GROUP_CORPUS = named_group_names() + [f"C{n}" for n in range(7, 31)] + ["d12", "agl1_5", "c4xc4"]
+
+
+@pytest.mark.parametrize("name", GROUP_CORPUS)
 def test_table_of_marks_matches_brute_force(name):
     G = _group(name)
     table = table_of_marks(G)
@@ -202,6 +213,25 @@ def test_random_groups_match_brute_force(seed):
     assert [list(row) for row in table.marks] == [
         [reference_mark(G, H1, H2) for H2, _ in ref] for H1, _ in ref
     ]
+
+
+@pytest.mark.parametrize(
+    "G",
+    [pytest.param(_group(name), id=name) for name in GROUP_CORPUS + ["S5"]]
+    + [pytest.param(_random_group(seed), id=f"random{seed}") for seed in range(30)],
+)
+def test_cayley_table_matches_reference(G):
+    table = groups._cayley_table(G)
+    assert table.index == {p: i for i, p in enumerate(G.elements)}
+    assert (table.mul, table.conj) == reference_cayley(G)
+
+
+def test_cayley_table_rejects_generators_that_do_not_reach_the_group():
+    G = named_group("S3")
+    partial = groups.PermGroup(degree=3, generators=G.generators[:1], elements=G.elements)
+    message = r"^the generators reach 2 of the 6 elements of the group$"
+    with pytest.raises(CheckFailed, match=message):
+        groups._cayley_table(partial)
 
 
 def test_mark_examples():

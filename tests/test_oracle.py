@@ -352,3 +352,26 @@ def test_table_makes_n_ring_operations_per_generator(monkeypatch):
     budget = len(model.generators()) * n + n + 2
     assert 0 < counts["add"] <= budget
     assert 0 < counts["mul"] <= budget
+
+
+# -- the 256-element carriers, where the worklist reference is too slow --------------
+
+# The number of ideals of each size and the one prime, recorded with the
+# per-coset enumeration that these ideals were first computed by.
+LARGE_IDEAL_SIZES = {
+    "Z16[C2]": {1: 1, 2: 1, 4: 3, 8: 5, 16: 7, 32: 5, 64: 3, 128: 1, 256: 1},
+    "Z4[C2xC2]": {1: 1, 2: 1, 4: 7, 8: 7, 16: 15, 32: 7, 64: 7, 128: 1, 256: 1},
+    "Z2[C2xC2xC2]": {1: 1, 2: 1, 4: 7, 8: 7, 16: 15, 32: 7, 64: 7, 128: 1, 256: 1},
+}
+
+
+@pytest.mark.parametrize("name", LARGE_CARRIERS)
+def test_large_carrier_ideals_and_prime(name):
+    model = bundled_model(name)
+    T = table_for_model(model)
+    ideals = all_ideals(T)
+    assert Counter(len(i) for i in ideals) == LARGE_IDEAL_SIZES[name]
+    (prime,) = prime_ideals(T)
+    # the unique prime is the fundamental ideal, of index 2
+    assert frozenset(T.elements[i] for i in prime) == fundamental_ideal_elements(model)
+    assert len(prime) == 128
