@@ -21,7 +21,7 @@ from typing import Literal, Optional, Union
 from .config import Limits, default_limits
 from .cyclotomic import CyclotomicInteger, poly_from_roots
 from .errors import BoundExceeded, ExpressionError
-from .intpoly import IntPolynomial
+from .intpoly import IntPolynomial, decimal_str
 
 SignMode = Literal["signed", "unsigned"]
 
@@ -145,7 +145,7 @@ class SumSet:
         return {
             "order": self.order,
             "n": self.n,
-            "elements": [[str(c) for c in e.coords] for e in self.elements],
+            "elements": [[decimal_str(c) for c in e.coords] for e in self.elements],
         }
 
 

@@ -33,6 +33,7 @@ from .groups import (
     named_group_names,
     table_of_marks,
 )
+from .intpoly import decimal_str
 from .rings import bundled_model, construct_model, parse_element, verify_annihilated
 from .spectrum import LISTED_PRIME_BOUND, element_predicates, spectrum_report
 from .verification import paper_checks
@@ -104,7 +105,7 @@ def cmd_annihilator(args) -> int:
         print(f"n = {args.n}, mode = {mode}, |T_n| = {len(sums)}")
         print(f"roots: {roots}")
         print(f"p_n(x) = {poly}")
-        print(f"coefficients (ascending): {', '.join(str(c) for c in poly.coeffs)}")
+        print(f"coefficients (ascending): {', '.join(map(decimal_str, poly.coeffs))}")
         if closed_matches is not None:
             print("closed form matches the enumeration")
     return 0

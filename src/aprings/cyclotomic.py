@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 from .config import default_limits
 from .errors import CheckFailed, NonIntegerCoefficient, UnsupportedOrder
-from .intpoly import IntPolynomial, balanced_product, format_terms, repeated_doubling
+from .intpoly import IntPolynomial, format_terms, packed_product, repeated_doubling
 
 
 # -- elementary number theory ------------------------------------------------
@@ -381,11 +381,11 @@ def poly_from_roots(roots: Iterable[CyclotomicInteger]) -> IntPolynomial:
     Q(X^2), with Q taken over the squares of one root of each +- pair
     (signed sum sets are symmetric, and mu_4 halves twice).  The roots
     left are split into orbits under zeta -> zeta^a, gcd(a, m) = 1.  Each
-    orbit's minimal polynomial (degree at most phi(m)) is expanded
-    exactly in Z[zeta_m] and descended to Z, and the integer factors are
-    multiplied as a balanced product tree.  Raises NonIntegerCoefficient
-    when a conjugate of a root is missing (then some coefficient is
-    irrational) and ValueError on a repeated root.
+    orbit's minimal polynomial (degree at most phi(m)) is expanded exactly
+    in Z[zeta_m] and descended to Z, and `packed_product` multiplies the
+    integer factors into one packed integer, one factor at a time.  Raises
+    NonIntegerCoefficient when a conjugate of a root is missing (then some
+    coefficient is irrational) and ValueError on a repeated root.
     """
     rs = list(roots)
     if not rs:
@@ -406,7 +406,7 @@ def poly_from_roots(roots: Iterable[CyclotomicInteger]) -> IntPolynomial:
         # roots themselves name a missing conjugate
         _galois_orbits(m, keys)
         raise
-    p = balanced_product(_orbit_polynomial(m, orbit) for orbit in orbits)
+    p = packed_product(_orbit_polynomial(m, orbit) for orbit in orbits)
     for has_zero in reversed(zero_roots):
         coeffs = [0] * (2 * len(p.coeffs) - 1 + has_zero)
         coeffs[has_zero::2] = p.coeffs

@@ -5,21 +5,26 @@ has an empty coefficient tuple and degree -1.  Python integers give
 arbitrary precision for free, so no coefficient ever overflows.
 
 Polynomials are multiplied by signed Kronecker substitution: both factors
-are evaluated at X = 2^w as Python integers, the integers are multiplied
-(Karatsuba in CPython), and the product's base-2^w digits are the
-coefficients.  Packing and unpacking go through byte strings, so both are
-linear in the size of the result.  `balanced_product` multiplies many
-factors as a balanced product tree, so that the big multiplications are
-few and of equal size.
+are evaluated at X = 2^w as Python integers, the integers are multiplied,
+and the product's base-2^w digits are the coefficients.  Packing and
+unpacking go through byte strings, so both are linear in the size of the
+result.  `packed_product` multiplies many factors into the one integer
+prod f_i(2^w), each by Horner in 2^w (shifts and small multiples, linear
+in its size), with w fixed by the bound prod ||f_i||_1 on every
+coefficient.  A product tree would pay off only with fast multiplication,
+and CPython multiplies large integers by Karatsuba.
 
-The module also holds two routines shared by every exact arithmetic type
-of the package: `repeated_doubling` (powers and integer multiples) and
-`format_terms` (signed sums of terms).
+The module also holds the routines shared by every exact arithmetic type
+of the package: `repeated_doubling` (powers and integer multiples),
+`format_terms` (signed sums of terms) and `decimal_str` (integers printed
+at any length).
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from itertools import zip_longest
+from math import prod
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -36,6 +41,11 @@ def repeated_doubling(x, n: int, identity, op: Callable):
     return result
 
 
+def decimal_str(n: int) -> str:
+    """n in decimal at any length, also past sys.get_int_max_str_digits()."""
+    return str(Decimal(n))
+
+
 def format_terms(terms: Iterable[tuple[int, str]]) -> str:
     """The signed sum of the given (coefficient, monomial) terms, e.g.
     "x^2 - 3*x + 1"; an empty monomial marks the constant term and zero
@@ -45,9 +55,9 @@ def format_terms(terms: Iterable[tuple[int, str]]) -> str:
         if c == 0:
             continue
         if not monomial:
-            body = str(abs(c))
+            body = decimal_str(abs(c))
         else:
-            body = monomial if abs(c) == 1 else f"{abs(c)}*{monomial}"
+            body = monomial if abs(c) == 1 else f"{decimal_str(abs(c))}*{monomial}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -63,31 +73,44 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
     return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
 
 
+def _unpack(v: int, width: int, length: int) -> list[int]:
+    """The `length` signed base-2^(8*width) digits of v, low digit first."""
+    # adding 2^(w-1) to every digit makes the digits nonnegative, so they
+    # can be cut out of the bytes without carries
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
+    data = (v + offset).to_bytes(width * length, "little")
+    half = 1 << (8 * width - 1)
+    return [int.from_bytes(data[i:i + width], "little") - half for i in range(0, len(data), width)]
+
+
 def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Coefficients of the product of two nonzero coefficient sequences."""
     bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
     # every product coefficient lies in [-bound, bound], inside one signed
     # digit of w = 8*width > bit_length(bound) bits
     width = bound.bit_length() // 8 + 1
-    length = len(a) + len(b) - 1
-    # adding 2^(w-1) to every digit makes the digits nonnegative, so they
-    # can be cut out of the bytes without carries
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
-    data = (_pack(a, width) * _pack(b, width) + offset).to_bytes(width * length, "little")
-    half = 1 << (8 * width - 1)
-    return [int.from_bytes(data[i:i + width], "little") - half for i in range(0, len(data), width)]
+    return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
 
 
-def balanced_product(factors: Iterable["IntPolynomial"]) -> "IntPolynomial":
-    """The product of the factors (1 for none), multiplied pairwise level
-    by level as a balanced product tree."""
-    level = list(factors)
-    if not level:
-        return IntPolynomial.constant(1)
-    while len(level) > 1:
-        odd = level[-1:] if len(level) % 2 else []
-        level = [level[i] * level[i + 1] for i in range(0, len(level) - 1, 2)] + odd
-    return level[0]
+def packed_product(factors: Iterable["IntPolynomial"]) -> "IntPolynomial":
+    """The product of the factors (1 for none), accumulated one factor at
+    a time in the single integer v = prod f_i(2^w)."""
+    fs = [f.coeffs for f in factors]
+    if not all(fs):
+        return IntPolynomial()
+    # ||f g||_1 <= ||f||_1 ||g||_1, so every product coefficient lies in
+    # [-bound, bound] with bound = prod ||f_i||_1 < 2^(8*width - 1)
+    width = prod(sum(map(abs, f)) for f in fs).bit_length() // 8 + 1
+    v = 1
+    for f in fs:
+        # v * f(2^w) by Horner in 2^w: shifts and small multiples of v
+        acc = f[-1] * v
+        for c in reversed(f[:-1]):
+            acc <<= 8 * width
+            if c:
+                acc += c * v
+        v = acc
+    return IntPolynomial(_unpack(v, width, sum(map(len, fs)) - len(fs) + 1))
 
 
 class IntPolynomial:
@@ -118,7 +141,7 @@ class IntPolynomial:
     @staticmethod
     def from_roots(roots: Iterable[int]) -> "IntPolynomial":
         """Monic product of (x - r) over the integer roots, each counted once."""
-        return balanced_product(IntPolynomial((-r, 1)) for r in sorted(set(int(r) for r in roots)))
+        return packed_product(IntPolynomial((-r, 1)) for r in sorted(set(int(r) for r in roots)))
 
     # -- queries ------------------------------------------------------
 
@@ -227,7 +250,7 @@ class IntPolynomial:
 
     def to_json(self) -> list[str]:
         """Coefficients in ascending degree, as decimal strings."""
-        return [str(c) for c in self.coeffs]
+        return [decimal_str(c) for c in self.coeffs]
 
 
 def _coerce(value) -> IntPolynomial:

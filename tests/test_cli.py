@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,38 @@ def test_annihilator_bound_exceeded(capsys):
 def test_annihilator_malformed_spec(capsys):
     code, _, _ = run_cli(capsys, "annihilator", "--q", "{broken", "--n", "2")
     assert code == 2
+
+
+HUGE_ROOTS = [10**300 + i for i in range(16)]
+
+
+def _huge_root_coefficients():
+    """p_1 for HUGE_ROOTS in signed mode: prod (x^2 - r^2), ascending,
+    with coefficients of about 9600 decimal digits."""
+    coeffs = [1]
+    for r in HUGE_ROOTS:
+        shifted = [0, 0] + coeffs
+        coeffs = [a - r * r * b for a, b in zip(shifted, coeffs + [0, 0])]
+    return coeffs
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_annihilator_prints_coefficients_beyond_the_int_string_limit(capsys, fmt):
+    spec = json.dumps({"atoms": [{"kind": "integers", "values": HUGE_ROOTS}]})
+    code, out, err = run_cli(capsys, "annihilator", "--q", spec, "--n", "1", "--format", fmt)
+    assert code == 0, err
+    expected = _huge_root_coefficients()
+    if fmt == "json":
+        payload = json.loads(out)
+        coefficients = payload["polynomial"]
+        roots = [int(Decimal(e[0])) for e in payload["roots"]["elements"]]
+        assert roots == sorted(-r for r in HUGE_ROOTS) + HUGE_ROOTS
+    else:
+        line = next(row for row in out.splitlines() if row.startswith("coefficients (ascending): "))
+        coefficients = line.partition(": ")[2].split(", ")
+        assert f"x^32 - {-expected[30]}*x^30" in out
+    assert [int(Decimal(c)) for c in coefficients] == expected
+    assert max(map(len, coefficients)) > 4300
 
 
 def test_marks_named_c2(capsys):

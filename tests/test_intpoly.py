@@ -1,7 +1,12 @@
+from decimal import Decimal
+from functools import reduce
+
 import pytest
 from hypothesis import given, strategies as st
 
-from aprings.intpoly import IntPolynomial, balanced_product
+from aprings.annihilator import annihilating_polynomial, root_sum_set
+from aprings.intpoly import IntPolynomial, decimal_str, format_terms, packed_product
+from aprings.rings import bundled_model
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)
 # coefficients straddling the byte boundaries of the Kronecker digit width
@@ -11,6 +16,17 @@ wide_coeffs = st.one_of(
     st.sampled_from([127, 128, -128, -129, 255, 256, -256, 2**63, -(2**63), 2**64 - 1]),
 )
 wide_lists = st.lists(wide_coeffs, max_size=24)
+# +-(2^(8k) - 1), the largest magnitude k bytes hold, and +-2^(8k), one past it
+byte_edges = st.builds(
+    lambda k, sign, less: sign * (2 ** (8 * k) - less),
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([1, -1]),
+    st.sampled_from([0, 1]),
+)
+factor_lists = st.lists(
+    st.lists(st.one_of(st.just(0), wide_coeffs, byte_edges), min_size=1, max_size=6),
+    max_size=6,
+)
 
 
 def schoolbook(a, b):
@@ -22,6 +38,23 @@ def schoolbook(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return IntPolynomial(out)
+
+
+def schoolbook_product(factors):
+    """Reference product of many factors: schoolbook, one factor at a time."""
+    return reduce(lambda p, f: schoolbook(p.coeffs, f.coeffs), factors, IntPolynomial.constant(1))
+
+
+def reference_tree_product(factors):
+    """Reference product of many factors (1 for none), multiplied pairwise
+    level by level as a balanced product tree."""
+    level = list(factors)
+    if not level:
+        return IntPolynomial.constant(1)
+    while len(level) > 1:
+        odd = level[-1:] if len(level) % 2 else []
+        level = [level[i] * level[i + 1] for i in range(0, len(level) - 1, 2)] + odd
+    return level[0]
 
 
 def test_normalization_strips_trailing_zeros():
@@ -39,15 +72,47 @@ def test_from_roots_of_nothing_is_one():
     assert IntPolynomial.from_roots([]) == 1
 
 
-def test_balanced_product():
+def test_packed_product():
     factors = [IntPolynomial((-r, 1)) for r in range(-3, 4)]
-    expected = IntPolynomial.constant(1)
-    for f in factors:
-        expected = schoolbook(expected.coeffs, f.coeffs)
-    assert balanced_product(factors) == expected
-    assert balanced_product(iter(factors)) == IntPolynomial.from_roots(range(-3, 4))
-    assert balanced_product([]) == 1
-    assert balanced_product([IntPolynomial((2, 3))]) == IntPolynomial((2, 3))
+    assert packed_product(factors) == schoolbook_product(factors)
+    assert packed_product(iter(factors)) == IntPolynomial.from_roots(range(-3, 4))
+    assert packed_product([]) == 1
+    assert packed_product([IntPolynomial((2, 3))]) == IntPolynomial((2, 3))
+    assert packed_product([IntPolynomial((2, 3)), IntPolynomial(), IntPolynomial((1, 1))]).is_zero
+    # a factor with zero inner coefficients still shifts once per degree
+    factors = [IntPolynomial((1, 0, 1)), IntPolynomial((-2, 0, 0, 3)), IntPolynomial((0, 5))]
+    assert packed_product(factors) == schoolbook_product(factors)
+
+
+def test_packed_product_at_byte_edges():
+    # one factor whose coefficients fill whole bytes: the width has no slack
+    for k in (1, 2, 3, 9):
+        for c in (2 ** (8 * k), 2 ** (8 * k) - 1, -(2 ** (8 * k)), -(2 ** (8 * k) - 1)):
+            for coeffs in ((c,), (c, 1), (1, c), (c, 0, -c), (0, c)):
+                f = IntPolynomial(coeffs)
+                assert packed_product([f]) == f
+                assert packed_product([f, IntPolynomial((1, 1))]) == schoolbook(coeffs, (1, 1))
+
+
+@given(factor_lists)
+def test_packed_product_matches_references(lists):
+    factors = [IntPolynomial(cs) for cs in lists]
+    expected = schoolbook_product(factors)
+    assert packed_product(factors) == expected
+    assert reference_tree_product(factors) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_burnside_a5_p_n_matches_schoolbook(n):
+    """p_1..p_5 of Burnside(A5), up to 475 integer roots and 3072-bit
+    coefficients, against a schoolbook expansion of their roots."""
+    spec = bundled_model("burnside-A5").root_spec()
+    coeffs = [1]
+    for e in root_sum_set(spec, n).elements:
+        r = e.as_int()
+        # multiply by (x - r): c_i <- c_(i-1) - r c_i
+        coeffs = [-r * coeffs[0]] + [a - r * b for a, b in zip(coeffs, coeffs[1:])] + [1]
+    assert annihilating_polynomial(spec, n) == IntPolynomial(coeffs)
 
 
 def test_str_rendering():
@@ -79,6 +144,17 @@ def test_json_roundtrip():
     p = IntPolynomial((10**30, -2, 3))
     assert IntPolynomial(int(c) for c in p.to_json()) == p
     assert p.to_json()[0] == str(10**30)
+
+
+def test_decimal_str_beyond_the_int_string_limit():
+    big = -(10 ** 5000) + 7
+    text = decimal_str(big)
+    assert len(text) == 5001 and int(Decimal(text)) == big
+    assert [decimal_str(c) for c in (0, 1, -1, 10 ** 30)] == ["0", "1", "-1", str(10 ** 30)]
+    p = IntPolynomial((big, 0, 1))
+    assert [int(Decimal(c)) for c in p.to_json()] == [big, 0, 1]
+    assert str(p) == f"x^2 - {text[1:]}"
+    assert format_terms([(big, "y")]) == f"-{text[1:]}*y"
 
 
 @given(coeff_lists, coeff_lists)
