@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .annihilator import (
     RootSpec,
@@ -203,45 +203,73 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="aprings",
-        description="Annihilating polynomials and structure theory for AP rings.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("annihilator", help="construct an annihilating polynomial")
+def _annihilator_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", required=True, help="root spec: preset:NAME, JSON, or @file")
     p.add_argument("--n", type=int, required=True, help="number of summands")
     p.add_argument("--mode", choices=["signed", "unsigned"], default=None)
     p.add_argument("--closed-form", action="store_true")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_annihilator)
 
-    p = sub.add_parser("marks", help="compute a table of marks")
+
+def _marks_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", required=True, help=f"named:NAME ({', '.join(named_group_names())}), JSON, or @file")
     p.add_argument("--check-paper", action="store_true", dest="check_paper",
                    help="compare against the bundled A5 reference table")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_marks)
 
-    p = sub.add_parser("spectrum", help="prime spectrum report")
+
+def _spectrum_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ring", required=True, help="preset:NAME, JSON, or @file")
     p.add_argument("--primes-up-to", type=int, default=LISTED_PRIME_BOUND)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("analyze", help="length, annihilation and predicates of an element")
+
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ring", required=True)
     p.add_argument("--element", required=True, help='e.g. "2*g0 - 3*g1 + 1"')
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("verify", help="run the bundled verification suite")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", choices=["paper"], required=True)
     p.add_argument("--filter", default=None, help="only run checks whose name contains this")
-    p.set_defaults(func=cmd_verify)
 
+
+# name -> (help, handler, function that adds the command's arguments)
+COMMANDS: dict[str, tuple[str, Callable, Callable]] = {
+    "annihilator": ("construct an annihilating polynomial", cmd_annihilator, _annihilator_arguments),
+    "marks": ("compute a table of marks", cmd_marks, _marks_arguments),
+    "spectrum": ("prime spectrum report", cmd_spectrum, _spectrum_arguments),
+    "analyze": ("length, annihilation and predicates of an element", cmd_analyze, _analyze_arguments),
+    "verify": ("run the bundled verification suite", cmd_verify, _verify_arguments),
+}
+
+
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for `argv`: the root parser and only the subparser that
+    argv[0] names, or all of them when argv[0] names no command (help, a
+    missing, unknown or abbreviated name), so that help and argparse's
+    errors list every command.  The metavar keeps the one-command usage
+    line equal to the full one; the full parser keeps argparse's default,
+    which names the action `command` in its "invalid choice" and
+    "required" errors."""
+    parser = argparse.ArgumentParser(
+        prog="aprings",
+        description="Annihilating polynomials and structure theory for AP rings.",
+    )
+    if argv and argv[0] in COMMANDS:
+        names = [argv[0]]
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}"
+        )
+    else:
+        names = list(COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, handler, add_arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -251,7 +279,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # joined, so that an element starting with "-" is not read as an option
         i = argv.index("--element")
         argv[i:i + 2] = [f"--element={argv[i + 1]}"]
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except BoundExceeded as exc:

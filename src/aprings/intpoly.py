@@ -42,8 +42,13 @@ def repeated_doubling(x, n: int, identity, op: Callable):
 
 
 def decimal_str(n: int) -> str:
-    """n in decimal at any length, also past sys.get_int_max_str_digits()."""
-    return str(Decimal(n))
+    """n in decimal at any length, also past sys.get_int_max_str_digits():
+    `str` where the limit allows it, else the C `decimal` module, which
+    has no such limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 def format_terms(terms: Iterable[tuple[int, str]]) -> str:

@@ -454,7 +454,10 @@ class FiniteQuotientRing(RingModel):
     The carrier is materialized (it must fit the configured bound);
     elements are the lexicographically minimal coset representatives.
     Labels, structure constants, generating set and polynomial come
-    from the cover Z[G]; lengths come from breadth-first search.
+    from the cover Z[G].  S is the image of the unit vectors e_g, so a
+    vector v of (Z/N)[G] is a sum of sum_g min(v_g, N - v_g) signed
+    generators and no fewer, and the length of r is the least of these
+    over the lifts r + k, k in the kernel.
     """
 
     def __init__(
@@ -482,11 +485,10 @@ class FiniteQuotientRing(RingModel):
         gens = [self._normalize(v) for v in ideal_generators]
         # the Z/N-span of all group translates of the generators
         seeds = {self.cover.mul(g, e) for g in gens for _, e in self.cover.generators()}
-        kernel = closure(self._vec_add, (0,) * dim, seeds)
-        self._rep = self._coset_reps(kernel, dim)
+        self._kernel = closure(self._vec_add, (0,) * dim, seeds)
+        self._rep = self._coset_reps(self._kernel, dim)
         self._carrier = sorted(set(self._rep.values()))
         super().__init__(name or f"Z{modulus}[{group.describe()}]")
-        self._length_cache: Optional[dict] = None
         self._limits = limits
         self._check_r2()
 
@@ -557,16 +559,28 @@ class FiniteQuotientRing(RingModel):
     def carrier(self) -> list:
         return list(self._carrier)
 
+    def _lift_length(self, r) -> int:
+        n = self.modulus
+        return min(
+            sum(min(x, n - x) for x in self._vec_add(r, k)) for k in self._kernel
+        )
+
+    @cached_property
+    def _within_radius(self) -> int:
+        """How many carrier elements have length at most max_length_radius;
+        counted only for the error message, once."""
+        radius = self._limits.max_length_radius
+        return sum(1 for c in self._carrier if self._lift_length(c) <= radius)
+
     def length(self, r):
         radius = self._limits.max_length_radius
-        if self._length_cache is None:
-            self._length_cache = signed_ball(self, radius)
-        if r not in self._length_cache:
+        found = self._lift_length(r)
+        if found > radius:
             raise LengthBoundExceeded(
                 f"length search exceeds the limit max_length_radius = {radius}: "
-                f"reached {len(self._length_cache)} elements, not {self.format_element(r)}"
+                f"reached {self._within_radius} elements, not {self.format_element(r)}"
             )
-        return self._length_cache[r]
+        return found
 
     def element_to_json(self, r):
         return self.cover.element_to_json(r)

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from aprings import cli
 from aprings.cli import main
+from aprings.groups import named_group_names
 from aprings.rings import FiniteQuotientRing, bundled_model
+from aprings.spectrum import LISTED_PRIME_BOUND
 
 
 def run_cli(capsys, *argv):
@@ -381,3 +387,93 @@ def test_inline_json_group(capsys):
     )
     assert code == 0
     assert json.loads(out)["marks"] == [[2, 0], [1, 1]]
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """All five subparsers, each built by hand: the parser that
+    `cli.build_parser` must act like on every argv."""
+    parser = argparse.ArgumentParser(
+        prog="aprings",
+        description="Annihilating polynomials and structure theory for AP rings.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("annihilator", help="construct an annihilating polynomial")
+    p.add_argument("--q", required=True, help="root spec: preset:NAME, JSON, or @file")
+    p.add_argument("--n", type=int, required=True, help="number of summands")
+    p.add_argument("--mode", choices=["signed", "unsigned"], default=None)
+    p.add_argument("--closed-form", action="store_true")
+    p.add_argument("--format", choices=["text", "json"], default="text")
+    p.set_defaults(func=cli.cmd_annihilator)
+
+    p = sub.add_parser("marks", help="compute a table of marks")
+    p.add_argument("--group", required=True, help=f"named:NAME ({', '.join(named_group_names())}), JSON, or @file")
+    p.add_argument("--check-paper", action="store_true", dest="check_paper",
+                   help="compare against the bundled A5 reference table")
+    p.add_argument("--format", choices=["text", "json"], default="text")
+    p.set_defaults(func=cli.cmd_marks)
+
+    p = sub.add_parser("spectrum", help="prime spectrum report")
+    p.add_argument("--ring", required=True, help="preset:NAME, JSON, or @file")
+    p.add_argument("--primes-up-to", type=int, default=LISTED_PRIME_BOUND)
+    p.add_argument("--format", choices=["text", "json"], default="text")
+    p.set_defaults(func=cli.cmd_spectrum)
+
+    p = sub.add_parser("analyze", help="length, annihilation and predicates of an element")
+    p.add_argument("--ring", required=True)
+    p.add_argument("--element", required=True, help='e.g. "2*g0 - 3*g1 + 1"')
+    p.add_argument("--format", choices=["text", "json"], default="text")
+    p.set_defaults(func=cli.cmd_analyze)
+
+    p = sub.add_parser("verify", help="run the bundled verification suite")
+    p.add_argument("--suite", choices=["paper"], required=True)
+    p.add_argument("--filter", default=None, help="only run checks whose name contains this")
+    p.set_defaults(func=cli.cmd_verify)
+
+    return parser
+
+
+def _parse(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    code, namespace = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code, namespace
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--help"],
+        ["-h", "analyze"],
+        ["annihilator", "-h"],
+        ["marks", "--help"],
+        ["spectrum", "-h"],
+        ["analyze", "-h"],
+        ["verify", "-h"],
+        ["bogus"],
+        ["ana", "--ring", "Z"],
+        ["--format", "json"],
+        ["marks"],
+        ["analyze", "--ring", "Z", "--element=1", "--extra"],
+        ["verify", "--suite", "paper", "stray"],
+        ["annihilator", "--q", "preset:x2-1", "--n", "three"],
+        ["annihilator", "--q", "preset:x2-1", "--n", "2", "--mode", "both"],
+        ["verify", "--suite", "nope"],
+        ["spectrum", "--ring", "Z", "--primes-up-to", "x"],
+        ["annihilator", "--q", "preset:x2-1", "--n", "3"],
+        ["annihilator", "--q", "preset:x4-1", "--n", "2", "--mode", "unsigned", "--closed-form",
+         "--format", "json"],
+        ["marks", "--group", "named:A5", "--check-paper"],
+        ["spectrum", "--ring", "Z4[C2]", "--primes-up-to", "7", "--format", "json"],
+        ["analyze", "--ring", "Z[C2]", "--element=-g"],
+        ["verify", "--suite", "paper", "--filter", "marks"],
+    ],
+)
+def test_build_parser_matches_the_five_subparser_reference(argv):
+    assert _parse(cli.build_parser(argv), argv) == _parse(reference_parser(), argv)

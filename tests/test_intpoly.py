@@ -155,6 +155,15 @@ def test_decimal_str_beyond_the_int_string_limit():
     assert [int(Decimal(c)) for c in p.to_json()] == [big, 0, 1]
     assert str(p) == f"x^2 - {text[1:]}"
     assert format_terms([(big, "y")]) == f"-{text[1:]}*y"
+    # 10**4300 - 1 has 4300 digits, the most the default limit lets `str`
+    # print; 10**4300 has 4301
+    for n, digits in [(10 ** 4300 - 1, 4300), (10 ** 4300, 4301), (10 ** 4300 + 1, 4301)]:
+        for signed in (n, -n):
+            text = decimal_str(signed)
+            assert len(text.lstrip("-")) == digits and text.startswith("-") == (signed < 0)
+            assert int(Decimal(text)) == signed
+    assert decimal_str(10 ** 4300 - 1) == "9" * 4300
+    assert decimal_str(-(10 ** 4300) - 1) == "-1" + "0" * 4299 + "1"
 
 
 @given(coeff_lists, coeff_lists)

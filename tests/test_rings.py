@@ -32,6 +32,8 @@ from aprings.rings import (
     verify_annihilated,
 )
 
+from test_oracle import NAMED, random_quotients, zero_ring
+
 MODEL_NAMES = ["Z", "Z^3", "Z[C2]", "Z[C2xC2]", "Z[C4]", "burnside-C2", "Z4[C2]"]
 
 
@@ -151,6 +153,34 @@ def test_quotient_length_radius_cap():
     limit = r"^length search exceeds the limit max_length_radius = 3: reached 7 elements, not 8$"
     with pytest.raises(LengthBoundExceeded, match=limit):
         model.length(model.embed_int(8))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [pytest.param(bundled_model(name), id=name) for name in NAMED]
+    + [pytest.param(m, id=f"random{i}") for i, m in enumerate(random_quotients())]
+    + [
+        pytest.param(zero_ring(), id="zero-ring"),
+        pytest.param(FiniteQuotientRing(2, FiniteAbelianGroup((2, 2, 2))), id="Z2[C2xC2xC2]"),
+        pytest.param(FiniteQuotientRing(16, FiniteAbelianGroup(())), id="Z16"),
+        pytest.param(FiniteQuotientRing(64, FiniteAbelianGroup((2,))), id="Z64[C2]"),
+    ],
+)
+def test_quotient_length_matches_the_signed_ball(model):
+    # the closed form against breadth-first search over the carrier;
+    # Z64[C2] has 3808 elements beyond the radius
+    radius = Limits().max_length_radius
+    ball = signed_ball(model, radius)
+    for r in model.carrier():
+        if r in ball:
+            assert model.length(r) == ball[r]
+            continue
+        with pytest.raises(LengthBoundExceeded) as info:
+            model.length(r)
+        assert str(info.value) == (
+            f"length search exceeds the limit max_length_radius = {radius}: "
+            f"reached {len(ball)} elements, not {model.format_element(r)}"
+        )
 
 
 def generic_bfs_lengths(model, radius):
