@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm, prod
-from operator import add, sub
 from typing import Literal, Optional, Union
 
 from .config import Limits, default_limits
@@ -154,19 +153,14 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
-Coords = tuple[int, ...]
-
-
-def _extend(
-    current: set[Coords], roots: tuple[Coords, ...], mode: SignMode, cap: int
-) -> set[Coords]:
+def _extend(current: set[int], roots: tuple[int, ...], mode: SignMode, cap: int) -> set[int]:
     """All t + r (and t - r in signed mode) for t in current and r in roots,
-    as coordinate tuples at one common order."""
-    nxt: set[Coords] = set()
+    as packed sums (see `_sums`)."""
+    nxt: set[int] = set()
     for r in roots:
-        nxt.update(tuple(map(add, t, r)) for t in current)
+        nxt.update(t + r for t in current)
         if mode == "signed":
-            nxt.update(tuple(map(sub, t, r)) for t in current)
+            nxt.update(t - r for t in current)
         if len(nxt) > cap:
             raise BoundExceeded(
                 f"sum set exceeds the limit max_sumset = {cap}: reached {len(nxt)} elements"
@@ -194,14 +188,37 @@ def _sums(
 ) -> tuple[CyclotomicInteger, ...]:
     """All sums eps_1*s_1 + ... + eps_k*s_k with s_i a root of specs[i]
     (eps_i = 1 in unsigned mode), sorted, at the common order of the specs.
-    The sums are enumerated as coordinate tuples, which hash and compare
-    far faster than CyclotomicInteger values."""
+
+    The sums are enumerated as packed integers: a coordinate vector
+    (c_0, ..., c_(d-1)) is the int with digits c_j + bias in base
+    2^width, coordinate 0 the most significant.  Here bias is the sum over
+    the specs of their largest absolute lifted root coordinate, so every
+    coordinate of every partial sum lies in [-bias, bias], and each digit
+    lies in [0, 2*bias], which width = (2*bias + 1).bit_length() bits
+    hold.  A root packs without the bias, so adding or subtracting it
+    adds or subtracts its coordinates digit by digit, and no digit ever
+    carries into or borrows from the next.  As the digits are
+    nonnegative and of one fixed width, int order is the lexicographic
+    order of the coordinate tuples, so the sorted ints unpack once into
+    the sorted sums."""
     order = lcm(*(spec.common_order() for spec in specs))
-    current = {CyclotomicInteger.from_int(0, order).coords}
-    for spec in specs:
-        roots = tuple(r.lift(order).coords for r in spec.roots())
-        current = _extend(current, roots, mode, cap)
-    return tuple(CyclotomicInteger(order, coords) for coords in sorted(current))
+    lifted = [[r.lift(order).coords for r in spec.roots()] for spec in specs]
+    bias = sum(max((abs(c) for coords in roots for c in coords), default=0) for roots in lifted)
+    width = (2 * bias + 1).bit_length()
+    zero = CyclotomicInteger.from_int(0, order).coords
+    shifts = range(width * (len(zero) - 1), -1, -width)
+
+    def pack(coords: tuple[int, ...], offset: int) -> int:
+        return sum((c + offset) << s for c, s in zip(coords, shifts))
+
+    current = {pack(zero, bias)}
+    for roots in lifted:
+        current = _extend(current, tuple(pack(coords, 0) for coords in roots), mode, cap)
+    mask = (1 << width) - 1
+    return tuple(
+        CyclotomicInteger(order, tuple(((v >> s) & mask) - bias for s in shifts))
+        for v in sorted(current)
+    )
 
 
 @lru_cache(maxsize=512)
@@ -233,13 +250,15 @@ def annihilating_polynomial(
 ) -> IntPolynomial:
     """p_n for the given root spec: the monic squarefree polynomial
     vanishing exactly on root_sum_set(spec, n, mode)."""
-    sums = root_sum_set(spec, n, mode, limits)
-    return _poly_of_sumset(sums)
+    limits = limits or default_limits()
+    root_sum_set(spec, n, mode, limits)
+    return _poly_of_sumset(spec, n, mode, limits)
 
 
 @lru_cache(maxsize=512)
-def _poly_of_sumset(sums: SumSet) -> IntPolynomial:
-    return poly_from_roots(sums.elements)
+def _poly_of_sumset(spec: RootSpec, n: int, mode: SignMode, limits: Limits) -> IntPolynomial:
+    # keyed like _sum_set_cached, so a hit hashes no CyclotomicInteger
+    return poly_from_roots(_sum_set_cached(spec, n, mode, limits).elements)
 
 
 # -- closed forms -----------------------------------------------------------

@@ -99,27 +99,40 @@ def _cyclotomic(m: int) -> IntPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _reduction_state(m: int) -> tuple[int, tuple[int, ...]]:
+def _reduction_state(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     # every element of order m is built through here, so this is where
     # the degree cap is checked
     phi = cyclotomic_polynomial(m)
-    # X^d = -(low part of Phi_m) since Phi_m is monic
-    return phi.degree, phi.coeffs[:-1]
+    # X^d = -(low part of Phi_m) since Phi_m is monic; only its nonzero
+    # terms (j, a_j) are kept
+    return phi.degree, tuple((j, a) for j, a in enumerate(phi.coeffs[:-1]) if a)
 
 
 def _reduce(m: int, vec: Sequence[int]) -> tuple[int, ...]:
     d, low = _reduction_state(m)
     v = list(vec)
+    # from the top down: X^i folds into exponents below i, so v[i] is
+    # never read again and need not be cleared
     for i in range(len(v) - 1, d - 1, -1):
         c = v[i]
         if c:
-            v[i] = 0
             base = i - d
-            for j, a in enumerate(low):
+            for j, a in low:
                 v[base + j] -= c * a
     if len(v) < d:
         v.extend([0] * (d - len(v)))
     return tuple(v[:d])
+
+
+def _times(m: int, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """The product of two coordinate vectors of Z[zeta_m]: the schoolbook
+    product of the polynomials, then `_reduce`."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return _reduce(m, out)
 
 
 @lru_cache(maxsize=None)
@@ -141,8 +154,11 @@ class CyclotomicInteger:
     """An element of Z[zeta_order], by its power-basis coordinates.
 
     The trace hash is lift-invariant but collides heavily (for a 2-power
-    order it is the constant coordinate alone), so hot paths key on
-    coordinate tuples at one common order instead of on these objects.
+    order it is the constant coordinate alone), so p_n never hashes these
+    objects: `annihilator._sums` enumerates T_n on packed integers, and
+    `poly_from_roots` keys the roots by coordinate tuple at their common
+    order and squares them with `_times` on those tuples.  Only the orbit
+    polynomials are expanded in this class's arithmetic.
     """
 
     __slots__ = ("order", "coords", "_hash")
@@ -242,13 +258,7 @@ class CyclotomicInteger:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(other)
-        out = [0] * (len(a.coords) + len(b.coords) - 1)
-        for i, x in enumerate(a.coords):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coords):
-                out[i + j] += x * y
-        return CyclotomicInteger(a.order, _reduce(a.order, out))
+        return CyclotomicInteger(a.order, _times(a.order, a.coords, b.coords))
 
     __rmul__ = __mul__
 
@@ -344,11 +354,7 @@ def _halved(m: int, keys: list[tuple[int, ...]]):
     negated = {key: tuple(-c for c in key) for key in nonzero}
     if not nonzero or set(negated.values()) != nonzero:
         return None
-    squares = []
-    for key, minus in negated.items():
-        if key > minus:
-            s = CyclotomicInteger(m, key)
-            squares.append((s * s).coords)
+    squares = [_times(m, key, key) for key, minus in negated.items() if key > minus]
     return len(nonzero) < len(keys), squares
 
 

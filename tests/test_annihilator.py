@@ -1,13 +1,18 @@
 """Sum-set enumeration against a naive brute force, plus the closed forms."""
 
 import re
+from math import lcm
+from operator import add, sub
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from aprings import annihilator
 from aprings.annihilator import (
     IntegerRoots,
     RootSpec,
     RootsOfUnity,
+    _sums,
     annihilating_polynomial,
     degree_bound,
     lewis_polynomial,
@@ -19,9 +24,10 @@ from aprings.annihilator import (
     root_sum_set,
 )
 from aprings.config import Limits
-from aprings.cyclotomic import CyclotomicInteger
+from aprings.cyclotomic import CyclotomicInteger, poly_from_roots
 from aprings.errors import BoundExceeded, ExpressionError
 from aprings.intpoly import IntPolynomial
+from aprings.rings import bundled_model
 
 WIDE = Limits(max_summands=12)
 
@@ -65,6 +71,127 @@ def brute_sum_set(spec: RootSpec, n: int, mode: str) -> set:
 def test_sum_set_matches_brute_force(spec, n, mode):
     fast = set(root_sum_set(spec, n, mode).elements)
     assert fast == brute_sum_set(spec, n, mode)
+
+
+def reference_extend(current, roots, mode, cap):
+    """`_extend` on coordinate tuples, the representation before packed sums."""
+    nxt = set()
+    for r in roots:
+        nxt.update(tuple(map(add, t, r)) for t in current)
+        if mode == "signed":
+            nxt.update(tuple(map(sub, t, r)) for t in current)
+        if len(nxt) > cap:
+            raise BoundExceeded(
+                f"sum set exceeds the limit max_sumset = {cap}: reached {len(nxt)} elements"
+            )
+    return nxt
+
+
+def reference_sums(specs, mode, cap):
+    """The sorted coordinate tuples of `_sums`, enumerated as tuples."""
+    order = lcm(*(spec.common_order() for spec in specs))
+    current = {CyclotomicInteger.from_int(0, order).coords}
+    for spec in specs:
+        roots = tuple(r.lift(order).coords for r in spec.roots())
+        current = reference_extend(current, roots, mode, cap)
+    return sorted(current)
+
+
+def packed_sums(specs, mode, cap):
+    return [e.coords for e in _sums(specs, mode, cap)]
+
+
+def or_message(sums, specs, mode, cap):
+    """The sorted coordinate tuples, or the message of the cap they hit."""
+    try:
+        return sums(specs, mode, cap)
+    except BoundExceeded as exc:
+        return str(exc)
+
+
+HUGE = 10**300
+
+
+@st.composite
+def packing_specs(draw, largest=HUGE):
+    """One root spec: mu_m, an integer atom (possibly empty, with roots up
+    to +-largest), or both."""
+    kind = draw(st.sampled_from(["unity", "integers", "mixed"]))
+    values = st.one_of(
+        st.integers(-10, 10), st.integers(-largest, largest), st.sampled_from([-largest, largest])
+    )
+    m = draw(st.sampled_from([1, 4, 5, 8, 12, 16]))
+    if kind == "unity":
+        return RootSpec.unity(m)
+    in_mu = {1, -1} if kind == "mixed" else set()
+    ints = IntegerRoots(tuple(draw(st.sets(values.filter(lambda v: v not in in_mu), max_size=3))))
+    return RootSpec((ints,)) if kind == "integers" else RootSpec((RootsOfUnity(m), ints))
+
+
+modes = st.sampled_from(["signed", "unsigned"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(packing_specs(), min_size=1, max_size=3), st.integers(1, 4), modes, st.booleans())
+def test_packed_sums_match_tuple_sums(specs, n, mode, repeat):
+    # T_n of one spec (repeat), or the mixed sums of specs of different
+    # orders; a cap of 600 is often hit, and its message must not change
+    specs = (specs[0],) * n if repeat else tuple(specs)
+    assert or_message(packed_sums, specs, mode, 600) == or_message(reference_sums, specs, mode, 600)
+
+
+@settings(max_examples=60, deadline=None)
+@given(packing_specs(), st.integers(1, 4), modes)
+def test_packed_sums_reach_the_bias(spec, n, mode):
+    # n copies of the root with the largest absolute coordinate sum to a
+    # coordinate of absolute value bias: the widest digit the packing holds
+    specs = (spec,) * n
+    roots = [r.lift(spec.common_order()).coords for r in spec.roots()]
+    bias = n * max((abs(c) for coords in roots for c in coords), default=0)
+    packed = packed_sums(specs, mode, 20000)
+    assert packed == reference_sums(specs, mode, 20000)
+    assert max((abs(c) for coords in packed for c in coords), default=0) == bias
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(packing_specs(largest=20), min_size=2, max_size=3), modes)
+def test_mixed_annihilator_matches_tuple_sums(specs, mode):
+    # small roots and a cap of 150 keep the expansions quick; the packing
+    # of large roots is compared above
+    limits = Limits(max_sumset=150)
+    try:
+        expected = reference_sums(specs, mode, limits.max_sumset)
+    except BoundExceeded as exc:
+        with pytest.raises(BoundExceeded, match=f"^{re.escape(str(exc))}$"):
+            mixed_annihilating_polynomial(specs, mode, limits)
+        return
+    order = lcm(*(spec.common_order() for spec in specs))
+    roots = [CyclotomicInteger(order, coords) for coords in expected]
+    assert mixed_annihilating_polynomial(specs, mode, limits) == poly_from_roots(roots)
+
+
+def test_empty_integer_atom_has_no_sums():
+    empty = RootSpec.integers()
+    assert _sums((empty,) * 3, "signed", 10) == ()
+    assert _sums((RootSpec.unity(8), empty), "unsigned", 10) == ()
+    assert mixed_annihilating_polynomial([RootSpec.unity(4), empty]) == IntPolynomial.constant(1)
+
+
+def test_p_n_hashes_no_cyclotomic_integer(monkeypatch):
+    """p_n, computed and then fetched from the caches, keys every root on
+    coordinates or packed ints: the trace hash collides heavily."""
+    a5 = bundled_model("burnside-A5").root_spec()
+
+    def refuse(self):
+        raise AssertionError(f"hashed {self!r}")
+
+    annihilator._sum_set_cached.cache_clear()
+    annihilator._poly_of_sumset.cache_clear()
+    monkeypatch.setattr(CyclotomicInteger, "__hash__", refuse)
+    for spec in (RootSpec.unity(16), a5):
+        first = annihilating_polynomial(spec, 3)
+        assert annihilating_polynomial(spec, 3) is first
+        assert first.degree == len(root_sum_set(spec, 3))
 
 
 def test_sum_set_spec_examples():

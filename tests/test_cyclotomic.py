@@ -8,6 +8,7 @@ from aprings.annihilator import IntegerRoots, RootSpec, RootsOfUnity, _sums, roo
 from aprings.cyclotomic import (
     CyclotomicInteger,
     _halved,
+    _times,
     cyclotomic_polynomial,
     euler_phi,
     moebius,
@@ -294,6 +295,35 @@ def test_symmetric_set_with_a_missing_conjugate_names_a_given_root():
         match = re.fullmatch(r"the conjugate (.+) of the root (.+) is missing", str(info.value))
         names = {str(r) for r in roots}
         assert match and match.group(1) not in names and match.group(2) in names
+
+
+def reference_times(m, a, b):
+    """The dense product in Z[zeta_m]: every term of the schoolbook
+    product, then every high coefficient folded down through every low
+    coefficient of Phi_m, zero or not."""
+    phi = cyclotomic_polynomial(m).coeffs
+    d = len(phi) - 1
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    for i in range(len(out) - 1, d - 1, -1):
+        c, out[i] = out[i], 0
+        for j in range(d):
+            out[i - d + j] -= c * phi[j]
+    return tuple(out[:d])
+
+
+# Phi_3, Phi_5 and Phi_21 have dense low terms; Phi_8, Phi_12, Phi_15 and
+# Phi_16 sparse ones; Phi_1 = X - 1 has one
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 3, 5, 8, 12, 15, 16, 21]), st.data())
+def test_times_matches_dense_reduction(m, data):
+    d = euler_phi(m)
+    coords = st.one_of(st.integers(-9, 9), st.just(0), st.integers(-(10**40), 10**40))
+    a, b = (tuple(data.draw(st.lists(coords, min_size=d, max_size=d))) for _ in range(2))
+    assert _times(m, a, b) == reference_times(m, a, b)
+    assert (CyclotomicInteger(m, a) * CyclotomicInteger(m, b)).coords == reference_times(m, a, b)
 
 
 def test_moebius_and_phi():
