@@ -200,7 +200,8 @@ def _sums(
     carries into or borrows from the next.  As the digits are
     nonnegative and of one fixed width, int order is the lexicographic
     order of the coordinate tuples, so the sorted ints unpack once into
-    the sorted sums."""
+    the sorted sums: tuples of exactly phi(order) ints, which become
+    values through the trusted `CyclotomicInteger._reduced`."""
     order = lcm(*(spec.common_order() for spec in specs))
     lifted = [[r.lift(order).coords for r in spec.roots()] for spec in specs]
     bias = sum(max((abs(c) for coords in roots for c in coords), default=0) for roots in lifted)
@@ -216,7 +217,7 @@ def _sums(
         current = _extend(current, tuple(pack(coords, 0) for coords in roots), mode, cap)
     mask = (1 << width) - 1
     return tuple(
-        CyclotomicInteger(order, tuple(((v >> s) & mask) - bias for s in shifts))
+        CyclotomicInteger._reduced(order, tuple(((v >> s) & mask) - bias for s in shifts))
         for v in sorted(current)
     )
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from .config import default_limits
@@ -153,12 +153,22 @@ def _trace_table(m: int) -> tuple[int, ...]:
 class CyclotomicInteger:
     """An element of Z[zeta_order], by its power-basis coordinates.
 
+    The public constructor validates: it converts every coordinate with
+    `int()` and reduces a vector of any length mod Phi_order.  Every
+    producer inside this module and `annihilator._sums` already holds a
+    reduced tuple of exactly phi(order) ints, of an order that has passed
+    `_reduction_state` (where the degree cap is checked), and builds the
+    value with the trusted `_reduced` instead.  An exact `int` operand of
+    `+` and `*` is a scalar: it is added to coordinate 0, or scales each
+    coordinate, without being lifted to a value of its own.
+
     The trace hash is lift-invariant but collides heavily (for a 2-power
     order it is the constant coordinate alone), so p_n never hashes these
     objects: `annihilator._sums` enumerates T_n on packed integers, and
     `poly_from_roots` keys the roots by coordinate tuple at their common
     order and squares them with `_times` on those tuples.  Only the orbit
-    polynomials are expanded in this class's arithmetic.
+    polynomials of irrational roots are expanded in this class's
+    arithmetic.
     """
 
     __slots__ = ("order", "coords", "_hash")
@@ -174,12 +184,23 @@ class CyclotomicInteger:
         self.coords = coords
         self._hash: Optional[int] = None
 
+    @staticmethod
+    def _reduced(order: int, coords: tuple[int, ...]) -> "CyclotomicInteger":
+        """The value with these coordinates, taken as they are: `coords`
+        must be a tuple of exactly phi(order) ints, and `order` one that
+        `_reduction_state` has accepted."""
+        value = object.__new__(CyclotomicInteger)
+        value.order = order
+        value.coords = coords
+        value._hash = None
+        return value
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_int(n: int, order: int = 1) -> "CyclotomicInteger":
         d, _ = _reduction_state(order)
-        return CyclotomicInteger(order, (int(n),) + (0,) * (d - 1))
+        return CyclotomicInteger._reduced(order, (int(n),) + (0,) * (d - 1))
 
     @staticmethod
     def zeta(m: int, j: int = 1) -> "CyclotomicInteger":
@@ -213,13 +234,15 @@ class CyclotomicInteger:
         vec = [0] * ((len(self.coords) - 1) * step + 1)
         for j, c in enumerate(self.coords):
             vec[j * step] = c
-        return CyclotomicInteger(target, _reduce(target, vec))
+        return CyclotomicInteger._reduced(target, _reduce(target, vec))
 
     def conjugate(self) -> "CyclotomicInteger":
         """The complex conjugate: the automorphism zeta -> zeta^-1, the last
         one of `_galois_action` (a = m - 1 is the largest unit below m)."""
         rows = _galois_action(self.order)[-1]
-        return CyclotomicInteger(self.order, tuple(sum(map(mul, self.coords, row)) for row in rows))
+        return CyclotomicInteger._reduced(
+            self.order, tuple(sum(map(mul, self.coords, row)) for row in rows)
+        )
 
     def _common(self, other: "CyclotomicInteger"):
         if self.order == other.order:
@@ -230,11 +253,15 @@ class CyclotomicInteger:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other) -> "CyclotomicInteger":
+        if type(other) is int:
+            return CyclotomicInteger._reduced(
+                self.order, (self.coords[0] + other,) + self.coords[1:]
+            )
         other = _coerce(other, self.order)
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(other)
-        return CyclotomicInteger(a.order, tuple(x + y for x, y in zip(a.coords, b.coords)))
+        return CyclotomicInteger._reduced(a.order, tuple(map(add, a.coords, b.coords)))
 
     __radd__ = __add__
 
@@ -251,14 +278,16 @@ class CyclotomicInteger:
         return other - self
 
     def __neg__(self) -> "CyclotomicInteger":
-        return CyclotomicInteger(self.order, tuple(-c for c in self.coords))
+        return CyclotomicInteger._reduced(self.order, tuple(-c for c in self.coords))
 
     def __mul__(self, other) -> "CyclotomicInteger":
+        if type(other) is int:
+            return CyclotomicInteger._reduced(self.order, tuple(c * other for c in self.coords))
         other = _coerce(other, self.order)
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(other)
-        return CyclotomicInteger(a.order, _times(a.order, a.coords, b.coords))
+        return CyclotomicInteger._reduced(a.order, _times(a.order, a.coords, b.coords))
 
     __rmul__ = __mul__
 
@@ -328,7 +357,7 @@ def _orbit_polynomial(m: int, orbit: list[tuple[int, ...]]) -> IntPolynomial:
     descended to Z."""
     coeffs = [CyclotomicInteger.from_int(1, m)]
     for key in orbit:
-        minus = -CyclotomicInteger(m, key)
+        minus = CyclotomicInteger._reduced(m, tuple(-c for c in key))
         coeffs = (
             [minus * coeffs[0]]
             + [lo + minus * hi for lo, hi in zip(coeffs, coeffs[1:])]
@@ -386,10 +415,13 @@ def poly_from_roots(roots: Iterable[CyclotomicInteger]) -> IntPolynomial:
     roots are closed under negation, the product is X^[0 is a root] *
     Q(X^2), with Q taken over the squares of one root of each +- pair
     (signed sum sets are symmetric, and mu_4 halves twice).  The roots
-    left are split into orbits under zeta -> zeta^a, gcd(a, m) = 1.  Each
-    orbit's minimal polynomial (degree at most phi(m)) is expanded exactly
-    in Z[zeta_m] and descended to Z, and `packed_product` multiplies the
-    integer factors into one packed integer, one factor at a time.  Raises
+    left are split into orbits under zeta -> zeta^a, gcd(a, m) = 1.  A
+    one-element orbit is a rational root (a, 0, ..., 0), whose factor X - a
+    is taken as it stands (when the roots are integers, every orbit is
+    one).  Each other orbit's minimal polynomial (degree at most phi(m))
+    is expanded exactly in Z[zeta_m] and descended to Z, and
+    `packed_product` multiplies the integer factors into one packed
+    integer, one factor at a time.  Raises
     NonIntegerCoefficient when a conjugate of a root is missing (then some
     coefficient is irrational) and ValueError on a repeated root.
     """
@@ -412,7 +444,10 @@ def poly_from_roots(roots: Iterable[CyclotomicInteger]) -> IntPolynomial:
         # roots themselves name a missing conjugate
         _galois_orbits(m, keys)
         raise
-    p = packed_product(_orbit_polynomial(m, orbit) for orbit in orbits)
+    p = packed_product(
+        IntPolynomial((-orbit[0][0], 1)) if len(orbit) == 1 else _orbit_polynomial(m, orbit)
+        for orbit in orbits
+    )
     for has_zero in reversed(zero_roots):
         coeffs = [0] * (2 * len(p.coeffs) - 1 + has_zero)
         coeffs[has_zero::2] = p.coeffs

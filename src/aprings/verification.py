@@ -65,9 +65,11 @@ class CheckResult:
 
 
 def _require(holds: bool, message: object = "") -> None:
-    """Fail the running check; unlike assert, also under python -O."""
+    """Fail the running check; unlike assert, also under python -O.  A
+    callable message is called only on failure, so a loop over many
+    elements formats none of them while the check holds."""
     if not holds:
-        raise CheckFailed(message)
+        raise CheckFailed(message() if callable(message) else message)
 
 
 def _quartic_factor(constant: int, quadratic: int) -> IntPolynomial:
@@ -141,7 +143,7 @@ def check_quartic_dn_roots() -> str:
             for bb in {b, -b}:
                 z = CyclotomicInteger.from_int(a, 4) + bb * CyclotomicInteger.zeta(4)
                 value = t(z)
-                _require(value == 0, f"t_{n}({a}{bb:+}i) = {value}")
+                _require(value == 0, lambda: f"t_{n}({a}{bb:+}i) = {value}")
                 count += 1
     return f"t_n vanishes on all {count} Gaussian integers with |a|+|b| = n, n = 2..6"
 
@@ -214,7 +216,7 @@ def check_annihilation_random() -> str:
             report = verify_annihilated(model, r, SUITE_LIMITS)
             _require(
                 report.annihilated,
-                f"{name}: p_{report.length} does not annihilate "
+                lambda: f"{name}: p_{report.length} does not annihilate "
                 f"{model.format_element(r)}",
             )
             if i % 10 == 0:
@@ -222,7 +224,7 @@ def check_annihilation_random() -> str:
                 in_ring = poly_eval_in_ring(report.polynomial, r, model) == model.zero()
                 _require(
                     in_ring == report.annihilated,
-                    f"{name}: is_root and Horner in the ring disagree on "
+                    lambda: f"{name}: is_root and Horner in the ring disagree on "
                     f"{model.format_element(r)}",
                 )
             total += 1
@@ -301,7 +303,7 @@ def check_zero_divisors_union() -> str:
                 ]
                 _require(
                     hit,
-                    f"{name}: no annihilating witness for {model.format_element(r)}",
+                    lambda: f"{name}: no annihilating witness for {model.format_element(r)}",
                 )
             checked += 1
     _require(mismatches == 0, f"{mismatches} mismatches")
@@ -358,7 +360,7 @@ def check_oracle_agreement() -> str:
             for field in ("nilpotent", "unit", "zero_divisor", "idempotent", "torsion"):
                 _require(
                     getattr(preds, field) == getattr(rec, field),
-                    f"{name}: {field} differs at {model.format_element(r)}",
+                    lambda: f"{name}: {field} differs at {model.format_element(r)}",
                 )
             compared += 1
     return f"structural predicates equal oracle predicates on {compared} elements"

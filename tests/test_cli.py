@@ -258,11 +258,20 @@ def test_verify_full_suite_reports_degree_bound_failure(capsys):
     assert "15/16 checks passed" in lines[-1]
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports aprings from
+    this checkout's src, installed or not."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_console_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "aprings.cli", "marks", "--group", "named:C2"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "2" in proc.stdout
@@ -270,15 +279,13 @@ def test_console_entry_point_smoke():
 
 def test_verify_failure_survives_python_O():
     # the checks raise instead of asserting, so -O cannot turn FAIL into PASS
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     argv = ["-m", "aprings.cli", "verify", "--suite", "paper", "--filter", "degree-bound"]
     procs = [
         subprocess.Popen(
             [sys.executable, *flags, *argv],
             stdout=subprocess.PIPE,
             text=True,
-            env=dict(os.environ, PYTHONPATH=path),
+            env=_child_env(),
         )
         for flags in ([], ["-O"])
     ]

@@ -267,11 +267,35 @@ def test_even_step_matches_reference_expansion(name):
     assert poly_from_roots(roots) == reference_poly_from_roots(roots)
 
 
-def test_even_step_on_the_burnside_a5_sum_set():
-    # signed T_5 for the marks of A5: 475 integer roots, squared once
+@pytest.fixture(scope="module")
+def a5_t5():
+    """Signed T_5 for the marks of A5 (475 integer roots) and the
+    reference expansion of its p_5."""
     roots = root_sum_set(bundled_model("burnside-A5").root_spec(), 5).elements
+    return roots, reference_poly_from_roots(roots)
+
+
+def test_even_step_on_the_burnside_a5_sum_set(a5_t5):
+    # squared once, then 237 rational squares
+    roots, reference = a5_t5
     assert len(roots) == 475 and halvings(roots) == 1
-    assert poly_from_roots(roots) == reference_poly_from_roots(roots)
+    assert poly_from_roots(roots) == reference
+
+
+def test_integer_roots_become_linear_factors_without_cyclotomic_products(a5_t5, monkeypatch):
+    """Every Galois orbit of an integer root is the root alone, and its
+    factor X - a is written down, not expanded in Z[zeta]."""
+    roots, reference = a5_t5
+    calls = []
+    real = CyclotomicInteger.__mul__
+
+    def spy(self, other):
+        calls.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(CyclotomicInteger, "__mul__", spy)
+    assert poly_from_roots(roots) == reference
+    assert calls == []
 
 
 def test_nested_even_steps_give_x_to_the_m_minus_1():
@@ -357,3 +381,112 @@ def test_ring_axioms(a, b, c):
 @given(small_ints)
 def test_integer_embedding_roundtrip(n):
     assert CyclotomicInteger.from_int(n, 8).as_int() == n
+
+
+# -- the trusted constructor and int scalars --------------------------------------
+
+any_ints = st.one_of(small_ints, st.sampled_from([0, -1, 10**40, -(10**40)]), st.integers())
+
+
+def well_formed(x: CyclotomicInteger) -> bool:
+    """Coordinates as the validating constructor leaves them: a tuple of
+    exactly phi(order) ints (not bools, not subclasses)."""
+    return (
+        type(x.coords) is tuple
+        and len(x.coords) == euler_phi(x.order)
+        and all(type(c) is int for c in x.coords)
+    )
+
+
+def validated(x: CyclotomicInteger) -> CyclotomicInteger:
+    return CyclotomicInteger(x.order, x.coords)
+
+
+def same(x: CyclotomicInteger, y: CyclotomicInteger) -> bool:
+    return well_formed(x) and x.order == y.order and x.coords == y.coords
+
+
+@st.composite
+def wide_cyclotomics(draw):
+    m = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 15]))
+    return CyclotomicInteger(m, draw(st.lists(any_ints, min_size=euler_phi(m), max_size=euler_phi(m))))
+
+
+def spread(x: CyclotomicInteger, target: int) -> list[int]:
+    """x's coordinates at the powers of zeta_target, unreduced."""
+    step = target // x.order
+    vec = [0] * target
+    for j, c in enumerate(x.coords):
+        vec[j * step] += c
+    return vec
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_cyclotomics(), wide_cyclotomics(), st.integers(1, 4))
+def test_every_operation_gives_what_the_validating_constructor_gives(x, y, k):
+    target = math.lcm(x.order, y.order)
+    xs, ys = spread(x, target), spread(y, target)
+    assert same(x + y, CyclotomicInteger(target, [a + b for a, b in zip(xs, ys)]))
+    assert same(x - y, CyclotomicInteger(target, [a - b for a, b in zip(xs, ys)]))
+    assert same(-x, CyclotomicInteger(x.order, [-c for c in x.coords]))
+    product = [0] * (2 * target)
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            product[i + j] += a * b
+    assert same(x * y, CyclotomicInteger(target, product))
+    if euler_phi(k * x.order) <= 64:
+        assert same(x.lift(k * x.order), CyclotomicInteger(k * x.order, spread(x, k * x.order)))
+    conjugate = [0] * x.order
+    for j, c in enumerate(x.coords):
+        conjugate[-j % x.order] += c
+    assert same(x.conjugate(), CyclotomicInteger(x.order, conjugate))
+    assert same(CyclotomicInteger.from_int(x.coords[0], x.order), CyclotomicInteger(x.order, x.coords[:1]))
+    for value in (x + y, x - y, -x, x * y, x.conjugate()):
+        assert same(value, validated(value))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_cyclotomics(), any_ints)
+def test_an_int_operand_acts_as_its_from_int_value(x, n):
+    lifted = CyclotomicInteger.from_int(n, x.order)
+    for got, expected in (
+        (x + n, x + lifted),
+        (n + x, lifted + x),
+        (x - n, x - lifted),
+        (n - x, lifted - x),
+        (x * n, x * lifted),
+        (n * x, lifted * x),
+    ):
+        assert same(got, expected)
+
+
+@given(wide_cyclotomics(), st.booleans())
+def test_a_bool_operand_acts_as_0_or_1(x, b):
+    n = int(b)
+    for got, expected in (
+        (x + b, x + n),
+        (b + x, n + x),
+        (x - b, x - n),
+        (b - x, n - x),
+        (x * b, x * n),
+        (b * x, n * x),
+    ):
+        assert same(got, expected)
+    assert same(CyclotomicInteger.from_int(b, x.order), CyclotomicInteger.from_int(n, x.order))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CyclotomicInteger(101, [1]), "deg Phi_101 = 100"),
+        (lambda: CyclotomicInteger.zeta(101), "deg Phi_101 = 100"),
+        (lambda: CyclotomicInteger.from_int(0, 101), "deg Phi_101 = 100"),
+        (lambda: CyclotomicInteger.from_int(3).lift(202), "deg Phi_202 = 100"),
+    ],
+    ids=["constructor", "zeta", "from_int", "lift"],
+)
+def test_every_construction_path_checks_the_degree_cap(build, message):
+    with pytest.raises(
+        UnsupportedOrder, match=rf"^{message} exceeds the limit max_cyclotomic_degree = 64$"
+    ):
+        build()
