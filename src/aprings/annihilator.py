@@ -19,7 +19,7 @@ from typing import Literal, Optional, Union
 
 from .config import Limits, default_limits
 from .cyclotomic import CyclotomicInteger, poly_from_roots
-from .errors import BoundExceeded, ExpressionError
+from .errors import BoundExceeded, ExpressionError, exact_ints
 from .intpoly import IntPolynomial, decimal_str
 
 SignMode = Literal["signed", "unsigned"]
@@ -123,10 +123,7 @@ class RootSpec:
 
 
 def _json_int(key: str, value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ExpressionError(f"{key!r}: {value!r} is not an integer") from exc
+    return exact_ints((value,), f"{key!r}: {value!r} is not an integer")[0]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exception hierarchy for the aprings package."""
+"""Exception hierarchy for the aprings package, and the check on integer input."""
 
 
 class ApringsError(Exception):
@@ -52,3 +52,15 @@ class ExpressionError(ApringsError):
 
 class CheckFailed(ApringsError):
     """An exact identity that a check or a computation relies on does not hold."""
+
+
+def exact_ints(values, message: str) -> tuple[int, ...]:
+    """values as a tuple of exact ints, else ExpressionError(message): no
+    integer field takes JSON's 2.5, 2.0, true or "2", or a non-list."""
+    try:
+        out = tuple(values)
+    except TypeError as exc:
+        raise ExpressionError(message) from exc
+    if any(type(x) is not int for x in out):
+        raise ExpressionError(message)
+    return out

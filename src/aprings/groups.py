@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .config import Limits, default_limits
 from .cyclotomic import CyclotomicInteger
-from .errors import CheckFailed, ExponentMismatch, ExpressionError, OrderBoundExceeded
+from .errors import CheckFailed, ExponentMismatch, ExpressionError, OrderBoundExceeded, exact_ints
 
 Perm = tuple[int, ...]
 
@@ -41,10 +41,7 @@ def identity_perm(degree: int) -> Perm:
 
 def check_perm(p: Sequence[int]) -> Perm:
     """p as an image tuple; anything else raises ExpressionError."""
-    try:
-        images = tuple(int(x) for x in p)
-    except (TypeError, ValueError) as exc:
-        raise ExpressionError(f"not a permutation: {p!r}") from exc
+    images = exact_ints(p, f"not a permutation: {p!r}")
     if sorted(images) != list(range(len(images))):
         raise ExpressionError(f"not a permutation: {p!r}")
     return images
@@ -484,10 +481,8 @@ def group_from_json(data: dict, limits: Optional[Limits] = None) -> PermGroup:
     malformed description raises ExpressionError."""
     if not isinstance(data, dict) or "degree" not in data or "generators" not in data:
         raise ExpressionError(f"a group description needs 'degree' and 'generators', got {data!r}")
-    try:
-        degree = int(data["degree"])
-    except (TypeError, ValueError) as exc:
-        raise ExpressionError(f"'degree' must be an integer, got {data['degree']!r}") from exc
+    degree = data["degree"]
+    degree = exact_ints((degree,), f"'degree' must be an integer, got {degree!r}")[0]
     generators = data["generators"]
     if not isinstance(generators, list):
         raise ExpressionError(f"'generators' must be a list of permutations, got {generators!r}")

@@ -9,11 +9,12 @@ a sum of l terms +-s with s in S.  Elements are plain hashable data
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from random import Random
 from typing import Iterable, Optional, Sequence
 
@@ -32,6 +33,7 @@ from .errors import (
     NonIntegralPullback,
     R2Violation,
     UnsupportedModel,
+    exact_ints,
 )
 from .groups import (
     FiniteAbelianGroup,
@@ -448,16 +450,45 @@ class BurnsideModel(FreeRing):
 # -- finite quotients ---------------------------------------------------------------
 
 
-class FiniteQuotientRing(RingModel):
-    """(Z/N)[G] modulo the ideal generated by the given elements.
+def _howell_rows(vectors, n: int, dim: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The Howell form of the Z/n-span of `vectors`, whose coordinates lie
+    in range(n) (J. A. Howell, Linear Multilinear Algebra 19, 1986): one
+    (j, h, row) per pivot column j, with h | n, row[j] = h and row zero
+    before j, such that every element of the span that vanishes before
+    column j is a combination of the rows from j on."""
+    pool, rows = list(vectors), []
+    for j in range(dim):
+        # Euclid's algorithm on column j, carrying whole rows, leaves the
+        # gcd of the column in the pivot and zeros in the rest
+        pivot, rest = (0,) * dim, []
+        for v in pool:
+            while v[j]:
+                q = pivot[j] // v[j]
+                pivot, v = v, tuple((x - q * y) % n for x, y in zip(pivot, v))
+            if any(v):
+                rest.append(v)
+        pool = rest
+        if pivot[j]:
+            h = gcd(pivot[j], n)
+            scale = pow(pivot[j] // h, -1, n // h)
+            rows.append((j, h, tuple(scale * x % n for x in pivot)))
+            # the pivot's multiples that vanish at j are those of this one;
+            # with the scaled row it spans the pivot, as gcd(scale, n/h) = 1
+            pool.append(tuple(n // h * x % n for x in pivot))
+    return rows
 
-    The carrier is materialized (it must fit the configured bound);
-    elements are the lexicographically minimal coset representatives.
-    Labels, structure constants, generating set and polynomial come
-    from the cover Z[G].  S is the image of the unit vectors e_g, so a
-    vector v of (Z/N)[G] is a sum of sum_g min(v_g, N - v_g) signed
-    generators and no fewer, and the length of r is the least of these
-    over the lifts r + k, k in the kernel.
+
+class FiniteQuotientRing(RingModel):
+    """(Z/N)[G] modulo the ideal J generated by the given elements.
+
+    J is kept as the Howell rows of its generators' group translates.  An
+    element is the least vector of its coset, reached by reducing each
+    pivot coordinate j below h_j, left to right; the carrier is the product
+    of range(h_j) at the pivots and range(N) elsewhere, in order.  Labels,
+    structure constants, S and q come from the cover Z[G].  S is the image
+    of the unit vectors e_g, so a vector v of (Z/N)[G] is a sum of
+    sum_g min(v_g, N - v_g) signed generators and no fewer, and the length
+    of r is the least of these over the lifts r + k, k in J.
     """
 
     def __init__(
@@ -483,60 +514,57 @@ class FiniteQuotientRing(RingModel):
                 f"reached {size} elements"
             )
         gens = [self._normalize(v) for v in ideal_generators]
-        # the Z/N-span of all group translates of the generators
+        # J is the Z/N-span of all group translates of the generators
         seeds = {self.cover.mul(g, e) for g in gens for _, e in self.cover.generators()}
-        self._kernel = closure(self._vec_add, (0,) * dim, seeds)
-        self._rep = self._coset_reps(self._kernel, dim)
-        self._carrier = sorted(set(self._rep.values()))
+        self._rows = _howell_rows(sorted(seeds), modulus, dim)
         super().__init__(name or f"Z{modulus}[{group.describe()}]")
         self._limits = limits
         self._check_r2()
 
     def _normalize(self, vec) -> tuple[int, ...]:
-        try:
-            coords = self._reduce(int(x) for x in vec)
-        except (TypeError, ValueError) as exc:
-            raise ExpressionError(f"ideal generator {vec!r} is not a list of integers") from exc
+        coords = exact_ints(vec, f"ideal generator {vec!r} is not a list of integers")
         if len(coords) != len(self.cover.labels):
             raise ExpressionError("ideal generator has the wrong number of coordinates")
-        return coords
-
-    def _reduce(self, vec) -> tuple[int, ...]:
-        return tuple(x % self.modulus for x in vec)
+        return tuple(x % self.modulus for x in coords)
 
     def _vec_add(self, a, b):
         return tuple((x + y) % self.modulus for x, y in zip(a, b))
 
-    def _coset_reps(self, kernel, dim) -> dict:
-        # vectors come in lexicographic order, so the first one of each
-        # coset is its minimum
-        rep: dict = {}
-        for vec in product(range(self.modulus), repeat=dim):
-            if vec not in rep:
-                for k in kernel:
-                    rep[self._vec_add(vec, k)] = vec
-        return rep
+    def _rep(self, vec) -> tuple[int, ...]:
+        """The least vector of the coset of vec."""
+        n = self.modulus
+        v = tuple([x % n for x in vec])
+        for j, h, row in self._rows:
+            q = v[j] // h
+            if q:
+                v = tuple([(x - q * y) % n for x, y in zip(v, row)])
+        return v
+
+    @cached_property
+    def _kernel(self) -> frozenset:
+        rows = [row for _, _, row in self._rows]
+        return closure(self._vec_add, (0,) * len(self.cover.labels), rows)
 
     def zero(self):
-        return self._rep[self.cover.zero()]
+        return self.cover.zero()  # the least vector of J
 
     def one(self):
-        return self._rep[self.cover.one()]
+        return self._rep(self.cover.one())
 
     def add(self, a, b):
-        return self._rep[self._vec_add(a, b)]
+        return self._rep(map(operator.add, a, b))
 
     def neg(self, a):
-        return self._rep[self._reduce(-x for x in a)]
+        return self._rep(map(operator.neg, a))
 
     def mul(self, a, b):
-        return self._rep[self._reduce(self.cover.mul(a, b))]
+        return self._rep(self.cover.mul(a, b))
 
     def embed_int(self, n):
-        return self._rep[self._reduce(self.cover.embed_int(n))]
+        return self._rep(self.cover.embed_int(n))
 
     def generators(self):
-        return tuple((label, self._rep[e]) for label, e in self.cover.generators())
+        return tuple((label, self._rep(e)) for label, e in self.cover.generators())
 
     def generating_polynomial(self):
         return self.cover.generating_polynomial()
@@ -545,10 +573,10 @@ class FiniteQuotientRing(RingModel):
         return self.cover.root_spec()
 
     def characteristic(self) -> int:
-        one = self.one()
+        one, zero = self.one(), self.zero()
         acc = one
         n = 1
-        while acc != self.zero():
+        while acc != zero:
             acc = self.add(acc, one)
             n += 1
         return n
@@ -557,7 +585,10 @@ class FiniteQuotientRing(RingModel):
         return True
 
     def carrier(self) -> list:
-        return list(self._carrier)
+        heights = [self.modulus] * len(self.cover.labels)
+        for j, h, _ in self._rows:
+            heights[j] = h
+        return list(product(*map(range, heights)))
 
     def _lift_length(self, r) -> int:
         n = self.modulus
@@ -570,7 +601,7 @@ class FiniteQuotientRing(RingModel):
         """How many carrier elements have length at most max_length_radius;
         counted only for the error message, once."""
         radius = self._limits.max_length_radius
-        return sum(1 for c in self._carrier if self._lift_length(c) <= radius)
+        return sum(1 for c in self.carrier() if self._lift_length(c) <= radius)
 
     def length(self, r):
         radius = self._limits.max_length_radius
@@ -810,17 +841,11 @@ def _field(spec: dict, key: str):
 
 def _int_field(spec: dict, key: str) -> int:
     value = _field(spec, key)
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ExpressionError(f"{key!r} must be an integer, got {value!r}") from exc
+    return exact_ints((value,), f"{key!r} must be an integer, got {value!r}")[0]
 
 
 def _group(orders) -> FiniteAbelianGroup:
-    try:
-        return FiniteAbelianGroup(tuple(int(o) for o in orders))
-    except (TypeError, ValueError) as exc:
-        raise ExpressionError(f"'factor_orders' must list integers, got {orders!r}") from exc
+    return FiniteAbelianGroup(exact_ints(orders, f"'factor_orders' must list integers, got {orders!r}"))
 
 
 def construct_model(spec: dict, limits: Optional[Limits] = None) -> RingModel:

@@ -333,6 +333,19 @@ def test_analyze_element_starting_with_minus(capsys, element):
         ["spectrum", "--ring", '{"kind":"burnside","group":"C0"}'],
         ["spectrum", "--ring", '{"kind":"product","left":{"kind":"Z"}}'],
         ["analyze", "--ring", "nope", "--element", "1"],
+        # integer fields take exact JSON integers only
+        ["spectrum", "--ring", '{"kind":"finite_quotient","modulus":4.7,"factor_orders":[2]}'],
+        ["spectrum", "--ring", '{"kind":"finite_quotient","modulus":4,"factor_orders":[2.5]}'],
+        ["spectrum", "--ring", '{"kind":"finite_quotient","modulus":4,"factor_orders":[2],"ideal":["22"]}'],
+        ["spectrum", "--ring", '{"kind":"finite_quotient","modulus":4,"factor_orders":[2],"ideal":[[2.9,2]]}'],
+        ["spectrum", "--ring", '{"kind":"finite_quotient","modulus":4,"factor_orders":[2],"ideal":[[true,1]]}'],
+        ["spectrum", "--ring", '{"kind":"group_ring","factor_orders":[true,2]}'],
+        ["spectrum", "--ring", '{"kind":"product_z","copies":"3"}'],
+        ["spectrum", "--ring", '{"kind":"product_z","copies":true}'],
+        ["annihilator", "--q", '{"atoms":[{"kind":"integers","values":[1.5,-1]}]}', "--n", "2"],
+        ["annihilator", "--q", '{"atoms":[{"kind":"roots_of_unity","order":4.0}]}', "--n", "2"],
+        ["marks", "--group", '{"degree":2,"generators":[[1,0.0]]}'],
+        ["marks", "--group", '{"degree":2.0,"generators":[[1,0]]}'],
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, argv):

@@ -212,8 +212,9 @@ def random_generator(rng, modulus, dim):
 
 
 @lru_cache(maxsize=None)
-def random_quotients(count=20, seed=0x1DEA, max_carrier=144):
-    """Seeded (Z/N)[G]/J with at least two and at most max_carrier elements."""
+def random_quotient_cases(count=20, seed=0x1DEA, max_carrier=144):
+    """Seeded (Z/N)[G]/J with at least two and at most max_carrier
+    elements, each with the generators of J it is built from."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -225,8 +226,12 @@ def random_quotients(count=20, seed=0x1DEA, max_carrier=144):
         gens = [random_generator(rng, modulus, dim) for _ in range(rng.randint(0, 2))]
         model = FiniteQuotientRing(modulus, FiniteAbelianGroup(orders), gens)
         if 1 < len(model.carrier()) <= max_carrier:
-            out.append(model)
+            out.append((model, gens))
     return tuple(out)
+
+
+def random_quotients(count=20, seed=0x1DEA, max_carrier=144):
+    return tuple(model for model, _ in random_quotient_cases(count, seed, max_carrier))
 
 
 STRUCTURE_CARRIERS = ("Z8[C2]", "Z9[C2]", "Z3[C2xC2]", "Z12[C2]")

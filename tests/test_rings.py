@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +15,13 @@ from aprings.errors import (
     NonIntegralPullback,
     R2Violation,
 )
-from aprings.groups import FiniteAbelianGroup, SubgroupClass, TableOfMarks, named_group_names
+from aprings.groups import (
+    FiniteAbelianGroup,
+    SubgroupClass,
+    TableOfMarks,
+    closure,
+    named_group_names,
+)
 from aprings.intpoly import IntPolynomial
 from aprings.rings import (
     BurnsideModel,
@@ -24,6 +31,7 @@ from aprings.rings import (
     ProductRing,
     ProductZRing,
     ZRing,
+    _howell_rows,
     bundled_model,
     construct_model,
     parse_element,
@@ -32,7 +40,7 @@ from aprings.rings import (
     verify_annihilated,
 )
 
-from test_oracle import NAMED, random_quotients, zero_ring
+from test_oracle import NAMED, random_generator, random_quotient_cases, random_quotients, zero_ring
 
 MODEL_NAMES = ["Z", "Z^3", "Z[C2]", "Z[C2xC2]", "Z[C4]", "burnside-C2", "Z4[C2]"]
 
@@ -215,6 +223,122 @@ def test_carrier_bound():
     limit = r"^carrier exceeds the limit max_carrier = 10: reached 16 elements$"
     with pytest.raises(CarrierBoundExceeded, match=limit):
         FiniteQuotientRing(2, FiniteAbelianGroup((2, 2)), limits=Limits(max_carrier=10))
+
+
+def reference_coset_reps(modulus, group, gens):
+    """J and the least vector of each coset, by closing the group
+    translates of the generators breadth first and walking every vector
+    of (Z/N)[G]: in lexicographic order, the first vector met in each
+    coset is its least."""
+    cover = GroupRingModel(group)
+    dim = len(cover.labels)
+
+    def vec_add(a, b):
+        return tuple((x + y) % modulus for x, y in zip(a, b))
+
+    seeds = {
+        tuple(x % modulus for x in cover.mul(tuple(g), e))
+        for g in gens
+        for _, e in cover.generators()
+    }
+    kernel = closure(vec_add, (0,) * dim, seeds)
+    rep = {}
+    for vec in product(range(modulus), repeat=dim):
+        if vec not in rep:
+            for k in kernel:
+                rep[vec_add(vec, k)] = vec
+    return kernel, rep
+
+
+def assert_matches_reference(model, gens):
+    kernel, rep = reference_coset_reps(model.modulus, model.group, gens)
+    assert model._kernel == kernel
+    assert model.carrier() == sorted(set(rep.values()))
+    for vec, least in rep.items():
+        assert model._rep(vec) == least, vec
+
+
+@pytest.mark.parametrize(
+    "model, gens",
+    [pytest.param(bundled_model(name), (), id=name) for name in NAMED]
+    + [pytest.param(m, gens, id=f"random{i}") for i, (m, gens) in enumerate(random_quotient_cases())]
+    + [pytest.param(zero_ring(), [(1, 0)], id="zero-ring")]
+    # the Howell rows of these two need the saturation (N/h) pivot
+    + [
+        pytest.param(FiniteQuotientRing(n, FiniteAbelianGroup((2, 2)), [g]), [g], id=f"saturated{n}")
+        for n, g in ((8, (4, 0, 7, 3)), (6, (0, 2, 5, 1)))
+    ],
+)
+def test_howell_quotient_matches_the_coset_walk(model, gens):
+    assert_matches_reference(model, gens)
+
+
+QUOTIENT_GROUPS = ((), (2,), (3,), (4,), (5,), (6,), (2, 2), (2, 4))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_howell_quotient_matches_the_coset_walk_on_seeded_quotients(seed):
+    # 50 quotients per seed, moduli up to 16, covers of at most 4096
+    # vectors; half the generators are arbitrary vectors
+    rng = random.Random(seed)
+    built = 0
+    while built < 50:
+        orders = rng.choice(QUOTIENT_GROUPS)
+        dim = prod(orders)
+        modulus = rng.randint(2, 16)
+        if modulus**dim > 4096:
+            continue
+        gens = [
+            random_generator(rng, modulus, dim)
+            if rng.random() < 0.5
+            else [rng.randrange(-modulus, 2 * modulus) for _ in range(dim)]
+            for _ in range(rng.randint(0, 3))
+        ]
+        assert_matches_reference(FiniteQuotientRing(modulus, FiniteAbelianGroup(orders), gens), gens)
+        built += 1
+
+
+@st.composite
+def howell_inputs(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    dim = draw(st.integers(min_value=1, max_value=4))
+    vector = st.tuples(*[st.integers(min_value=0, max_value=n - 1)] * dim)
+    return n, dim, draw(st.lists(vector, max_size=3))
+
+
+@given(howell_inputs())
+def test_howell_rows_span_the_input_and_have_the_howell_property(inputs):
+    n, dim, vectors = inputs
+    rows = _howell_rows(vectors, n, dim)
+
+    def vec_add(a, b):
+        return tuple((x + y) % n for x, y in zip(a, b))
+
+    span = closure(vec_add, (0,) * dim, vectors)
+    assert closure(vec_add, (0,) * dim, [row for _, _, row in rows]) == span
+    heights = [n] * dim
+    pivots = [j for j, _, _ in rows]
+    assert pivots == sorted(set(pivots))
+    for j, h, row in rows:
+        assert n % h == 0 and h < n
+        assert row[j] == h and not any(row[:j])
+        heights[j] = h
+    for x in span:
+        lead = next((j for j, c in enumerate(x) if c), None)
+        if lead is not None:
+            assert x[lead] % heights[lead] == 0, (x, rows)
+
+
+def test_quotient_construction_walks_no_cover_vectors(monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("the quotient walked the vectors of its cover")
+
+    monkeypatch.setattr("aprings.rings.product", walk)
+    for model in (
+        FiniteQuotientRing(8, FiniteAbelianGroup((2, 2))),
+        FiniteQuotientRing(16, FiniteAbelianGroup((3,)), [(4, 0, 0)]),
+    ):
+        model._check_r2()
 
 
 def test_quotient_with_ideal_generators():
