@@ -17,10 +17,6 @@ class CarrierBoundExceeded(BoundExceeded):
     """Finite-quotient carrier larger than the configured bound."""
 
 
-class LengthBoundExceeded(BoundExceeded):
-    """Length search exhausted its radius without reaching the target."""
-
-
 class UnsupportedOrder(BoundExceeded):
     """Cyclotomic order outside the supported degree range."""
 

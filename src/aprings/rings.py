@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm
 from random import Random
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .annihilator import (
     IntegerRoots,
@@ -29,7 +29,6 @@ from .cyclotomic import CyclotomicInteger, poly_from_roots
 from .errors import (
     CarrierBoundExceeded,
     ExpressionError,
-    LengthBoundExceeded,
     NonIntegralPullback,
     R2Violation,
     UnsupportedModel,
@@ -108,6 +107,22 @@ class RingModel:
         """Whether p(r) = 0 in the ring, by Horner evaluation in it."""
         return poly_eval_in_ring(p, r, self) == self.zero()
 
+    # structure theory --------------------------------------------------
+
+    @property
+    def ghost(self) -> tuple[GhostColumn, ...]:
+        """The columns of the ghost map; only a free model has one."""
+        raise UnsupportedModel(f"no spectrum classification for {self.name}")
+
+    def signatures(self) -> list[Signature]:
+        """Every ring homomorphism onto Z."""
+        raise NotImplementedError
+
+    def predicates(self, r) -> tuple[Optional[bool], ...]:
+        """(nilpotent, torsion, unit, zero divisor) for r; None where the
+        model cannot decide.  Zero divisors include 0."""
+        raise NotImplementedError
+
     def random_element(self, rng: Random, max_length: int = 5):
         gens = self.generators()
         r = self.zero()
@@ -145,6 +160,18 @@ def poly_eval_in_ring(p: IntPolynomial, r, model: RingModel):
     for c in reversed(p.coeffs):
         result = model.add(model.mul(result, r), model.embed_int(c))
     return result
+
+
+@dataclass(frozen=True)
+class Signature:
+    """Ring homomorphism onto Z, given by its values on the generating set."""
+
+    label: str
+    values: tuple[int, ...]  # value on the i-th generator
+    _eval: Callable = field(compare=False, repr=False)
+
+    def __call__(self, r) -> int:
+        return self._eval(r)
 
 
 # -- rings free as Z-modules ------------------------------------------------------
@@ -206,12 +233,29 @@ class FreeRing(RingModel):
         )
         self._check_r2()
 
-    @property
-    def ghost(self) -> tuple[GhostColumn, ...]:
-        raise NotImplementedError
-
     def ghost_map(self, r) -> tuple:
         return tuple(col.evaluate(r) for col in self.ghost)
+
+    @cached_property
+    def integral(self) -> bool:
+        """Whether every ghost column is integer-valued."""
+        return all(isinstance(v, int) for col in self.ghost for v in col.values)
+
+    def signatures(self):
+        if not self.integral:
+            raise UnsupportedModel("signature enumeration needs an exponent-2 group")
+        return [Signature(col.label, col.values, col.evaluate) for col in self.ghost]
+
+    def predicates(self, r):
+        # the ghost is an injective ring homomorphism into a product of domains
+        values = self.ghost_map(r)
+        return (
+            all(v == 0 for v in values),
+            r == self.zero(),  # free Z-module
+            # a unit maps to units of Z, and r^2 = 1 when every value is a sign
+            all(v in (1, -1) for v in values) if self.integral else None,
+            any(v == 0 for v in values),
+        )
 
     def is_root(self, p, r):
         # p has integer coefficients, so p(conj v) = conj p(v): of a
@@ -518,7 +562,6 @@ class FiniteQuotientRing(RingModel):
         seeds = {self.cover.mul(g, e) for g in gens for _, e in self.cover.generators()}
         self._rows = _howell_rows(sorted(seeds), modulus, dim)
         super().__init__(name or f"Z{modulus}[{group.describe()}]")
-        self._limits = limits
         self._check_r2()
 
     def _normalize(self, vec) -> tuple[int, ...]:
@@ -573,13 +616,9 @@ class FiniteQuotientRing(RingModel):
         return self.cover.root_spec()
 
     def characteristic(self) -> int:
-        one, zero = self.one(), self.zero()
-        acc = one
-        n = 1
-        while acc != zero:
-            acc = self.add(acc, one)
-            n += 1
-        return n
+        # the additive order of 1 divides N
+        n, zero = self.modulus, self.zero()
+        return next(d for d in range(1, n + 1) if n % d == 0 and self.embed_int(d) == zero)
 
     def is_finite(self) -> bool:
         return True
@@ -590,57 +629,33 @@ class FiniteQuotientRing(RingModel):
             heights[j] = h
         return list(product(*map(range, heights)))
 
-    def _lift_length(self, r) -> int:
+    def length(self, r):
         n = self.modulus
         return min(
             sum(min(x, n - x) for x in self._vec_add(r, k)) for k in self._kernel
         )
 
-    @cached_property
-    def _within_radius(self) -> int:
-        """How many carrier elements have length at most max_length_radius;
-        counted only for the error message, once."""
-        radius = self._limits.max_length_radius
-        return sum(1 for c in self.carrier() if self._lift_length(c) <= radius)
+    def signatures(self):
+        return []  # positive characteristic: no homomorphism onto Z
 
-    def length(self, r):
-        radius = self._limits.max_length_radius
-        found = self._lift_length(r)
-        if found > radius:
-            raise LengthBoundExceeded(
-                f"length search exceeds the limit max_length_radius = {radius}: "
-                f"reached {self._within_radius} elements, not {self.format_element(r)}"
-            )
-        return found
+    def predicates(self, r):
+        """Walk the powers r, r^2, ... until one repeats: r is nilpotent when
+        0 appears and a unit when 1 appears.  In a finite commutative ring
+        every element is a unit or a zero divisor, never both, and every
+        element is torsion."""
+        seen = set()
+        power = r
+        while power not in seen:
+            seen.add(power)
+            power = self.mul(power, r)
+        unit = self.one() in seen
+        return self.zero() in seen, True, unit, not unit
 
     def element_to_json(self, r):
         return self.cover.element_to_json(r)
 
     def format_element(self, r):
         return self.cover.format_element(r)
-
-
-def signed_ball(model: RingModel, radius: int) -> dict:
-    """Every sum of at most `radius` signed generators, mapped to the
-    least number of signed generators that sums to it."""
-    moves = []
-    for _, s in model.generators():
-        moves.append(s)
-        moves.append(model.neg(s))
-    dist = {model.zero(): 0}
-    frontier = [model.zero()]
-    step = 0
-    while frontier and step < radius:
-        step += 1
-        nxt = []
-        for v in frontier:
-            for m in moves:
-                w = model.add(v, m)
-                if w not in dist:
-                    dist[w] = step
-                    nxt.append(w)
-        frontier = nxt
-    return dist
 
 
 # -- binary products -----------------------------------------------------------------
@@ -712,6 +727,25 @@ class ProductRing(RingModel):
 
     def is_root(self, p, r):
         return self.left.is_root(p, r[0]) and self.right.is_root(p, r[1])
+
+    def signatures(self):
+        out = []
+        for idx, (side, sub) in enumerate((("L", self.left), ("R", self.right))):
+            for sig in sub.signatures():
+                def evaluate(r, sig=sig, idx=idx):
+                    return sig(r[idx])
+
+                values = tuple(evaluate(s) for _, s in self.generators())
+                out.append(Signature(f"{side}.{sig.label}", values, evaluate))
+        return out
+
+    def predicates(self, r):
+        # nilpotent, torsion or a unit when both coordinates are, a zero
+        # divisor when either is, and undecided when either is undecided
+        pairs = zip(self.left.predicates(r[0]), self.right.predicates(r[1]))
+        return tuple(
+            None if None in pair else rule(pair) for rule, pair in zip((all, all, all, any), pairs)
+        )
 
     def element_to_json(self, r):
         return {

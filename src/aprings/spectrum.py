@@ -1,15 +1,17 @@
 """Signatures, prime-ideal descriptors and structure predicates.
 
 A signature is a surjective ring homomorphism onto Z; its kernel is a
-signature ideal.  A free model is read off its ghost map (identity
-coordinates, characters phi_chi(sum a_i s_i) = sum a_i chi(s_i) or
-marks): the integer-valued ghost columns are the signatures, their
-kernels are the minimal primes, and the element predicates follow from
-the ghost values.  The maximal ideals are the congruence ideals
-sigma(r) = 0 mod p, and for 2-power generating polynomials the
-fundamental ideal (elements of even length) sits above everything at
-index two.  Prime ideals are descriptors with decidable membership,
-never materialized element sets; only the finite oracle enumerates.
+signature ideal.  Each model answers the two questions that depend on
+its kind, `signatures()` and `predicates(r)`: a free model reads them
+off its ghost map (identity coordinates, characters
+phi_chi(sum a_i s_i) = sum a_i chi(s_i) or marks), whose kernels are
+also the minimal primes; a finite quotient has no signatures and walks
+the powers of r; a product combines its factors.  The maximal ideals
+are the congruence ideals sigma(r) = 0 mod p, and for 2-power
+generating polynomials the fundamental ideal (elements of even length)
+sits above everything at index two.  Prime ideals are descriptors with
+decidable membership, never materialized element sets; only the finite
+oracle enumerates.
 """
 
 from __future__ import annotations
@@ -20,30 +22,10 @@ from typing import Callable, Optional
 from .config import Limits, default_limits
 from .errors import CheckFailed, UnsupportedModel
 from .groups import closure
-from .rings import (
-    BurnsideModel,
-    FiniteQuotientRing,
-    FreeRing,
-    GhostColumn,
-    ProductRing,
-    RingModel,
-    signed_ball,
-)
+from .rings import BurnsideModel, GhostColumn, RingModel, Signature
 
 
 # -- signatures -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Signature:
-    """Ring homomorphism onto Z, given by its values on the generating set."""
-
-    label: str
-    values: tuple[int, ...]  # value on the i-th generator
-    _eval: Callable = field(compare=False, repr=False)
-
-    def __call__(self, r) -> int:
-        return self._eval(r)
 
 
 def signatures(model: RingModel) -> list[Signature]:
@@ -51,29 +33,10 @@ def signatures(model: RingModel) -> list[Signature]:
 
     For a free model these are its ghost columns, provided they are
     integer-valued.  A ring of positive characteristic admits none: a
-    homomorphism onto Z would force characteristic zero.
+    homomorphism onto Z would force characteristic zero.  A product has
+    those of its factors.
     """
-    if isinstance(model, FreeRing):
-        if not _integral_ghost(model):
-            raise UnsupportedModel("signature enumeration needs an exponent-2 group")
-        return [Signature(col.label, col.values, col.evaluate) for col in model.ghost]
-    if isinstance(model, ProductRing):
-        out = []
-        for idx, (side, sub) in enumerate((("L", model.left), ("R", model.right))):
-            for sig in signatures(sub):
-                def evaluate(r, sig=sig, idx=idx):
-                    return sig(r[idx])
-
-                values = tuple(evaluate(s) for _, s in model.generators())
-                out.append(Signature(f"{side}.{sig.label}", values, evaluate))
-        return out
-    if model.characteristic() > 0:
-        return []
-    raise UnsupportedModel(f"no signature strategy for {model.name}")
-
-
-def _integral_ghost(model: FreeRing) -> bool:
-    return all(isinstance(v, int) for col in model.ghost for v in col.values)
+    return model.signatures()
 
 
 # -- prime ideal descriptors --------------------------------------------------------
@@ -166,10 +129,6 @@ def _require_two_power(model: RingModel) -> None:
 
 def minimal_primes(model: RingModel) -> list[PrimeIdeal]:
     """Kernels of the ghost columns: characters, projections or marks."""
-    if not isinstance(model, FreeRing):
-        raise UnsupportedModel(
-            f"minimal primes need a basis model, not {model.name}"
-        )
     return [ghost_kernel(col) for col in model.ghost]
 
 
@@ -197,7 +156,7 @@ def is_admissible(model: RingModel) -> AdmissibilityResult:
     return AdmissibilityResult(False, f"characteristic {c} is odd")
 
 
-def fundamental_ideal_elements(model: FiniteQuotientRing) -> frozenset:
+def fundamental_ideal_elements(model: RingModel) -> frozenset:
     """The ideal generated by 1 -+ s over generators s, materialized.
 
     b(1-a) = (1-ba) - (1-b), so the ideal equals the additive span of
@@ -224,9 +183,8 @@ def ap_condition_check(model: RingModel, k: int) -> bool:
     for _ in range(k - 1):
         products = {model.mul(x, y) for x in power for y in ideal}
         power = closure(model.add, model.zero(), products)
-    ball = signed_ball(model, 2**k - 1)
     zero = model.zero()
-    return all(r == zero for r in ball.keys() & power)
+    return all(r == zero for r in power if model.length(r) < 2**k)
 
 
 # -- element predicates -----------------------------------------------------------------
@@ -250,74 +208,17 @@ class ElementPredicates:
 def element_predicates(model: RingModel, r) -> ElementPredicates:
     """Structure predicates for one element; zero divisors include 0.
 
-    On a free model they are read off the ghost map, which is an
-    injective ring homomorphism into a product of domains."""
+    The model decides nilpotent, torsion, unit and zero divisor."""
     idempotent = model.mul(r, r) == r
     in_fundamental = model.length(r) % 2 == 0 if _has_two_power_q(model) else None
 
     try:
-        in_every_sig = all(sig(r) == 0 for sig in signatures(model))
+        in_every_sig = all(sig(r) == 0 for sig in model.signatures())
     except UnsupportedModel:
         in_every_sig = None
 
-    if isinstance(model, FiniteQuotientRing):
-        return _finite_predicates(model, r, idempotent, in_fundamental, in_every_sig)
-
-    if isinstance(model, ProductRing):
-        left = element_predicates(model.left, r[0])
-        right = element_predicates(model.right, r[1])
-        return ElementPredicates(
-            nilpotent=_both(left.nilpotent, right.nilpotent),
-            torsion=_both(left.torsion, right.torsion),
-            unit=_both(left.unit, right.unit),
-            zero_divisor=_either(left.zero_divisor, right.zero_divisor),
-            idempotent=idempotent,
-            in_fundamental=None,
-            in_every_signature_ideal=in_every_sig,
-        )
-
-    if not isinstance(model, FreeRing):
-        raise UnsupportedModel(f"no predicate strategy for {model.name}")
-    values = model.ghost_map(r)
     return ElementPredicates(
-        nilpotent=all(v == 0 for v in values),
-        torsion=(r == model.zero()),  # free Z-module
-        # a unit maps to units of Z, and r^2 = 1 when every value is a sign
-        unit=all(v in (1, -1) for v in values) if _integral_ghost(model) else None,
-        zero_divisor=any(v == 0 for v in values),
-        idempotent=idempotent,
-        in_fundamental=in_fundamental,
-        in_every_signature_ideal=in_every_sig,
-    )
-
-
-def _both(a: Optional[bool], b: Optional[bool]) -> Optional[bool]:
-    if a is None or b is None:
-        return None
-    return a and b
-
-
-def _either(a: Optional[bool], b: Optional[bool]) -> Optional[bool]:
-    if a is None or b is None:
-        return None
-    return a or b
-
-
-def _finite_predicates(model, r, idempotent, in_fundamental, in_every_sig):
-    """Walk the powers r, r^2, ... until one repeats: r is nilpotent when
-    0 appears and a unit when 1 appears.  In a finite commutative ring
-    every element is a unit or a zero divisor, never both."""
-    seen = set()
-    power = r
-    while power not in seen:
-        seen.add(power)
-        power = model.mul(power, r)
-    unit = model.one() in seen
-    return ElementPredicates(
-        nilpotent=model.zero() in seen,
-        torsion=True,  # finite additive group
-        unit=unit,
-        zero_divisor=not unit,
+        *model.predicates(r),
         idempotent=idempotent,
         in_fundamental=in_fundamental,
         in_every_signature_ideal=in_every_sig,
@@ -492,28 +393,27 @@ def spectrum_report(
 ) -> SpectrumReport:
     """Min/Max classification of the prime spectrum.
 
-    For finite quotients the report lists the oracle's exhaustive prime
+    For finite models the report lists the oracle's exhaustive prime
     ideals; when the model is admissible with 2-power characteristic
     and no signatures, the list is checked to be exactly the
-    fundamental ideal.
+    fundamental ideal.  Otherwise the model must be free.
     """
     limits = limits or default_limits()
     primes = _primes_up_to(prime_bound)
 
-    if isinstance(model, FiniteQuotientRing):
+    if model.is_finite():
         return _finite_spectrum_report(model, limits)
-    if not isinstance(model, FreeRing):
-        raise UnsupportedModel(f"no spectrum classification for {model.name}")
-    if not _integral_ghost(model):
+    ghost = model.ghost  # only a free model has one, and with it `integral`
+    if not model.integral:
         raise UnsupportedModel(
             "spectrum classification needs an exponent-2 group ring"
         )
-    sigs = signatures(model)
+    sigs = model.signatures()
     # an integer-valued character is a signature, and its kernel is
     # listed as a signature ideal
     minimal = [
         signature_ideal(sig) if col.kernel[0] == "character" else ghost_kernel(col)
-        for sig, col in zip(sigs, model.ghost)
+        for sig, col in zip(sigs, ghost)
     ]
     fundamental = fundamental_ideal(model) if _has_two_power_q(model) else None
     if fundamental is not None:
@@ -532,7 +432,7 @@ def spectrum_report(
     )
 
 
-def _finite_spectrum_report(model: FiniteQuotientRing, limits: Limits) -> SpectrumReport:
+def _finite_spectrum_report(model: RingModel, limits: Limits) -> SpectrumReport:
     from . import oracle
 
     table = oracle.table_for_model(model, limits)

@@ -242,6 +242,12 @@ def zero_ring():
     return FiniteQuotientRing(2, FiniteAbelianGroup((2,)), [(1, 0)], name="Z2[C2]/(1)")
 
 
+def two_quotient_product():
+    left = FiniteQuotientRing(4, FiniteAbelianGroup((2,)), [(2, 2)])
+    right = FiniteQuotientRing(3, FiniteAbelianGroup((2,)), [(1, 1)])
+    return ProductRing(left, right)
+
+
 def test_random_quotients_cover_every_group():
     models = random_quotients()
     assert {m.group.factor_orders for m in models} == set(GROUPS)
@@ -264,7 +270,11 @@ def test_ideals_and_primes_match_reference(model):
 @pytest.mark.parametrize(
     "model",
     [pytest.param(m, id=f"random{i}") for i, m in enumerate(random_quotients())]
-    + [pytest.param(zero_ring(), id="zero-ring")],
+    + [
+        pytest.param(zero_ring(), id="zero-ring"),
+        pytest.param(ProductRing(bundled_model("Z2"), bundled_model("Z4")), id="Z2xZ4"),
+        pytest.param(two_quotient_product(), id="quotient-product"),
+    ],
 )
 def test_element_predicates_match_exhaustive(model):
     T = table_for_model(model)
@@ -302,12 +312,6 @@ def reference_table(model) -> FiniteRingTable:
 
 
 LARGE_CARRIERS = ("Z16[C2]", "Z4[C2xC2]", "Z2[C2xC2xC2]")
-
-
-def two_quotient_product():
-    left = FiniteQuotientRing(4, FiniteAbelianGroup((2,)), [(2, 2)])
-    right = FiniteQuotientRing(3, FiniteAbelianGroup((2,)), [(1, 1)])
-    return ProductRing(left, right)
 
 
 @pytest.mark.parametrize(

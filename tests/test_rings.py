@@ -11,7 +11,6 @@ from aprings.cyclotomic import poly_from_roots
 from aprings.errors import (
     CarrierBoundExceeded,
     ExpressionError,
-    LengthBoundExceeded,
     NonIntegralPullback,
     R2Violation,
 )
@@ -36,7 +35,6 @@ from aprings.rings import (
     construct_model,
     parse_element,
     poly_eval_in_ring,
-    signed_ball,
     verify_annihilated,
 )
 
@@ -154,15 +152,6 @@ def test_quotient_length_bfs():
     assert z4c2.length(parse_element(z4c2, "3 + 3*g")) == 2  # equals -(1 + g)
 
 
-def test_quotient_length_radius_cap():
-    model = FiniteQuotientRing(
-        16, FiniteAbelianGroup(()), limits=Limits(max_length_radius=3)
-    )
-    limit = r"^length search exceeds the limit max_length_radius = 3: reached 7 elements, not 8$"
-    with pytest.raises(LengthBoundExceeded, match=limit):
-        model.length(model.embed_int(8))
-
-
 @pytest.mark.parametrize(
     "model",
     [pytest.param(bundled_model(name), id=name) for name in NAMED]
@@ -175,20 +164,31 @@ def test_quotient_length_radius_cap():
     ],
 )
 def test_quotient_length_matches_the_signed_ball(model):
-    # the closed form against breadth-first search over the carrier;
-    # Z64[C2] has 3808 elements beyond the radius
-    radius = Limits().max_length_radius
-    ball = signed_ball(model, radius)
-    for r in model.carrier():
-        if r in ball:
-            assert model.length(r) == ball[r]
-            continue
-        with pytest.raises(LengthBoundExceeded) as info:
-            model.length(r)
-        assert str(info.value) == (
-            f"length search exceeds the limit max_length_radius = {radius}: "
-            f"reached {len(ball)} elements, not {model.format_element(r)}"
-        )
+    # the closed form against breadth-first search over the whole carrier;
+    # no length exceeds the number of elements
+    carrier = model.carrier()
+    ball = generic_bfs_lengths(model, len(carrier))
+    assert len(ball) == len(carrier)
+    for r in carrier:
+        assert model.length(r) == ball[r]
+
+
+def additive_order_of_one(model):
+    one, zero = model.one(), model.zero()
+    acc, n = one, 1
+    while acc != zero:
+        acc, n = model.add(acc, one), n + 1
+    return n
+
+
+@pytest.mark.parametrize(
+    "model",
+    [pytest.param(bundled_model(name), id=name) for name in NAMED]
+    + [pytest.param(m, id=f"random{i}") for i, m in enumerate(random_quotients())]
+    + [pytest.param(zero_ring(), id="zero-ring")],
+)
+def test_quotient_characteristic_is_the_additive_order_of_one(model):
+    assert model.characteristic() == additive_order_of_one(model)
 
 
 def generic_bfs_lengths(model, radius):
@@ -517,7 +517,7 @@ def test_is_root_on_non_real_ghost_values():
 @pytest.mark.parametrize("name", ["Z[C2]", "Z[C2xC2]", "Z[C4]"])
 def test_group_ring_ghost_map_is_injective_on_a_ball(name):
     model = bundled_model(name)
-    ball = signed_ball(model, 3)
+    ball = generic_bfs_lengths(model, 3)
     order = model.group.exponent
     ghosts = {
         tuple(v if isinstance(v, int) else v.lift(order).coords for v in model.ghost_map(r))

@@ -168,6 +168,21 @@ def test_spectrum_unsupported():
         spectrum_report(bundled_model("Z[C4]"))
 
 
+@pytest.mark.parametrize(
+    "left,right,indices", [("Z2", "Z3", [2, 3]), ("Z4", "Z2[C2]", [2, 2])]
+)
+def test_spectrum_of_a_finite_product(left, right, indices):
+    # a finite product takes the finite report: Z2xZ3 has the primes of Z6
+    from aprings.rings import ProductRing
+
+    model = ProductRing(bundled_model(left), bundled_model(right))
+    T = oracle.table_for_model(model)
+    assert sorted(T.size // len(P) for P in oracle.prime_ideals(T)) == indices
+    report = spectrum_report(model)
+    assert sorted(p.index for p in report.finite_primes) == indices
+    assert not report.local and report.fundamental is None and report.minimal == []
+
+
 def test_spectrum_z6_not_local():
     # even characteristic with an odd factor: a second prime of odd
     # index exists alongside the fundamental ideal
