@@ -383,8 +383,9 @@ class GroupRingModel(FreeRing):
 
     Elements are dense coefficient tuples over the sorted group
     elements; index 0 is the identity.  The ghost is the characters of
-    G into the exp(G)-th roots of unity, as integer signs when
-    exp(G) <= 2.
+    G into the exp(G)-th roots of unity, one per Galois orbit, as
+    integer signs when exp(G) <= 2: Z[G] embeds into the product of one
+    Z[zeta_d] per orbit.
     """
 
     def __init__(self, group: FiniteAbelianGroup, name: Optional[str] = None):
@@ -417,8 +418,16 @@ class GroupRingModel(FreeRing):
 
     @cached_property
     def ghost(self):
+        # chi and chi^a, gcd(a, exp G) = 1, are Galois conjugate and have
+        # the same kernel: the character whose exponent tuple is least in
+        # its orbit stands for the orbit
+        orders, m = self.group.factor_orders, self.group.exponent
+        units = [a for a in range(1, m + 1) if gcd(a, m) == 1]
         columns = []
-        for chi in characters(self.group, self.group.exponent):
+        for chi in characters(self.group, m):
+            t = chi.exponents
+            if any(tuple(a * x % o for x, o in zip(t, orders)) < t for a in units):
+                continue
             label = chi.label()
             values = tuple(chi.value(g) for g in self.basis)
             if self.group.exponent <= 2:

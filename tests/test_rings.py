@@ -1,13 +1,14 @@
 import random
 from itertools import combinations, product
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
 
 from aprings.annihilator import RootSpec
 from aprings.config import Limits
-from aprings.cyclotomic import poly_from_roots
+from aprings.cyclotomic import CyclotomicInteger, _galois_action, poly_from_roots
 from aprings.errors import (
     CarrierBoundExceeded,
     ExpressionError,
@@ -493,25 +494,38 @@ def test_is_root_agrees_with_horner_in_the_ring(name):
             assert model.is_root(poly, r) == in_ring == expected, (poly, model.format_element(r))
 
 
+def galois_orbit(value):
+    """The conjugates of a cyclotomic value under zeta -> zeta^a, gcd(a, m) = 1."""
+    m = value.order
+    return frozenset(
+        CyclotomicInteger(m, [sum(map(mul, value.coords, row)) for row in rows])
+        for rows in _galois_action(m)
+    )
+
+
 def test_is_root_on_non_real_ghost_values():
-    """On Z[C4], is_root evaluates one value of each complex-conjugate pair
-    of characters.  Horner in the ring is the reference, on elements whose
-    values at the characters g -> +-i are not real, for the polynomial
-    vanishing on each union of Galois orbits of their ghost values: p(r) = 0
-    exactly when the union holds every ghost value."""
-    model = bundled_model("Z[C4]")
-    elements = [r for r in random_elements(model, 12, seed=31) if r[1] != r[3]]
-    elements += [(0, 1, 0, 0), (1, 1, 0, 0), (2, -1, 3, 0)]
-    for r in elements:
-        values = set(model.ghost_map(r))
-        orbits = {frozenset({v, v.conjugate()}) for v in values}
-        assert any(len(orbit) == 2 for orbit in orbits)
-        for k in range(1, len(orbits) + 1):
-            for chosen in combinations(orbits, k):
-                roots = frozenset().union(*chosen)
-                poly = poly_from_roots(roots)
-                in_ring = poly_eval_in_ring(poly, r, model) == model.zero()
-                assert model.is_root(poly, r) == in_ring == (roots == values), (poly, r)
+    """is_root evaluates p at one character of each Galois orbit.  Horner
+    in the ring is the reference, on elements of Z[C4], Z[C5], Z[C8] and
+    Z[C2xC4] with a non-real ghost value, for the polynomial vanishing on
+    each union of Galois orbits of their ghost values: p(r) = 0 exactly
+    when the union holds every ghost value."""
+    for orders in ((4,), (5,), (8,), (2, 4)):
+        model = construct_model({"kind": "group_ring", "factor_orders": list(orders)})
+        elements = random_elements(model, 12, seed=31) + [model.generators()[1][1]]
+        checked = 0
+        for r in filter(any, elements):
+            values = set(model.ghost_map(r))
+            orbits = {galois_orbit(v) for v in values}
+            if all(len(orbit) == 1 for orbit in orbits):
+                continue
+            checked += 1
+            for k in range(1, len(orbits) + 1):
+                for chosen in combinations(orbits, k):
+                    roots = frozenset().union(*chosen)
+                    poly = poly_from_roots(roots)
+                    in_ring = poly_eval_in_ring(poly, r, model) == model.zero()
+                    assert model.is_root(poly, r) == in_ring == (values <= roots), (poly, r)
+        assert checked >= 6, model.name
 
 
 @pytest.mark.parametrize("name", ["Z[C2]", "Z[C2xC2]", "Z[C4]"])

@@ -100,11 +100,14 @@ def test_minimal_primes_z_c2_are_signature_kernels():
 def test_minimal_primes_z_c4():
     model = bundled_model("Z[C4]")
     primes = minimal_primes(model)
-    assert len(primes) == 4
-    g = parse_element(model, "g")
-    # g - 1 lies exactly in the kernel of the trivial character
-    r = model.sub(g, model.one())
-    assert sum(p.contains(r) for p in primes) == 1
+    # Z[C4] (x) Q = Q x Q x Q(i): chi(1) and chi(3) are conjugate and
+    # share one kernel
+    assert [p.label for p in primes] == ["ker phi_chi(0)", "ker phi_chi(1)", "ker phi_chi(2)"]
+    # g - 1 lies exactly in the kernel of the trivial character, and
+    # 1 + g^2 exactly in that of g -> i
+    for text, index in (("g - 1", 0), ("1 + g^2", 1)):
+        r = parse_element(model, text)
+        assert [p.contains(r) for p in primes] == [i == index for i in range(3)]
     assert all(p.contains(model.zero()) for p in primes)
 
 
