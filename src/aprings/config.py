@@ -22,7 +22,6 @@ class Limits:
     max_oracle_spectrum: int = 256     # exhaustive ideal enumeration
     max_sumset: int = 20000            # |T_n| cap during sum-set extension
     max_summands: int = 8              # n cap for root_sum_set
-    max_cyclotomic_degree: int = 64    # deg Phi_m cap
 
 
 _ENV_FIELDS = {

@@ -20,7 +20,6 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
-from .config import default_limits
 from .errors import CheckFailed, NonIntegerCoefficient, UnsupportedOrder
 from .intpoly import IntPolynomial, format_terms, packed_product, repeated_doubling
 
@@ -72,17 +71,21 @@ def moebius(n: int) -> int:
 # -- cyclotomic polynomials ----------------------------------------------------
 
 
+# the largest supported deg Phi_m = phi(m)
+MAX_CYCLOTOMIC_DEGREE = 64
+
+
 def cyclotomic_polynomial(m: int) -> IntPolynomial:
     """The m-th cyclotomic polynomial Phi_m, computed by exact division
     of X^m - 1 by the product of Phi_d over proper divisors d of m.
     Raises UnsupportedOrder when its degree exceeds
-    Limits.max_cyclotomic_degree."""
+    MAX_CYCLOTOMIC_DEGREE."""
     if m < 1:
         raise ValueError("order must be positive")
-    cap = default_limits().max_cyclotomic_degree
-    if euler_phi(m) > cap:
+    if euler_phi(m) > MAX_CYCLOTOMIC_DEGREE:
         raise UnsupportedOrder(
-            f"deg Phi_{m} = {euler_phi(m)} exceeds the limit max_cyclotomic_degree = {cap}"
+            f"deg Phi_{m} = {euler_phi(m)} exceeds the limit "
+            f"max_cyclotomic_degree = {MAX_CYCLOTOMIC_DEGREE}"
         )
     return _cyclotomic(m)
 
@@ -235,14 +238,6 @@ class CyclotomicInteger:
         for j, c in enumerate(self.coords):
             vec[j * step] = c
         return CyclotomicInteger._reduced(target, _reduce(target, vec))
-
-    def conjugate(self) -> "CyclotomicInteger":
-        """The complex conjugate: the automorphism zeta -> zeta^-1, the last
-        one of `_galois_action` (a = m - 1 is the largest unit below m)."""
-        rows = _galois_action(self.order)[-1]
-        return CyclotomicInteger._reduced(
-            self.order, tuple(sum(map(mul, self.coords, row)) for row in rows)
-        )
 
     def _common(self, other: "CyclotomicInteger"):
         if self.order == other.order:

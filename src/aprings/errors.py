@@ -33,10 +33,6 @@ class R2Violation(ApringsError):
     """A declared generator is not a root of the generating polynomial."""
 
 
-class ExponentMismatch(ApringsError):
-    """Character target order is not a multiple of the group exponent."""
-
-
 class UnsupportedModel(ApringsError):
     """The requested computation has no strategy for this ring model."""
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .config import Limits, default_limits
 from .cyclotomic import CyclotomicInteger
-from .errors import CheckFailed, ExponentMismatch, ExpressionError, OrderBoundExceeded, exact_ints
+from .errors import CheckFailed, ExpressionError, OrderBoundExceeded, exact_ints
 
 Perm = tuple[int, ...]
 
@@ -405,14 +405,13 @@ class FiniteAbelianGroup:
 
 @dataclass(frozen=True)
 class Character:
-    """Homomorphism of a finite abelian group into the m-th roots of unity."""
+    """Homomorphism of a finite abelian group into the exp(G)-th roots of unity."""
 
     group: FiniteAbelianGroup
-    target_order: int
-    exponents: tuple[int, ...]  # image of generator i is zeta_m^(m/o_i * t_i)
+    exponents: tuple[int, ...]  # image of generator i is zeta_m^(m/o_i * t_i), m = exp(G)
 
     def value(self, g: tuple[int, ...]) -> CyclotomicInteger:
-        m = self.target_order
+        m = self.group.exponent
         total = sum(
             (m // oi) * ti * gi for gi, ti, oi in zip(g, self.exponents, self.group.factor_orders)
         )
@@ -422,19 +421,12 @@ class Character:
         return "chi(" + ",".join(str(t) for t in self.exponents) + ")"
 
 
-def characters(G: FiniteAbelianGroup, m: int) -> list[Character]:
-    """All |G| homomorphisms G -> mu_m; requires exp(G) | m."""
-    if m % G.exponent:
-        raise ExponentMismatch(
-            f"target order {m} is not a multiple of the exponent {G.exponent}"
-        )
-    chars = [
-        Character(group=G, target_order=m, exponents=exps)
+def characters(G: FiniteAbelianGroup) -> list[Character]:
+    """All |G| homomorphisms G -> mu_exp(G), by exponent tuple."""
+    return [
+        Character(group=G, exponents=exps)
         for exps in product(*(range(o) for o in G.factor_orders))
     ]
-    if len(chars) != G.order:
-        raise CheckFailed(f"{len(chars)} characters for a group of order {G.order}")
-    return chars
 
 
 # -- named groups ----------------------------------------------------------------

@@ -119,8 +119,9 @@ class RingModel:
         raise NotImplementedError
 
     def predicates(self, r) -> tuple[Optional[bool], ...]:
-        """(nilpotent, torsion, unit, zero divisor) for r; None where the
-        model cannot decide.  Zero divisors include 0."""
+        """(nilpotent, torsion, unit, zero divisor, in every signature
+        ideal) for r; None where the model cannot decide.  Zero divisors
+        include 0."""
         raise NotImplementedError
 
     def random_element(self, rng: Random, max_length: int = 5):
@@ -249,27 +250,24 @@ class FreeRing(RingModel):
     def predicates(self, r):
         # the ghost is an injective ring homomorphism into a product of domains
         values = self.ghost_map(r)
+        nilpotent = all(v == 0 for v in values)
         return (
-            all(v == 0 for v in values),
+            nilpotent,
             r == self.zero(),  # free Z-module
             # a unit maps to units of Z, and r^2 = 1 when every value is a sign
             all(v in (1, -1) for v in values) if self.integral else None,
             any(v == 0 for v in values),
+            # the signatures are the columns, when integer-valued
+            nilpotent if self.integral else None,
         )
 
     def is_root(self, p, r):
-        # p has integer coefficients, so p(conj v) = conj p(v): of a
-        # complex-conjugate pair of ghost values only one is evaluated,
-        # and a rational cyclotomic value is evaluated as an int
-        skip = set()
+        # p has integer coefficients, so it kills a value exactly when it
+        # kills its Galois conjugates, which the ghost leaves out; a
+        # rational cyclotomic value is evaluated as an int
         for value in set(self.ghost_map(r)):
-            if value in skip:
-                continue
-            if isinstance(value, CyclotomicInteger):
-                if value.is_rational:
-                    value = value.as_int()
-                else:
-                    skip.add(value.conjugate())
+            if isinstance(value, CyclotomicInteger) and value.is_rational:
+                value = value.as_int()
             if p(value) != 0:
                 return False
         return True
@@ -424,7 +422,7 @@ class GroupRingModel(FreeRing):
         orders, m = self.group.factor_orders, self.group.exponent
         units = [a for a in range(1, m + 1) if gcd(a, m) == 1]
         columns = []
-        for chi in characters(self.group, m):
+        for chi in characters(self.group):
             t = chi.exponents
             if any(tuple(a * x % o for x, o in zip(t, orders)) < t for a in units):
                 continue
@@ -570,7 +568,9 @@ class FiniteQuotientRing(RingModel):
         # J is the Z/N-span of all group translates of the generators
         seeds = {self.cover.mul(g, e) for g in gens for _, e in self.cover.generators()}
         self._rows = _howell_rows(sorted(seeds), modulus, dim)
-        super().__init__(name or f"Z{modulus}[{group.describe()}]")
+        # the trivial group is left out of the name: Z6, not Z6[C1]
+        over = f"[{group.describe()}]" if group.order > 1 else ""
+        super().__init__(name or f"Z{modulus}{over}")
         self._check_r2()
 
     def _normalize(self, vec) -> tuple[int, ...]:
@@ -658,7 +658,8 @@ class FiniteQuotientRing(RingModel):
             seen.add(power)
             power = self.mul(power, r)
         unit = self.one() in seen
-        return self.zero() in seen, True, unit, not unit
+        # no signatures, so r lies in all of them
+        return self.zero() in seen, True, unit, not unit, True
 
     def element_to_json(self, r):
         return self.cover.element_to_json(r)
@@ -749,11 +750,13 @@ class ProductRing(RingModel):
         return out
 
     def predicates(self, r):
-        # nilpotent, torsion or a unit when both coordinates are, a zero
-        # divisor when either is, and undecided when either is undecided
+        # nilpotent, torsion, a unit or in every signature ideal when both
+        # coordinates are, a zero divisor when either is, and undecided
+        # when either is undecided
         pairs = zip(self.left.predicates(r[0]), self.right.predicates(r[1]))
         return tuple(
-            None if None in pair else rule(pair) for rule, pair in zip((all, all, all, any), pairs)
+            None if None in pair else rule(pair)
+            for rule, pair in zip((all, all, all, any, all), pairs)
         )
 
     def element_to_json(self, r):

@@ -208,19 +208,16 @@ class ElementPredicates:
 def element_predicates(model: RingModel, r) -> ElementPredicates:
     """Structure predicates for one element; zero divisors include 0.
 
-    The model decides nilpotent, torsion, unit and zero divisor."""
-    idempotent = model.mul(r, r) == r
-    in_fundamental = model.length(r) % 2 == 0 if _has_two_power_q(model) else None
-
-    try:
-        in_every_sig = all(sig(r) == 0 for sig in model.signatures())
-    except UnsupportedModel:
-        in_every_sig = None
-
+    The model decides nilpotent, torsion, unit, zero divisor and
+    membership in every signature ideal."""
+    nilpotent, torsion, unit, zero_divisor, in_every_sig = model.predicates(r)
     return ElementPredicates(
-        *model.predicates(r),
-        idempotent=idempotent,
-        in_fundamental=in_fundamental,
+        nilpotent,
+        torsion,
+        unit,
+        zero_divisor,
+        idempotent=model.mul(r, r) == r,
+        in_fundamental=model.length(r) % 2 == 0 if _has_two_power_q(model) else None,
         in_every_signature_ideal=in_every_sig,
     )
 
@@ -437,35 +434,28 @@ def _finite_spectrum_report(model: RingModel, limits: Limits) -> SpectrumReport:
 
     table = oracle.table_for_model(model, limits)
     primes = oracle.prime_ideals(table, limits)
-    carrier_size = len(model.carrier())
     ideal_elements = fundamental_ideal_elements(model)
     infos = []
     for P in sorted(primes, key=sorted):
         members = frozenset(table.elements[i] for i in P)
         infos.append(
             FinitePrimeInfo(
-                index=carrier_size // len(P),
+                index=table.size // len(P),
                 size=len(P),
                 is_fundamental=(members == ideal_elements),
             )
         )
     local = len(infos) == 1
     fundamental = None
-    try:
-        adm = is_admissible(model)
-        if adm.admissible:
-            fundamental = fundamental_ideal(model)
+    if _has_two_power_q(model) and is_admissible(model):
+        fundamental = fundamental_ideal(model)
         # The {I}-only classification is provable when the ring has
         # 2-power characteristic (then every prime has index 2); an
         # even characteristic with an odd factor admits further primes.
-        if adm.admissible and _is_two_power(model.characteristic()):
-            if not (local and infos[0].is_fundamental):
-                raise CheckFailed(
-                    f"{model.name}: expected the fundamental ideal to be the "
-                    "only prime"
-                )
-    except UnsupportedModel:
-        pass
+        if _is_two_power(model.characteristic()) and not (local and infos[0].is_fundamental):
+            raise CheckFailed(
+                f"{model.name}: expected the fundamental ideal to be the only prime"
+            )
     return SpectrumReport(
         model_name=model.name,
         local=local,

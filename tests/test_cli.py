@@ -409,6 +409,23 @@ def test_inline_json_group(capsys):
     assert json.loads(out)["marks"] == [[2, 0], [1, 1]]
 
 
+def test_json_quotient_over_the_trivial_group_is_named_like_the_bundled_one(capsys):
+    """A finite quotient over the trivial group is Z{N}, not Z{N}[C1]."""
+    for orders in ([], [1]):
+        spec = json.dumps({"kind": "finite_quotient", "modulus": 2, "factor_orders": orders})
+        for command in (["spectrum"], ["analyze", "--element", "1"]):
+            built = run_cli(capsys, *command, "--ring", spec, "--format", "text")
+            assert built == run_cli(capsys, *command, "--ring", "Z2", "--format", "text")
+    product = {
+        "kind": "product",
+        "left": {"kind": "finite_quotient", "modulus": 2},
+        "right": {"kind": "finite_quotient", "modulus": 3},
+    }
+    code, out, _ = run_cli(capsys, "spectrum", "--ring", json.dumps(product), "--format", "text")
+    assert code == 0
+    assert out.splitlines()[0] == "model: Z2xZ3"
+
+
 def reference_parser() -> argparse.ArgumentParser:
     """All five subparsers, each built by hand: the parser that
     `cli.build_parser` must act like on every argv."""

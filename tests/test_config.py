@@ -2,6 +2,7 @@ import pytest
 
 from aprings.annihilator import RootSpec, root_sum_set
 from aprings.config import Limits, default_limits
+from aprings.cyclotomic import MAX_CYCLOTOMIC_DEGREE
 from aprings.errors import BoundExceeded
 
 
@@ -10,7 +11,7 @@ def test_defaults():
     assert limits.max_group_order == 5040
     assert limits.max_carrier == 4096
     assert limits.max_summands == 8
-    assert limits.max_cyclotomic_degree == 64
+    assert MAX_CYCLOTOMIC_DEGREE == 64  # a module constant, not a Limits field
 
 
 def test_env_overrides(monkeypatch):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from aprings.errors import CheckFailed, ExponentMismatch, OrderBoundExceeded
+from aprings.errors import CheckFailed, OrderBoundExceeded
 from aprings.config import Limits
 from aprings import groups
 from aprings.groups import (
@@ -313,7 +313,7 @@ def test_equal_order_classes_get_letter_suffixes():
 
 def test_characters_c2():
     G = FiniteAbelianGroup((2,))
-    chars = characters(G, 2)
+    chars = characters(G)
     assert len(chars) == 2
     values = sorted(chi.value((1,)).as_int() for chi in chars)
     assert values == [-1, 1]
@@ -321,12 +321,12 @@ def test_characters_c2():
 
 def test_characters_c2xc2():
     G = FiniteAbelianGroup((2, 2))
-    assert len(characters(G, 2)) == 4
+    assert len(characters(G)) == 4
 
 
 def test_characters_c4():
     G = FiniteAbelianGroup((4,))
-    chars = characters(G, 4)
+    chars = characters(G)
     assert len(chars) == 4
     values = {chi.value((1,)) for chi in chars}
     from aprings.cyclotomic import CyclotomicInteger
@@ -338,11 +338,6 @@ def test_characters_c4():
         # multiplicativity on the generator relation g^4 = 1
         total = chi.value((1,)) * chi.value((3,))
         assert total == chi.value((0,))
-
-
-def test_characters_exponent_mismatch():
-    with pytest.raises(ExponentMismatch):
-        characters(FiniteAbelianGroup((4,)), 2)
 
 
 def test_group_json_roundtrip():

@@ -211,13 +211,20 @@ def random_generator(rng, modulus, dim):
     return [d * x for x in vec]
 
 
+# quotients whose Howell rows need the saturation (N/h)*pivot row; about
+# one seeded quotient in 5000 with J != 0 needs it
+SATURATED = ((8, (2, 2), [4, 0, 7, 3]), (6, (2, 2), [3, 5, 2, 0]), (6, (2, 2), [5, 5, 0, -10]))
+
+
 @lru_cache(maxsize=None)
-def random_quotient_cases(count=20, seed=0x1DEA, max_carrier=144):
+def random_quotient_cases(count=20, seed=0x1DEA, max_carrier=144, nontrivial=10):
     """Seeded (Z/N)[G]/J with at least two and at most max_carrier
-    elements, each with the generators of J it is built from."""
+    elements, each with the generators of J it is built from: `count`
+    quotients, then `nontrivial` more from the same stream with J != 0,
+    then the SATURATED quotients."""
     rng = random.Random(seed)
     out = []
-    while len(out) < count:
+    while len(out) < count + nontrivial:
         orders = rng.choice(GROUPS)
         dim = prod(orders)
         modulus = rng.randint(2, 12)
@@ -225,8 +232,11 @@ def random_quotient_cases(count=20, seed=0x1DEA, max_carrier=144):
             continue
         gens = [random_generator(rng, modulus, dim) for _ in range(rng.randint(0, 2))]
         model = FiniteQuotientRing(modulus, FiniteAbelianGroup(orders), gens)
-        if 1 < len(model.carrier()) <= max_carrier:
+        size = len(model.carrier())
+        if 1 < size <= max_carrier and (len(out) < count or size < modulus**dim):
             out.append((model, gens))
+    for modulus, orders, gen in SATURATED:
+        out.append((FiniteQuotientRing(modulus, FiniteAbelianGroup(orders), [gen]), [gen]))
     return tuple(out)
 
 
@@ -251,7 +261,8 @@ def two_quotient_product():
 def test_random_quotients_cover_every_group():
     models = random_quotients()
     assert {m.group.factor_orders for m in models} == set(GROUPS)
-    assert any(len(m.carrier()) < m.modulus ** len(m.cover.labels) for m in models)
+    # all but the first 20 have J != 0
+    assert all(len(m.carrier()) < m.modulus ** len(m.cover.labels) for m in models[20:])
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations, product
-from math import prod
+from fractions import Fraction
+from math import lcm, prod
 from operator import mul
 
 import pytest
@@ -465,8 +466,16 @@ FREE_PRESETS = ["Z", "Z^3", "Z[C2]", "Z[C2xC2]", "Z[C4]"] + [
 PRODUCT_SPEC = {"kind": "product", "left": {"kind": "Z"}, "right": {"kind": "group_ring", "factor_orders": [4]}}
 
 
+# group rings whose Galois orbits of characters have 4 members
+JSON_GROUP_RINGS = {"Z[C5]": [5], "Z[C8]": [8], "Z[C12]": [12]}
+
+
 def _preset(name):
-    return construct_model(PRODUCT_SPEC) if name == "product" else bundled_model(name)
+    if name == "product":
+        return construct_model(PRODUCT_SPEC)
+    if name in JSON_GROUP_RINGS:
+        return construct_model({"kind": "group_ring", "factor_orders": JSON_GROUP_RINGS[name]})
+    return bundled_model(name)
 
 
 def _integer_ghost_values(model, r):
@@ -476,7 +485,7 @@ def _integer_ghost_values(model, r):
     return values - {None}
 
 
-@pytest.mark.parametrize("name", FREE_PRESETS + ["product"])
+@pytest.mark.parametrize("name", FREE_PRESETS + ["product"] + list(JSON_GROUP_RINGS))
 def test_is_root_agrees_with_horner_in_the_ring(name):
     """is_root reads p(r) = 0 off the ghost values of r; Horner in the
     ring is the independent reference, on p_n (a root), p_n + 1 (never a
@@ -538,6 +547,69 @@ def test_group_ring_ghost_map_is_injective_on_a_ball(name):
         for r in ball
     }
     assert len(ghosts) == len(ball)
+
+
+GHOST_GROUPS = [(3,), (4,), (5,), (8,), (12,), (2, 4), (4, 4)]
+
+
+def cyclic_subgroup_count(group):
+    """The number of distinct subgroups <g>, g in G, by listing multiples."""
+    zero = (0,) * group.rank
+    subgroups = set()
+    for g in group.elements():
+        members, h = {zero}, g
+        while h != zero:
+            members.add(h)
+            h = group.add(h, g)
+        subgroups.add(frozenset(members))
+    return len(subgroups)
+
+
+def column_rows(column):
+    """The ghost column as rows of a rational matrix acting on coefficient
+    vectors: its integer values, or one row per power-basis coordinate."""
+    values = column.values
+    if all(isinstance(v, int) for v in values):
+        return [list(values)]
+    return [list(row) for row in zip(*(v.coords for v in values))]
+
+
+def rational_kernel(rows, n):
+    """A basis of {x in Q^n : row . x = 0 for every row}, each vector
+    scaled to integers, by Gauss-Jordan elimination over Fraction."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        x = [Fraction(int(c == free)) for c in range(n)]
+        for row, c in zip(rows, pivots):
+            x[c] = -row[free]
+        scale = lcm(*(v.denominator for v in x))
+        basis.append(tuple(int(v * scale) for v in x))
+    return basis
+
+
+@pytest.mark.parametrize("orders", GHOST_GROUPS, ids=str)
+def test_group_ring_ghost_has_one_column_per_cyclic_subgroup(orders):
+    """The Galois orbits of characters of G are the generator sets of the
+    cyclic subgroups of its dual, which is isomorphic to G; the columns
+    left are still jointly injective over Q."""
+    group = FiniteAbelianGroup(orders)
+    model = GroupRingModel(group)
+    assert len(model.ghost) == cyclic_subgroup_count(group)
+    stacked = [row for col in model.ghost for row in column_rows(col)]
+    assert rational_kernel(stacked, group.order) == []
 
 
 @pytest.mark.parametrize("name", FREE_PRESETS)

@@ -5,8 +5,8 @@ import pytest
 
 from aprings import oracle
 from aprings.errors import UnsupportedModel
-from aprings.groups import named_group_names
-from aprings.rings import bundled_model, construct_model, parse_element
+from aprings.groups import FiniteAbelianGroup, named_group_names
+from aprings.rings import GroupRingModel, bundled_model, construct_model, parse_element
 from aprings.spectrum import (
     ap_condition_check,
     dress_relations,
@@ -20,6 +20,8 @@ from aprings.spectrum import (
     signatures,
     spectrum_report,
 )
+
+from test_rings import FREE_PRESETS, GHOST_GROUPS, column_rows, rational_kernel
 
 
 # -- signatures ------------------------------------------------------------
@@ -109,6 +111,27 @@ def test_minimal_primes_z_c4():
         r = parse_element(model, text)
         assert [p.contains(r) for p in primes] == [i == index for i in range(3)]
     assert all(p.contains(model.zero()) for p in primes)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [pytest.param(bundled_model(name), id=name) for name in FREE_PRESETS]
+    + [
+        pytest.param(GroupRingModel(FiniteAbelianGroup(orders)), id=str(orders))
+        for orders in GHOST_GROUPS
+    ],
+)
+def test_minimal_primes_are_pairwise_distinct(model):
+    """Each minimal prime holds an element that no other one holds: an
+    integer vector of the rational kernel of its ghost column, which
+    another column does not kill.  (Minimal primes are incomparable.)"""
+    primes = minimal_primes(model)
+    n = len(model.labels)
+    kernels = [rational_kernel(column_rows(col), n) for col in model.ghost]
+    for P, kernel in zip(primes, kernels):
+        assert all(P.contains(w) for w in kernel), P.label
+    for i, j in itertools.permutations(range(len(primes)), 2):
+        assert any(not primes[j].contains(w) for w in kernels[i]), (primes[i].label, primes[j].label)
 
 
 def test_minimal_primes_burnside_a5():
