@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm, prod
+from math import comb, lcm, prod
 from typing import Literal, Optional, Union
 
 from .config import Limits, default_limits
@@ -310,6 +310,18 @@ def degree_bound(n: int, k: int) -> int:
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
     return 2 ** (n - 1) * (2**k - 1) + 1
+
+
+def exact_degree(n: int, k: int) -> int:
+    """deg p_n = |T_n| for q = X^(2^k) - 1, k >= 1: the sums of n signed
+    basis vectors of Z^d, d = 2^(k-1), are the points of the parity of n
+    in the L1 ball of radius n, which has sum_i 2^i C(d,i) C(r-1,i-1)
+    points of norm r >= 1 and one of norm 0."""
+    d = 2 ** (k - 1)
+    return sum(
+        sum(2**i * comb(d, i) * comb(r - 1, i - 1) for i in range(1, d + 1)) if r else 1
+        for r in range(n % 2, n + 1, 2)
+    )
 
 
 # -- presets ------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -42,8 +43,41 @@ USAGE_ERROR = 2
 BOUND_ERROR = 3
 
 
+def _json_parts(value, indent: str, parts: list[str]) -> None:
+    """Append `value` as `json.dumps(value, sort_keys=True, indent=2)`
+    writes it, whose indented encoder is pure Python.  Dict keys must be
+    str, and a float or any other type raises TypeError."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None or isinstance(value, bool):
+        parts.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif not isinstance(value, (dict, list, tuple)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    elif not value:
+        parts.append("{}" if isinstance(value, dict) else "[]")
+    elif not isinstance(value, dict) and all(isinstance(item, str) for item in value):
+        inner = indent + "  "
+        items = (",\n" + inner).join(map(encode_basestring_ascii, value))
+        parts.append(f"[\n{inner}{items}\n{indent}]")
+    else:
+        inner = indent + "  "
+        is_dict = isinstance(value, dict)
+        parts.append("{" if is_dict else "[")
+        for i, item in enumerate(sorted(value) if is_dict else value):
+            parts.append(",\n" + inner if i else "\n" + inner)
+            if is_dict:
+                parts.append(encode_basestring_ascii(item) + ": ")
+                item = value[item]
+            _json_parts(item, inner, parts)
+        parts.append("\n" + indent + ("}" if is_dict else "]"))
+
+
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    parts: list[str] = []
+    _json_parts(payload, "", parts)
+    print("".join(parts))
 
 
 def _load(text: str, by_name: Callable, from_json: Callable):

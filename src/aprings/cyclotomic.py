@@ -15,7 +15,7 @@ corresponding int).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Optional, Sequence
@@ -169,9 +169,9 @@ class CyclotomicInteger:
     order it is the constant coordinate alone), so p_n never hashes these
     objects: `annihilator._sums` enumerates T_n on packed integers, and
     `poly_from_roots` keys the roots by coordinate tuple at their common
-    order and squares them with `_times` on those tuples.  Only the orbit
-    polynomials of irrational roots are expanded in this class's
-    arithmetic.
+    order and rotates them and takes their powers with `_times` on those
+    tuples.  Only the orbit polynomials of irrational roots are expanded
+    in this class's arithmetic.
     """
 
     __slots__ = ("order", "coords", "_hash")
@@ -369,17 +369,29 @@ def _orbit_polynomial(m: int, orbit: list[tuple[int, ...]]) -> IntPolynomial:
     return IntPolynomial(out)
 
 
-def _halved(m: int, keys: list[tuple[int, ...]]):
-    """For roots whose nonzero part is nonempty and closed under negation:
-    whether 0 is a root, and the squares of one root of each +- pair.
-    Since s^2 = t^2 only when s = +-t, the squares are distinct, and
-    prod (X - s) = X^[0 is a root] * prod (X^2 - s^2).  None otherwise."""
-    nonzero = set(keys) - {(0,) * len(keys[0])}
-    negated = {key: tuple(-c for c in key) for key in nonzero}
-    if not nonzero or set(negated.values()) != nonzero:
-        return None
-    squares = [_times(m, key, key) for key, minus in negated.items() if key > minus]
-    return len(nonzero) < len(keys), squares
+def _rotation(m: int, nonzero: set[tuple[int, ...]]):
+    """The largest k | lcm(2, m) such that a primitive k-th root of unity
+    w = +-zeta_m^j maps the nonzero roots onto themselves, and t -> w*t
+    on them: j shifts, each folded through the low terms of Phi_m."""
+    _, low = _reduction_state(m)
+    for k in reversed(divisors(lcm(2, m))):
+        sign, j = (1, m // k % m) if m % k == 0 else (-1, 2 * m // k % m)
+        if m % 2 == 0 and j >= m // 2:
+            sign, j = -sign, j - m // 2
+        step = {}
+        for key in nonzero:
+            v = list(key)
+            for _ in range(j):
+                top = v.pop()
+                v.insert(0, 0)
+                for i, a in low if top else ():
+                    v[i] -= top * a
+            image = tuple(v) if sign > 0 else tuple(-c for c in v)
+            if image not in nonzero:
+                break
+            step[key] = image
+        else:
+            return k, step
 
 
 def _galois_orbits(m: int, keys: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
@@ -406,19 +418,19 @@ def _galois_orbits(m: int, keys: list[tuple[int, ...]]) -> list[list[tuple[int, 
 def poly_from_roots(roots: Iterable[CyclotomicInteger]) -> IntPolynomial:
     """Monic integer polynomial with the given distinct cyclotomic roots.
 
-    The roots are lifted to their common order m.  While the nonzero
-    roots are closed under negation, the product is X^[0 is a root] *
-    Q(X^2), with Q taken over the squares of one root of each +- pair
-    (signed sum sets are symmetric, and mu_4 halves twice).  The roots
-    left are split into orbits under zeta -> zeta^a, gcd(a, m) = 1.  A
-    one-element orbit is a rational root (a, 0, ..., 0), whose factor X - a
-    is taken as it stands (when the roots are integers, every orbit is
-    one).  Each other orbit's minimal polynomial (degree at most phi(m))
-    is expanded exactly in Z[zeta_m] and descended to Z, and
-    `packed_product` multiplies the integer factors into one packed
-    integer, one factor at a time.  Raises
-    NonIntegerCoefficient when a conjugate of a root is missing (then some
-    coefficient is irrational) and ValueError on a repeated root.
+    The roots are lifted to their common order m.  When a primitive k-th
+    root of unity maps the nonzero roots onto themselves (`_rotation`
+    finds the largest such k | lcm(2, m)), they fall into classes t*mu_k
+    with distinct k-th powers, and the product is X^[0 is a root] *
+    G(X^k), G = prod (Y - t^k) over the classes, with t the least member.
+    The powers are split into orbits under zeta -> zeta^a, gcd(a, m) = 1.
+    A one-element orbit is a rational root a, whose factor Y - a is taken
+    as it stands; each other orbit's minimal polynomial (degree at most
+    phi(m)) is expanded exactly in Z[zeta_m] and descended to Z, and
+    `packed_product` multiplies the factors into one packed integer.
+    Raises NonIntegerCoefficient when a conjugate of a root is missing
+    (then some coefficient is irrational) and ValueError on a repeated
+    root.
     """
     rs = list(roots)
     if not rs:
@@ -427,24 +439,26 @@ def poly_from_roots(roots: Iterable[CyclotomicInteger]) -> IntPolynomial:
     keys = [r.lift(m).coords for r in rs]
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate roots")
-    zero_roots = []
-    level = keys
-    while (halved := _halved(m, level)) is not None:
-        has_zero, level = halved
-        zero_roots.append(has_zero)
+    nonzero = set(keys) - {(0,) * len(keys[0])}
+    k, step = _rotation(m, nonzero)
+    powers = []
+    for key in sorted(nonzero):
+        if key in step:
+            powers.append(repeated_doubling(key, k, None, partial(_times, m)))
+            for _ in range(k):
+                key = step.pop(key)
     try:
-        orbits = _galois_orbits(m, level)
+        orbits = _galois_orbits(m, powers)
     except NonIntegerCoefficient:
-        # the squares are Galois-closed exactly when the roots are, so the
-        # roots themselves name a missing conjugate
+        # the k-th powers are Galois-closed exactly when the roots are, so
+        # the roots themselves name a missing conjugate
         _galois_orbits(m, keys)
         raise
-    p = packed_product(
+    g = packed_product(
         IntPolynomial((-orbit[0][0], 1)) if len(orbit) == 1 else _orbit_polynomial(m, orbit)
         for orbit in orbits
     )
-    for has_zero in reversed(zero_roots):
-        coeffs = [0] * (2 * len(p.coeffs) - 1 + has_zero)
-        coeffs[has_zero::2] = p.coeffs
-        p = IntPolynomial(coeffs)
-    return p
+    has_zero = len(nonzero) < len(keys)
+    coeffs = [0] * (k * g.degree + 1 + has_zero)
+    coeffs[has_zero::k] = g.coeffs
+    return IntPolynomial(coeffs)

@@ -31,13 +31,13 @@ from typing import Callable, Iterable, Sequence
 
 def repeated_doubling(x, n: int, identity, op: Callable):
     """x combined with itself n >= 0 times under the associative `op`
-    (identity for n = 0), by repeated doubling."""
-    result = identity
-    while n:
-        if n & 1:
+    (identity for n = 0), by repeated doubling from the top bit of n down:
+    floor(log2 n) doublings and popcount(n) - 1 combinations with x."""
+    result = x if n else identity
+    for bit in bin(n)[3:]:
+        result = op(result, result)
+        if bit == "1":
             result = op(result, x)
-        x = op(x, x)
-        n >>= 1
     return result
 
 

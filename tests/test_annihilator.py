@@ -15,6 +15,7 @@ from aprings.annihilator import (
     _sums,
     annihilating_polynomial,
     degree_bound,
+    exact_degree,
     lewis_polynomial,
     mixed_annihilating_polynomial,
     pfister_chain_polynomial,
@@ -367,6 +368,16 @@ def test_degree_bound_fails_for_larger_k():
     # the stated inequality is not a theorem for k >= 2 at small n.
     p = annihilating_polynomial(RootSpec.unity(4), 2)
     assert p.degree == 9 > degree_bound(2, 2)
+
+
+@pytest.mark.parametrize(
+    "k,n", [(k, n) for k in (1, 2, 3) for n in range(1, 7)] + [(4, n) for n in (1, 2, 3)]
+)
+def test_degree_is_the_exact_lattice_count(k, n):
+    """For q = x^(2^k) - 1, deg p_n = |T_n|, the count of lattice points of
+    the parity of n in the L1 ball of radius n in Z^(2^(k-1))."""
+    spec = RootSpec.unity(2**k)
+    assert annihilating_polynomial(spec, n).degree == len(root_sum_set(spec, n)) == exact_degree(n, k)
 
 
 def test_root_spec_rejects_overlap():

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -9,6 +10,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from aprings import cli
 from aprings.cli import main
@@ -514,3 +516,68 @@ def _parse(parser, argv):
 )
 def test_build_parser_matches_the_five_subparser_reference(argv):
     assert _parse(cli.build_parser(argv), argv) == _parse(reference_parser(), argv)
+
+
+def written(payload) -> str:
+    parts = []
+    cli._json_parts(payload, "", parts)
+    return "".join(parts)
+
+
+def stdlib_json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_json_writer_matches_the_stdlib_on_every_golden_json_case():
+    golden = json.loads((ROOT / "tests" / "golden_outputs.json").read_text())
+    payloads = [
+        json.loads(case["stdout"])
+        for cases in golden["cli"].values()
+        for case in cases
+        if case["stdout"]
+    ]
+    assert len(payloads) > 250
+    for payload in payloads:
+        assert written(payload) == stdlib_json(payload)
+
+
+def test_json_writer_matches_the_stdlib_on_every_benchmark_payload(monkeypatch, capsys):
+    """The payloads themselves, tuples and all, of every operation the
+    benchmark's workloads can run."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    payloads = []
+    monkeypatch.setattr(cli, "_emit_json", payloads.append)
+    monkeypatch.chdir(ROOT)
+    ops = [op for op in workloads.all_ops() if op[0] != "verify"]
+    for op in ops:
+        assert main(op) == 0, op
+    capsys.readouterr()
+    assert len(payloads) == len(ops)
+    for payload in payloads:
+        assert written(payload) == stdlib_json(payload)
+
+
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(st.text(), max_size=4)
+    | st.tuples(children, children)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_trees)
+def test_json_writer_matches_the_stdlib_on_random_trees(payload):
+    assert written(payload) == stdlib_json(payload)
+
+
+@pytest.mark.parametrize("payload", [1.5, {"a": [0.0]}, {1: "one"}, {"a": {2, 3}}])
+def test_json_writer_refuses_what_no_payload_holds(payload):
+    with pytest.raises(TypeError):
+        written(payload)

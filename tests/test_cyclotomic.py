@@ -9,7 +9,7 @@ from aprings.cyclotomic import (
     MAX_CYCLOTOMIC_DEGREE,
     CyclotomicInteger,
     _galois_action,
-    _halved,
+    _rotation,
     _times,
     cyclotomic_polynomial,
     euler_phi,
@@ -226,16 +226,12 @@ def test_poly_from_roots_matches_reference_expansion(specs, repeat, mode, rnd):
     assert poly_from_roots(roots) == reference_poly_from_roots(roots)
 
 
-def halvings(roots):
-    """How often poly_from_roots squares the roots before it splits them
-    into Galois orbits."""
+def stabiliser_order(roots):
+    """The k of poly_from_roots' quotient step: the nonzero roots are a
+    union of mu_k-classes, and p = X^[0 is a root] * G(X^k)."""
     m = math.lcm(*(r.order for r in roots))
-    keys = [r.lift(m).coords for r in roots]
-    count = 0
-    while (halved := _halved(m, keys)) is not None:
-        keys = halved[1]
-        count += 1
-    return count
+    keys = {r.lift(m).coords for r in roots}
+    return _rotation(m, keys - {(0,) * len(next(iter(keys)))})[0]
 
 
 def integers(*values):
@@ -252,28 +248,92 @@ def mu(m):
 
 
 GAUSSIAN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+MU4_AND_0_2 = RootSpec((RootsOfUnity(4), IntegerRoots((0, 2))))
 
 EVEN_STEP_CASES = {
-    # name: (roots, number of squarings)
-    "integers": (integers(-3, -1, 1, 3), 1),
-    "integers and 0": (integers(-3, -1, 0, 1, 3), 1),
-    # +-(1 + i), +-(1 - i) square to +-2i, which square to -4
-    "gaussians": (gaussians(*GAUSSIAN_PAIRS), 2),
-    "gaussians and 0": (gaussians(*GAUSSIAN_PAIRS, (0, 0)), 2),
-    # mu_4 -> {1, -1} -> {1}, and mu_8 -> mu_4 -> ...
-    "mu4": (mu(4), 2),
-    "mu8": (mu(8), 3),
-    # symmetric except for one +- pair: the plain path
-    "integers, one pair broken": (integers(-3, -1, 1, 2, 3), 0),
-    "gaussians, one pair broken": (gaussians(*GAUSSIAN_PAIRS, (2, 0)), 0),
+    # name: (roots, stabiliser order k)
+    "integers": (integers(-3, -1, 1, 3), 2),
+    "integers and 0": (integers(-3, -1, 0, 1, 3), 2),
+    # +-(1 + i), +-(1 - i) is one mu_4-class, whose fourth power is -4
+    "gaussians": (gaussians(*GAUSSIAN_PAIRS), 4),
+    "gaussians and 0": (gaussians(*GAUSSIAN_PAIRS, (0, 0)), 4),
+    "mu4": (mu(4), 4),
+    "mu8": (mu(8), 8),
+    # symmetric except for one +- pair: no symmetry to use
+    "integers, one pair broken": (integers(-3, -1, 1, 2, 3), 1),
+    "gaussians, one pair broken": (gaussians(*GAUSSIAN_PAIRS, (2, 0)), 1),
+    "signed T_2 of mu12": (root_sum_set(RootSpec.unity(12), 2).elements, 12),
+    # mu_10 = +-mu_5 lies in Q(zeta_5)
+    "signed T_2 of mu5": (root_sum_set(RootSpec.unity(5), 2).elements, 10),
+    "unsigned T_2 of mu5": (root_sum_set(RootSpec.unity(5), 2, "unsigned").elements, 5),
+    # {0, 4, 8, 12}: the nonzero roots are not closed under negation
+    "unsigned T_3 of pfister {0, 4}": (
+        root_sum_set(RootSpec.integers(0, 4), 3, "unsigned").elements, 1
+    ),
+    # i * 2 = 2i is not a root
+    "signed T_1 of mu4 and {0, 2}": (root_sum_set(MU4_AND_0_2, 1).elements, 2),
 }
 
 
 @pytest.mark.parametrize("name", EVEN_STEP_CASES)
 def test_even_step_matches_reference_expansion(name):
-    roots, steps = EVEN_STEP_CASES[name]
-    assert halvings(roots) == steps
+    roots, k = EVEN_STEP_CASES[name]
+    assert stabiliser_order(roots) == k
     assert poly_from_roots(roots) == reference_poly_from_roots(roots)
+
+
+def brute_force_stabiliser_order(roots):
+    """The largest k | lcm(2, m) with w * T = T for the nonzero roots T
+    and w = zeta_L^(L/k), L = lcm(2, m): products in CyclotomicInteger
+    arithmetic at order L, where -1 is a power of zeta."""
+    L = math.lcm(2, *(r.order for r in roots))
+    nonzero = {r.lift(L).coords for r in roots if not r.is_zero}
+    fixing = [
+        k for k in range(1, L + 1)
+        if L % k == 0
+        and {(CyclotomicInteger._reduced(L, t) * CyclotomicInteger.zeta(L, L // k)).coords
+             for t in nonzero} == nonzero
+    ]
+    return max(fixing)
+
+
+def stabiliser_corpus():
+    """Sum sets of single and mixed specs in both modes, each also with
+    one root dropped and with one +- pair dropped."""
+    specs = [RootSpec.unity(m) for m in (1, 2, 3, 4, 5, 6, 8, 10, 12)] + [
+        RootSpec.integers(0, 4), RootSpec.integers(-1, 2), MU4_AND_0_2,
+        RootSpec((RootsOfUnity(3), IntegerRoots((0, 2)))),
+        RootSpec((RootsOfUnity(5), IntegerRoots((-2,)))),
+    ]
+    for spec in specs:
+        for n in (1, 2):
+            for mode in ("signed", "unsigned"):
+                roots = list(root_sum_set(spec, n, mode).elements)
+                yield roots
+                for dropped in roots[:: max(1, len(roots) // 3)]:
+                    yield [r for r in roots if r != dropped]
+                    yield [r for r in roots if r != dropped and r != -dropped]
+
+
+def test_stabiliser_order_is_the_largest_fixing_divisor():
+    seen = set()
+    for roots in stabiliser_corpus():
+        if not roots:
+            continue
+        k = brute_force_stabiliser_order(roots)
+        assert stabiliser_order(roots) == k
+        seen.add(k)
+        # the step map permutes the nonzero roots in cycles of length k
+        m = math.lcm(*(r.order for r in roots))
+        nonzero = {r.lift(m).coords for r in roots if not r.is_zero}
+        _, step = _rotation(m, nonzero)
+        assert set(step) == set(step.values()) == nonzero
+        for t in list(nonzero)[:5]:
+            orbit = [t]
+            while (t := step[t]) != orbit[0]:
+                orbit.append(t)
+            assert len(orbit) == k
+    assert seen == {1, 2, 3, 4, 5, 6, 8, 10, 12}
 
 
 @pytest.fixture(scope="module")
@@ -285,9 +345,9 @@ def a5_t5():
 
 
 def test_even_step_on_the_burnside_a5_sum_set(a5_t5):
-    # squared once, then 237 rational squares
+    # 237 +- pairs of integers and 0: 237 rational squares
     roots, reference = a5_t5
-    assert len(roots) == 475 and halvings(roots) == 1
+    assert len(roots) == 475 and stabiliser_order(roots) == 2
     assert poly_from_roots(roots) == reference
 
 
@@ -322,7 +382,7 @@ def test_symmetric_set_with_a_missing_conjugate_names_a_given_root():
     t2 = list(root_sum_set(RootSpec.unity(8), 2).elements)
     for dropped in [r for r in t2 if r.as_int() is None][:4]:
         roots = [r for r in t2 if r != dropped and r != -dropped]
-        assert halvings(roots) >= 1
+        assert stabiliser_order(roots) == 2
         with pytest.raises(NonIntegerCoefficient) as info:
             poly_from_roots(roots)
         match = re.fullmatch(r"the conjugate (.+) of the root (.+) is missing", str(info.value))

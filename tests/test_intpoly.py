@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aprings.annihilator import annihilating_polynomial, root_sum_set
-from aprings.intpoly import IntPolynomial, decimal_str, format_terms, packed_product
-from aprings.rings import bundled_model
+from aprings.cyclotomic import CyclotomicInteger
+from aprings.intpoly import (
+    IntPolynomial,
+    decimal_str,
+    format_terms,
+    packed_product,
+    repeated_doubling,
+)
+from aprings.rings import _scaled, bundled_model
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)
 # coefficients straddling the byte boundaries of the Kronecker digit width
@@ -138,6 +145,39 @@ def test_divmod_exact_monic():
 def test_divmod_inexact_raises():
     with pytest.raises(ValueError):
         divmod(IntPolynomial((0, 1)), IntPolynomial((0, 2)))
+
+
+@pytest.mark.parametrize("n", [*range(40), 255, 256, 1000, 2**20 + 5])
+def test_repeated_doubling_counts_its_operations(n):
+    """floor(log2 n) doublings and popcount(n) - 1 combinations with x,
+    and none at all for n = 0."""
+    calls = []
+
+    def op(a, b):
+        calls.append((a, b))
+        return a + b
+
+    identity = object()
+    assert repeated_doubling(1, n, identity, op) == (n if n else identity)
+    doublings = [a for a, b in calls if a == b]
+    combinations = [a for a, b in calls if a != b]
+    assert all(b == 1 for a, b in calls if a != b)
+    assert len(doublings) == max(n.bit_length() - 1, 0)
+    assert len(combinations) == max(bin(n).count("1") - 1, 0)
+
+
+@pytest.mark.parametrize("n", range(12))
+def test_every_caller_of_repeated_doubling_matches_repeated_products(n):
+    p = IntPolynomial((1, -2, 3))
+    assert p**n == reduce(lambda a, b: a * b, [p] * n, IntPolynomial.constant(1))
+    z = CyclotomicInteger(12, (1, 2, 0, -1))
+    assert (z**n).coords == reduce(lambda a, b: a * b, [z] * n, CyclotomicInteger.from_int(1, 12)).coords
+    for name in ("Z[C2]", "Z8[C2]", "burnside-S3"):
+        model = bundled_model(name)
+        for element in [g for _, g in model.generators()]:
+            total = reduce(model.add, [element] * n, model.zero())
+            assert _scaled(model, element, n) == total
+            assert _scaled(model, element, -n) == model.neg(total)
 
 
 def test_json_roundtrip():
