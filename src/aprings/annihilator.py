@@ -20,7 +20,7 @@ from typing import Literal, Optional, Union
 from .config import Limits, default_limits
 from .cyclotomic import CyclotomicInteger, poly_from_roots
 from .errors import BoundExceeded, ExpressionError, exact_ints
-from .intpoly import IntPolynomial, decimal_str
+from .intpoly import IntPolynomial, decimal_str, packed_product
 
 SignMode = Literal["signed", "unsigned"]
 
@@ -59,6 +59,8 @@ class RootsOfUnity:
 
 Atom = Union[IntegerRoots, RootsOfUnity]
 
+_OVERLAP = "atoms overlap: the union of root sets must be duplicate-free"
+
 
 @dataclass(frozen=True)
 class RootSpec:
@@ -94,8 +96,45 @@ class RootSpec:
                 step = order // atom.order
                 out.extend(CyclotomicInteger.zeta(order, j * step) for j in range(atom.order))
         if len({r.coords for r in out}) != len(out):
-            raise ExpressionError("atoms overlap: the union of root sets must be duplicate-free")
+            raise ExpressionError(_OVERLAP)
         return tuple(sorted(out, key=lambda r: r.sort_key()))
+
+    def _split(self) -> tuple[list[int], list[int]]:
+        """(roots-of-unity orders, integer roots) over all atoms."""
+        orders = [atom.order for atom in self.atoms if isinstance(atom, RootsOfUnity)]
+        ints = [v for atom in self.atoms if isinstance(atom, IntegerRoots) for v in atom.values]
+        return orders, ints
+
+    def polynomial(self) -> IntPolynomial:
+        """q: the product of X^m - 1 over the roots-of-unity atoms and of
+        X - v over the integer roots.  Overlapping atoms raise the error
+        of `roots`: every mu_m holds 1, and -1 when m is even."""
+        orders, ints = self._split()
+        shared = {1, -1} if any(m % 2 == 0 for m in orders) else {1}
+        if len(orders) > 1 or len(set(ints)) != len(ints) or (orders and shared & set(ints)):
+            raise ExpressionError(_OVERLAP)
+        factors = [IntPolynomial.monomial(m) - 1 for m in orders]
+        return packed_product(factors + [IntPolynomial((-v, 1)) for v in ints])
+
+    def union_with_zero(self, other: "RootSpec") -> "RootSpec":
+        """The roots of both specs and 0.  Roots of unity merge into
+        mu_lcm of their orders, which may strictly enlarge the root set
+        (mu_2 and mu_3 give mu_6); the result still holds every root of
+        both and stays duplicate-free."""
+        orders, ints = self._split()
+        more_orders, more_ints = other._split()
+        ints = {0, *ints, *more_ints}
+        atoms: list[Atom] = []
+        if orders or more_orders:
+            m = lcm(*orders, *more_orders)
+            ints -= {1, -1} if m % 2 == 0 else {1}
+            atoms.append(RootsOfUnity(m))
+        return RootSpec((*atoms, IntegerRoots(tuple(ints))))
+
+    def unity_order(self) -> Optional[int]:
+        """m when the spec is the single atom mu_m, else None."""
+        atom = self.atoms[0]
+        return atom.order if len(self.atoms) == 1 and isinstance(atom, RootsOfUnity) else None
 
     def to_json(self) -> dict:
         return {"atoms": [atom.to_json() for atom in self.atoms]}

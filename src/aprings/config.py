@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import ExpressionError
+from .errors import CarrierBoundExceeded, ExpressionError
 
 
 @dataclass(frozen=True)
@@ -22,6 +22,15 @@ class Limits:
     max_oracle_spectrum: int = 256     # exhaustive ideal enumeration
     max_sumset: int = 20000            # |T_n| cap during sum-set extension
     max_summands: int = 8              # n cap for root_sum_set
+
+    def check_carrier(self, size: int) -> None:
+        """Raise CarrierBoundExceeded before `size` elements of a finite
+        ring are enumerated, when they are more than max_carrier."""
+        if size > self.max_carrier:
+            raise CarrierBoundExceeded(
+                f"carrier exceeds the limit max_carrier = {self.max_carrier}: "
+                f"reached {size} elements"
+            )
 
 
 _ENV_FIELDS = {

@@ -4,15 +4,14 @@ Coefficients are stored in ascending degree order; the zero polynomial
 has an empty coefficient tuple and degree -1.  Python integers give
 arbitrary precision for free, so no coefficient ever overflows.
 
-Polynomials are multiplied by signed Kronecker substitution: both factors
-are evaluated at X = 2^w as Python integers, the integers are multiplied,
-and the product's base-2^w digits are the coefficients.  Packing and
-unpacking go through byte strings, so both are linear in the size of the
-result.  `packed_product` multiplies many factors into the one integer
-prod f_i(2^w), each by Horner in 2^w (shifts and small multiples, linear
-in its size), with w fixed by the bound prod ||f_i||_1 on every
-coefficient.  A product tree would pay off only with fast multiplication,
-and CPython multiplies large integers by Karatsuba.
+Polynomials are multiplied by signed Kronecker substitution in
+`packed_product`, a product of two factors included: the factors are
+multiplied into the one integer prod f_i(2^w), each by Horner in 2^w
+(shifts and small multiples, linear in its size), with w fixed by the
+bound prod ||f_i||_1 on every coefficient, and the product's signed
+base-2^w digits are its coefficients, unpacked through a byte string in
+time linear in its size.  A product tree would pay off only with fast
+multiplication, and CPython multiplies large integers by Karatsuba.
 
 The module also holds the routines shared by every exact arithmetic type
 of the package: `repeated_doubling` (powers and integer multiples),
@@ -26,7 +25,7 @@ from decimal import Decimal
 from itertools import zip_longest
 from math import prod
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 
 def repeated_doubling(x, n: int, identity, op: Callable):
@@ -70,14 +69,6 @@ def format_terms(terms: Iterable[tuple[int, str]]) -> str:
     return "".join(parts) if parts else "0"
 
 
-def _pack(coeffs: Sequence[int], width: int) -> int:
-    """sum c_i * 2^(8*width*i) for integers |c_i| < 2^(8*width)."""
-    zero = bytes(width)
-    positive = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in coeffs)
-    negative = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in coeffs)
-    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
-
-
 def _unpack(v: int, width: int, length: int) -> list[int]:
     """The `length` signed base-2^(8*width) digits of v, low digit first."""
     # adding 2^(w-1) to every digit makes the digits nonnegative, so they
@@ -86,15 +77,6 @@ def _unpack(v: int, width: int, length: int) -> list[int]:
     data = (v + offset).to_bytes(width * length, "little")
     half = 1 << (8 * width - 1)
     return [int.from_bytes(data[i:i + width], "little") - half for i in range(0, len(data), width)]
-
-
-def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Coefficients of the product of two nonzero coefficient sequences."""
-    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-    # every product coefficient lies in [-bound, bound], inside one signed
-    # digit of w = 8*width > bit_length(bound) bits
-    width = bound.bit_length() // 8 + 1
-    return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
 
 
 def packed_product(factors: Iterable["IntPolynomial"]) -> "IntPolynomial":
@@ -186,9 +168,7 @@ class IntPolynomial:
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if isinstance(other, int):
             return IntPolynomial(c * other for c in self.coeffs)
-        if self.is_zero or other.is_zero:
-            return IntPolynomial()
-        return IntPolynomial(_kronecker_mul(self.coeffs, other.coeffs))
+        return packed_product((self, other))
 
     __rmul__ = __mul__
 

@@ -70,11 +70,7 @@ def table_for_model(model, limits: Optional[Limits] = None) -> FiniteRingTable:
     limits = limits or default_limits()
     carrier = model.carrier()
     n = len(carrier)
-    if n > limits.max_carrier:
-        raise CarrierBoundExceeded(
-            f"carrier exceeds the limit max_carrier = {limits.max_carrier}: "
-            f"reached {n} elements"
-        )
+    limits.check_carrier(n)
     index = {r: i for i, r in enumerate(carrier)}
     shift = {}  # generator index s -> [index(s + c) for c in carrier]
     times = {}  # generator index s -> [index(s c) for c in carrier]

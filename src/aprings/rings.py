@@ -1,8 +1,9 @@
 """Concrete ring models with exact arithmetic, generating sets and lengths.
 
-Every model carries a monic squarefree generating polynomial q, a
-finite named generating set S with q(s) = 0 for each s in S (checked at
-construction), and the length map: the least l such that the element is
+Every model carries a root spec, the roots of its monic squarefree
+generating polynomial q, from which q and every p_n are built; a finite
+named generating set S with q(s) = 0 for each s in S (checked at
+construction); and the length map: the least l such that the element is
 a sum of l terms +-s with s in S.  Elements are plain hashable data
 (tuples, pairs); the model object owns the arithmetic.
 """
@@ -14,20 +15,14 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from random import Random
 from typing import Callable, Iterable, Optional, Sequence
 
-from .annihilator import (
-    IntegerRoots,
-    RootSpec,
-    RootsOfUnity,
-    annihilating_polynomial,
-)
+from .annihilator import RootSpec, annihilating_polynomial
 from .config import Limits, default_limits
-from .cyclotomic import CyclotomicInteger, poly_from_roots
+from .cyclotomic import CyclotomicInteger
 from .errors import (
-    CarrierBoundExceeded,
     ExpressionError,
     NonIntegralPullback,
     R2Violation,
@@ -38,7 +33,6 @@ from .groups import (
     FiniteAbelianGroup,
     TableOfMarks,
     characters,
-    closure,
     named_group,
     table_of_marks,
 )
@@ -46,14 +40,14 @@ from .intpoly import IntPolynomial, format_terms, repeated_doubling
 
 
 class RingModel:
-    """Common interface of all ring models."""
+    """Common interface of all ring models.
 
-    # e when the model is presented with q = X^e - 1 and S inside the
-    # e-th roots of unity (Z, group rings and their quotients), else None
-    unity_exponent: Optional[int] = None
+    A model states the roots of q once, as its root spec: q and p_n
+    both come from it."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, spec: RootSpec):
         self.name = name
+        self._spec = spec
 
     # arithmetic ------------------------------------------------------
 
@@ -86,10 +80,10 @@ class RingModel:
         raise NotImplementedError
 
     def generating_polynomial(self) -> IntPolynomial:
-        raise NotImplementedError
+        return self._spec.polynomial()
 
     def root_spec(self) -> RootSpec:
-        raise NotImplementedError
+        return self._spec
 
     def length(self, r) -> int:
         raise NotImplementedError
@@ -201,7 +195,7 @@ class FreeRing(RingModel):
     Elements are dense integer coefficient tuples over the basis (1-tuples
     for Z), and multiplication follows the sparse structure constants
     e_i * e_j = sum_l c_ijl e_l.  Subclasses supply data only: labels,
-    structure constants, the one-vector, root spec, q and the ghost; the
+    structure constants, the one-vector, root spec and the ghost; the
     arithmetic, generators and length live here.  Since S is a basis,
     the minimal signed decomposition of an element is its coefficient
     vector, so its length is the L1 norm.  The ghost (a tuple of
@@ -219,14 +213,11 @@ class FreeRing(RingModel):
         structure: Sequence[Sequence[tuple[tuple[int, int], ...]]],
         one: Sequence[int],
         spec: RootSpec,
-        q: IntPolynomial,
     ):
-        super().__init__(name)
+        super().__init__(name, spec)
         self.labels = tuple(labels)
         self._structure = structure  # [i][j] -> ((l, c_ijl) for c_ijl != 0)
         self._one = tuple(one)
-        self._spec = spec
-        self._q = q
         n = len(self.labels)
         self._generators = tuple(
             (label, tuple(int(i == j) for j in range(n)))
@@ -302,12 +293,6 @@ class FreeRing(RingModel):
     def generators(self):
         return self._generators
 
-    def generating_polynomial(self):
-        return self._q
-
-    def root_spec(self):
-        return self._spec
-
     def length(self, r):
         return sum(abs(x) for x in r)
 
@@ -327,13 +312,10 @@ class ZRing(FreeRing):
     """The rational integers with S = {1, -1} and q = X^2 - 1; the ghost
     is the identity."""
 
-    unity_exponent = 2
     ghost = (GhostColumn("id", (1,), ("signature", "ker id")),)
 
     def __init__(self):
-        super().__init__(
-            "Z", ("1",), [[((0, 1),)]], (1,), RootSpec.integers(-1, 1), IntPolynomial((-1, 0, 1))
-        )
+        super().__init__("Z", ("1",), [[((0, 1),)]], (1,), RootSpec.unity(2))
 
     def element_to_json(self, r):
         return str(r[0])
@@ -356,7 +338,6 @@ class ProductZRing(FreeRing):
             structure,
             (1,) * k,
             RootSpec.integers(-1, 0, 1),
-            IntPolynomial((0, -1, 0, 1)),
         )
 
     @cached_property
@@ -388,7 +369,6 @@ class GroupRingModel(FreeRing):
 
     def __init__(self, group: FiniteAbelianGroup, name: Optional[str] = None):
         self.group = group
-        self.unity_exponent = group.exponent
         self.basis = group.elements()
         index = {g: i for i, g in enumerate(self.basis)}
         structure = [
@@ -400,7 +380,6 @@ class GroupRingModel(FreeRing):
             structure,
             [int(i == 0) for i in range(len(self.basis))],
             RootSpec.unity(group.exponent),
-            IntPolynomial.monomial(group.exponent) - 1,
         )
 
     def _basis_label(self, g: tuple[int, ...]) -> str:
@@ -469,7 +448,6 @@ class BurnsideModel(FreeRing):
             structure,
             [int(i == one_rows[0]) for i in range(k)],
             RootSpec.integers(*entries),
-            IntPolynomial.from_roots(entries),
         )
 
     @cached_property
@@ -535,11 +513,14 @@ class FiniteQuotientRing(RingModel):
     J is kept as the Howell rows of its generators' group translates.  An
     element is the least vector of its coset, reached by reducing each
     pivot coordinate j below h_j, left to right; the carrier is the product
-    of range(h_j) at the pivots and range(N) elsewhere, in order.  Labels,
-    structure constants, S and q come from the cover Z[G].  S is the image
-    of the unit vectors e_g, so a vector v of (Z/N)[G] is a sum of
-    sum_g min(v_g, N - v_g) signed generators and no fewer, and the length
-    of r is the least of these over the lifts r + k, k in J.
+    of range(h_j) at the pivots and range(N) elsewhere, in order, and J is
+    the sums sum_j c_j row_j with 0 <= c_j < N/h_j, each met once.  Labels,
+    structure constants, S and the root spec come from the cover Z[G].  S
+    is the image of the unit vectors e_g, so a vector v of (Z/N)[G] is a
+    sum of sum_g min(v_g, N - v_g) signed generators and no fewer, and the
+    length of r is the least of these over the lifts r + k, k in J.  The
+    carrier and J are sized before they are enumerated, and neither may
+    exceed max_carrier; building the quotient enumerates neither.
     """
 
     def __init__(
@@ -552,25 +533,18 @@ class FiniteQuotientRing(RingModel):
     ):
         if modulus < 2:
             raise ExpressionError("modulus must be at least 2")
-        limits = limits or default_limits()
         self.modulus = modulus
         self.group = group
-        self.unity_exponent = group.exponent
+        self._limits = limits or default_limits()
         self.cover = GroupRingModel(group)
         dim = len(self.cover.labels)
-        size = modulus**dim
-        if size > limits.max_carrier:
-            raise CarrierBoundExceeded(
-                f"carrier exceeds the limit max_carrier = {limits.max_carrier}: "
-                f"reached {size} elements"
-            )
         gens = [self._normalize(v) for v in ideal_generators]
         # J is the Z/N-span of all group translates of the generators
         seeds = {self.cover.mul(g, e) for g in gens for _, e in self.cover.generators()}
         self._rows = _howell_rows(sorted(seeds), modulus, dim)
         # the trivial group is left out of the name: Z6, not Z6[C1]
         over = f"[{group.describe()}]" if group.order > 1 else ""
-        super().__init__(name or f"Z{modulus}{over}")
+        super().__init__(name or f"Z{modulus}{over}", self.cover.root_spec())
         self._check_r2()
 
     def _normalize(self, vec) -> tuple[int, ...]:
@@ -593,9 +567,17 @@ class FiniteQuotientRing(RingModel):
         return v
 
     @cached_property
-    def _kernel(self) -> frozenset:
-        rows = [row for _, _, row in self._rows]
-        return closure(self._vec_add, (0,) * len(self.cover.labels), rows)
+    def _kernel(self) -> list[tuple[int, ...]]:
+        n = self.modulus
+        self._limits.check_carrier(prod(n // h for _, h, _ in self._rows))
+        kernel = [self.zero()]
+        for _, h, row in self._rows:
+            kernel = [
+                tuple([(x + c * y) % n for x, y in zip(k, row)])
+                for k in kernel
+                for c in range(n // h)
+            ]
+        return kernel
 
     def zero(self):
         return self.cover.zero()  # the least vector of J
@@ -618,12 +600,6 @@ class FiniteQuotientRing(RingModel):
     def generators(self):
         return tuple((label, self._rep(e)) for label, e in self.cover.generators())
 
-    def generating_polynomial(self):
-        return self.cover.generating_polynomial()
-
-    def root_spec(self):
-        return self.cover.root_spec()
-
     def characteristic(self) -> int:
         # the additive order of 1 divides N
         n, zero = self.modulus, self.zero()
@@ -636,6 +612,7 @@ class FiniteQuotientRing(RingModel):
         heights = [self.modulus] * len(self.cover.labels)
         for j, h, _ in self._rows:
             heights[j] = h
+        self._limits.check_carrier(prod(heights))
         return list(product(*map(range, heights)))
 
     def length(self, r):
@@ -677,14 +654,16 @@ class ProductRing(RingModel):
     With these generators the product is additively generated and
     lengths add, but every generator has a zero coordinate, so the
     generating polynomial must vanish at 0: its root set is the union
-    of the factors' roots together with 0.
+    of the factors' roots together with 0.  The factors' roots of unity
+    merge into mu_lcm of their orders, so the root set may be larger
+    than that union: Z[C2] x Z[C3] has the roots mu_6 and 0.
     """
 
     def __init__(self, left: RingModel, right: RingModel, name: Optional[str] = None):
         self.left = left
         self.right = right
-        super().__init__(name or f"{left.name}x{right.name}")
-        self._spec = _merge_root_specs(left.root_spec(), right.root_spec())
+        spec = left.root_spec().union_with_zero(right.root_spec())
+        super().__init__(name or f"{left.name}x{right.name}", spec)
         self._check_r2()
 
     def zero(self):
@@ -712,12 +691,6 @@ class ProductRing(RingModel):
         for label, s in self.right.generators():
             out.append((f"R.{label}", (self.left.zero(), s)))
         return tuple(out)
-
-    def generating_polynomial(self):
-        return poly_from_roots(self._spec.roots())
-
-    def root_spec(self):
-        return self._spec
 
     def length(self, r):
         return self.left.length(r[0]) + self.right.length(r[1])
@@ -767,36 +740,6 @@ class ProductRing(RingModel):
 
     def format_element(self, r):
         return f"({self.left.format_element(r[0])} | {self.right.format_element(r[1])})"
-
-
-def _merge_root_specs(a: RootSpec, b: RootSpec) -> RootSpec:
-    """Root spec for a product model: union of the factors' roots plus 0.
-
-    Incomparable roots-of-unity orders merge into their lcm, which may
-    strictly enlarge the root set; the result still annihilates every
-    generator and stays squarefree.
-    """
-    unity_orders: list[int] = []
-    for atom in a.atoms + b.atoms:
-        if isinstance(atom, RootsOfUnity):
-            unity_orders.append(atom.order)
-    # mu_lcm contains mu_m for every atom order m; for pairwise
-    # divisible orders this is exactly the union
-    kept: list[int] = [lcm(*unity_orders)] if unity_orders else []
-    covered_ints = set()
-    for o in kept:
-        covered_ints.add(1)
-        if o % 2 == 0:
-            covered_ints.add(-1)
-    ints = {0}
-    for atom in a.atoms + b.atoms:
-        if isinstance(atom, IntegerRoots):
-            ints.update(atom.values)
-    ints -= covered_ints
-    atoms: list = [RootsOfUnity(o) for o in sorted(kept)]
-    if ints:
-        atoms.append(IntegerRoots(tuple(sorted(ints))))
-    return RootSpec(tuple(atoms))
 
 
 # -- annihilation reports ---------------------------------------------------------------

@@ -113,8 +113,9 @@ def _is_two_power(n: int) -> bool:
 
 
 def _has_two_power_q(model: RingModel) -> bool:
-    e = model.unity_exponent
-    return e is not None and _is_two_power(e)
+    # q = X^m - 1 with m a power of 2
+    m = model.root_spec().unity_order()
+    return m is not None and _is_two_power(m)
 
 
 def _require_two_power(model: RingModel) -> None:

@@ -387,6 +387,52 @@ def test_root_spec_rejects_overlap():
         ).roots()
 
 
+@pytest.mark.parametrize(
+    "atoms, overlap",
+    [
+        ((RootsOfUnity(2), IntegerRoots((1, 2))), True),
+        ((RootsOfUnity(4), IntegerRoots((-1,))), True),
+        ((RootsOfUnity(3), IntegerRoots((-1, 0))), False),
+        ((RootsOfUnity(1), IntegerRoots((-1, 2))), False),
+        ((RootsOfUnity(2), RootsOfUnity(3)), True),
+        ((IntegerRoots((1, 2)), IntegerRoots((2, 5))), True),
+        ((IntegerRoots((1, 2)), IntegerRoots((-3,))), False),
+    ],
+)
+def test_polynomial_rejects_overlap_like_roots(atoms, overlap):
+    spec = RootSpec(atoms)
+    if not overlap:
+        assert spec.polynomial() == poly_from_roots(spec.roots())
+        return
+    for build in (spec.roots, spec.polynomial):
+        with pytest.raises(ExpressionError, match="^atoms overlap"):
+            build()
+
+
+@settings(max_examples=60, deadline=None)
+@given(packing_specs(largest=50))
+def test_polynomial_is_the_product_over_the_roots(spec):
+    assert spec.polynomial() == poly_from_roots(spec.roots())
+
+
+@pytest.mark.parametrize(
+    "a, b, union",
+    [
+        (RootSpec.unity(2), RootSpec.unity(3), RootSpec((RootsOfUnity(6), IntegerRoots((0,))))),
+        (RootSpec.unity(4), RootSpec.unity(2), RootSpec((RootsOfUnity(4), IntegerRoots((0,))))),
+        (RootSpec.unity(3), RootSpec.integers(-1, 0, 1), RootSpec((RootsOfUnity(3), IntegerRoots((-1, 0))))),
+        (RootSpec.integers(-1, 1), RootSpec.integers(1, 2), RootSpec.integers(-1, 0, 1, 2)),
+        (
+            RootSpec((RootsOfUnity(2), IntegerRoots((3,)))),
+            RootSpec((RootsOfUnity(5), IntegerRoots((-1, 7)))),
+            RootSpec((RootsOfUnity(10), IntegerRoots((0, 3, 7)))),
+        ),
+    ],
+)
+def test_union_with_zero(a, b, union):
+    assert a.union_with_zero(b) == union == b.union_with_zero(a)
+
+
 def test_root_spec_json_roundtrip():
     spec = RootSpec(
         (RootSpec.integers(0, 2).atoms[0], RootSpec.unity(4).atoms[0])

@@ -4,14 +4,19 @@ Each model kind answers `signatures()` and `predicates(r)` itself, so a
 new strategy is one method on one class.  This guard fails if
 `spectrum.py` imports a concrete model class or tests an object's type
 against one; it reads the source, the way `test_dead_surface.py` does.
+Likewise a model's roots are read through its root spec: neither
+`rings.py` nor `spectrum.py` names a root atom class.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 from aprings import rings
 
-SPECTRUM = Path(__file__).resolve().parent.parent / "src" / "aprings" / "spectrum.py"
+SOURCES = Path(__file__).resolve().parent.parent / "src" / "aprings"
+SPECTRUM = SOURCES / "spectrum.py"
 
 MODEL_CLASSES = {
     name
@@ -29,14 +34,18 @@ def _names(node) -> set:
     }
 
 
-def test_spectrum_imports_no_concrete_model_class():
-    tree = ast.parse(SPECTRUM.read_text())
-    imported = {
+def _imported(tree) -> set:
+    return {
         alias.name
         for node in ast.walk(tree)
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
     }
+
+
+def test_spectrum_imports_no_concrete_model_class():
+    tree = ast.parse(SPECTRUM.read_text())
+    imported = _imported(tree)
     assert {"FreeRing", "ProductRing", "FiniteQuotientRing"} <= MODEL_CLASSES
     assert imported & MODEL_CLASSES <= ARGUMENT_TYPES
 
@@ -52,3 +61,10 @@ def test_spectrum_does_not_switch_on_model_classes():
         and any(_names(arg) & (MODEL_CLASSES | {"model"}) for arg in node.args)
     ]
     assert switches == [], f"spectrum.py switches on a model's class at lines {switches}"
+
+
+@pytest.mark.parametrize("module", ["rings.py", "spectrum.py"])
+def test_models_read_their_roots_through_the_root_spec(module):
+    tree = ast.parse((SOURCES / module).read_text())
+    atoms = {"IntegerRoots", "RootsOfUnity"}
+    assert not (_imported(tree) | _names(tree)) & atoms

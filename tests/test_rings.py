@@ -3,11 +3,13 @@ from itertools import combinations, product
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from aprings.annihilator import RootSpec
+import aprings
+from aprings.annihilator import IntegerRoots, RootSpec, RootsOfUnity
 from aprings.config import Limits
 from aprings.cyclotomic import CyclotomicInteger, _galois_action, poly_from_roots
 from aprings.errors import (
@@ -25,12 +27,14 @@ from aprings.groups import (
 )
 from aprings.intpoly import IntPolynomial
 from aprings.rings import (
+    FINITE_BUNDLED,
     BurnsideModel,
     FiniteQuotientRing,
     FreeRing,
     GroupRingModel,
     ProductRing,
     ProductZRing,
+    RingModel,
     ZRing,
     _howell_rows,
     bundled_model,
@@ -222,9 +226,19 @@ def test_closed_form_length_agrees_with_bfs(name):
 
 
 def test_carrier_bound():
+    """The cap holds for what is enumerated, the carrier and J, not for
+    the cover: a quotient builds and computes above it."""
     limit = r"^carrier exceeds the limit max_carrier = 10: reached 16 elements$"
+    group, limits = FiniteAbelianGroup((2, 2)), Limits(max_carrier=10)
+    model = FiniteQuotientRing(2, group, limits=limits)
+    assert model.length(model.one()) == 1
     with pytest.raises(CarrierBoundExceeded, match=limit):
-        FiniteQuotientRing(2, FiniteAbelianGroup((2, 2)), limits=Limits(max_carrier=10))
+        model.carrier()
+    # J is all of (Z/2)[C2xC2], so the carrier is {0} and J has 16 elements
+    model = FiniteQuotientRing(2, group, [(1, 0, 0, 0)], limits=limits)
+    assert model.carrier() == [(0, 0, 0, 0)]
+    with pytest.raises(CarrierBoundExceeded, match=limit):
+        model.length(model.one())
 
 
 def reference_coset_reps(modulus, group, gens):
@@ -254,7 +268,8 @@ def reference_coset_reps(modulus, group, gens):
 
 def assert_matches_reference(model, gens):
     kernel, rep = reference_coset_reps(model.modulus, model.group, gens)
-    assert model._kernel == kernel
+    # J is enumerated with each element once
+    assert sorted(model._kernel) == sorted(kernel)
     assert model.carrier() == sorted(set(rep.values()))
     for vec, least in rep.items():
         assert model._rep(vec) == least, vec
@@ -443,12 +458,20 @@ def _subclasses(cls):
 
 def test_free_models_supply_data_only():
     """Every free model inherits FreeRing's arithmetic, generators and
-    length, so one element representation serves them all."""
+    length, so one element representation serves them all.  Every model
+    states its roots once, as the root spec it hands to RingModel, which
+    alone builds q from it."""
     inherited = {"zero", "one", "add", "neg", "mul", "embed_int", "generators", "length"}
     subclasses = list(_subclasses(FreeRing))
     assert {ZRing, ProductZRing, GroupRingModel, BurnsideModel} <= set(subclasses)
     for cls in subclasses:
         assert not inherited & vars(cls).keys(), cls.__name__
+    models = list(_subclasses(RingModel))
+    assert {FreeRing, FiniteQuotientRing, ProductRing} <= set(models)
+    for cls in models:
+        assert not {"generating_polynomial", "root_spec"} & vars(cls).keys(), cls.__name__
+    sources = Path(aprings.__file__).parent.glob("*.py")
+    assert [path.name for path in sources if "unity_exponent" in path.read_text()] == []
 
 
 coeffs4 = st.tuples(*[st.integers(min_value=-6, max_value=6)] * 4)
@@ -468,6 +491,65 @@ PRODUCT_SPEC = {"kind": "product", "left": {"kind": "Z"}, "right": {"kind": "gro
 
 # group rings whose Galois orbits of characters have 4 members
 JSON_GROUP_RINGS = {"Z[C5]": [5], "Z[C8]": [8], "Z[C12]": [12]}
+
+
+def _group_ring(*orders):
+    return {"kind": "group_ring", "factor_orders": list(orders)}
+
+
+# product models and the root specs of their q: the factors' roots and 0,
+# with the roots of unity merged into mu_lcm of their orders
+PRODUCT_PAIRS = {
+    "ZxZ": ({"kind": "Z"}, {"kind": "Z"}, RootSpec((RootsOfUnity(2), IntegerRoots((0,))))),
+    "Z[C2]xZ[C3]": (_group_ring(2), _group_ring(3), RootSpec((RootsOfUnity(6), IntegerRoots((0,))))),
+    "Z[C3]xZ^3": (
+        _group_ring(3),
+        {"kind": "product_z", "copies": 3},
+        RootSpec((RootsOfUnity(3), IntegerRoots((-1, 0)))),
+    ),
+    "Z^2xBurnside(C2)": (
+        {"kind": "product_z", "copies": 2},
+        {"kind": "burnside", "group": "C2"},
+        RootSpec.integers(-1, 0, 1, 2),
+    ),
+    "Z4[C2]xZ3": (
+        {"kind": "finite_quotient", "modulus": 4, "factor_orders": [2]},
+        {"kind": "finite_quotient", "modulus": 3},
+        RootSpec((RootsOfUnity(2), IntegerRoots((0,)))),
+    ),
+    "(ZxZ[C2])xZ[C4]": (
+        {"kind": "product", "left": {"kind": "Z"}, "right": _group_ring(2)},
+        _group_ring(4),
+        RootSpec((RootsOfUnity(4), IntegerRoots((0,)))),
+    ),
+}
+
+
+def _product_pair(name):
+    left, right, _ = PRODUCT_PAIRS[name]
+    return construct_model({"kind": "product", "left": left, "right": right})
+
+
+@pytest.mark.parametrize("name", PRODUCT_PAIRS)
+def test_product_root_spec_is_the_union_with_zero(name):
+    model = _product_pair(name)
+    assert model.root_spec() == PRODUCT_PAIRS[name][2]
+    q = model.generating_polynomial()
+    assert q(0) == 0
+    for factor in (model.left, model.right):
+        assert all(q(r) == 0 for r in factor.root_spec().roots())
+
+
+@pytest.mark.parametrize(
+    "model",
+    [pytest.param(bundled_model(name), id=name) for name in FREE_PRESETS + list(FINITE_BUNDLED)]
+    + [pytest.param(m, id=f"random{i}") for i, m in enumerate(random_quotients())]
+    + [pytest.param(_product_pair(name), id=name) for name in PRODUCT_PAIRS],
+)
+def test_generating_polynomial_has_the_roots_of_the_spec(model):
+    """q, built from the root spec atom by atom, is the monic polynomial
+    with exactly the spec's roots."""
+    assert model.generating_polynomial() == poly_from_roots(model.root_spec().roots())
 
 
 def _preset(name):

@@ -6,7 +6,7 @@ import pytest
 from aprings import oracle
 from aprings.errors import UnsupportedModel
 from aprings.groups import FiniteAbelianGroup, named_group_names
-from aprings.rings import GroupRingModel, bundled_model, construct_model, parse_element
+from aprings.rings import FINITE_BUNDLED, GroupRingModel, bundled_model, construct_model, parse_element
 from aprings.spectrum import (
     ap_condition_check,
     dress_relations,
@@ -19,9 +19,35 @@ from aprings.spectrum import (
     signature_ideal,
     signatures,
     spectrum_report,
+    _has_two_power_q,
 )
 
-from test_rings import FREE_PRESETS, GHOST_GROUPS, column_rows, rational_kernel
+from test_rings import (
+    FREE_PRESETS,
+    GHOST_GROUPS,
+    JSON_GROUP_RINGS,
+    PRODUCT_PAIRS,
+    _preset,
+    _product_pair,
+    column_rows,
+    rational_kernel,
+)
+
+
+# -- 2-power generating polynomials ----------------------------------------
+
+# q = X^(2^k) - 1: Z (X^2 - 1), the group rings of 2-groups and their
+# quotients, Z_N included (q = X - 1); never Z^3, a Burnside ring or a
+# product, whose roots are integers or include 0
+TWO_POWER_Q = {"Z", "Z[C2]", "Z[C2xC2]", "Z[C4]", "Z[C8]", *FINITE_BUNDLED}
+
+
+@pytest.mark.parametrize(
+    "name", FREE_PRESETS + list(JSON_GROUP_RINGS) + list(FINITE_BUNDLED) + list(PRODUCT_PAIRS)
+)
+def test_which_models_have_a_two_power_q(name):
+    model = _product_pair(name) if name in PRODUCT_PAIRS else _preset(name)
+    assert _has_two_power_q(model) == (name in TWO_POWER_Q)
 
 
 # -- signatures ------------------------------------------------------------
