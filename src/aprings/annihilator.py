@@ -59,8 +59,6 @@ class RootsOfUnity:
 
 Atom = Union[IntegerRoots, RootsOfUnity]
 
-_OVERLAP = "atoms overlap: the union of root sets must be duplicate-free"
-
 
 @dataclass(frozen=True)
 class RootSpec:
@@ -96,7 +94,7 @@ class RootSpec:
                 step = order // atom.order
                 out.extend(CyclotomicInteger.zeta(order, j * step) for j in range(atom.order))
         if len({r.coords for r in out}) != len(out):
-            raise ExpressionError(_OVERLAP)
+            raise ExpressionError("atoms overlap: the union of root sets must be duplicate-free")
         return tuple(sorted(out, key=lambda r: r.sort_key()))
 
     def _split(self) -> tuple[list[int], list[int]]:
@@ -108,11 +106,9 @@ class RootSpec:
     def polynomial(self) -> IntPolynomial:
         """q: the product of X^m - 1 over the roots-of-unity atoms and of
         X - v over the integer roots.  Overlapping atoms raise the error
-        of `roots`: every mu_m holds 1, and -1 when m is even."""
+        of `roots`, which checks them."""
+        self.roots()
         orders, ints = self._split()
-        shared = {1, -1} if any(m % 2 == 0 for m in orders) else {1}
-        if len(orders) > 1 or len(set(ints)) != len(ints) or (orders and shared & set(ints)):
-            raise ExpressionError(_OVERLAP)
         factors = [IntPolynomial.monomial(m) - 1 for m in orders]
         return packed_product(factors + [IntPolynomial((-v, 1)) for v in ints])
 

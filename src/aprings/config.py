@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import CarrierBoundExceeded, ExpressionError
+from .errors import CarrierBoundExceeded, ExpressionError, OrderBoundExceeded
 
 
 @dataclass(frozen=True)
@@ -23,9 +23,17 @@ class Limits:
     max_sumset: int = 20000            # |T_n| cap during sum-set extension
     max_summands: int = 8              # n cap for root_sum_set
 
+    def check_group_order(self, size: int) -> None:
+        """Raise OrderBoundExceeded when a group closure reaches `size` > max_group_order."""
+        if size > self.max_group_order:
+            raise OrderBoundExceeded(
+                f"group closure exceeds the limit max_group_order = {self.max_group_order}: "
+                f"reached {size} elements"
+            )
+
     def check_carrier(self, size: int) -> None:
-        """Raise CarrierBoundExceeded before `size` elements of a finite
-        ring are enumerated, when they are more than max_carrier."""
+        """Raise CarrierBoundExceeded when `size` elements of a finite ring,
+        about to be or being materialised, are more than max_carrier."""
         if size > self.max_carrier:
             raise CarrierBoundExceeded(
                 f"carrier exceeds the limit max_carrier = {self.max_carrier}: "

@@ -84,16 +84,17 @@ def close_group(
     for g in gens:
         if len(g) != degree:
             raise ExpressionError("generator degree mismatch")
-    elements = closure(compose, identity_perm(degree), gens, limits.max_group_order)
+    elements = closure(compose, identity_perm(degree), gens, limits.check_group_order)
     return PermGroup(degree=degree, generators=gens, elements=tuple(sorted(elements)))
 
 
-def closure(op: Callable, identity, generators: Iterable, bound: Optional[int] = None) -> frozenset:
+def closure(
+    op: Callable, identity, generators: Iterable, check: Optional[Callable] = None
+) -> frozenset:
     """The closure of {identity} under x -> op(x, g) for the generators g,
-    breadth first: in a finite group, the subgroup they generate.
-    Raises OrderBoundExceeded when a breadth-first level takes it past
-    `bound` elements; the message names `max_group_order`, the limit that
-    `close_group`, the one caller with a bound, passes."""
+    breadth first: in a finite group, the subgroup they generate.  After
+    each breadth-first level, `check` (a `Limits` check) is called with
+    the number of elements reached, and may raise to stop the closure."""
     gens = tuple(generators)
     seen = {identity}
     frontier = [identity]
@@ -105,11 +106,8 @@ def closure(op: Callable, identity, generators: Iterable, bound: Optional[int] =
                 if c not in seen:
                     seen.add(c)
                     nxt.append(c)
-        if bound is not None and len(seen) > bound:
-            raise OrderBoundExceeded(
-                f"group closure exceeds the limit max_group_order = {bound}: "
-                f"reached {len(seen)} elements"
-            )
+        if check is not None:
+            check(len(seen))
         frontier = nxt
     return frozenset(seen)
 

@@ -6,11 +6,12 @@ arbitrary precision for free, so no coefficient ever overflows.
 
 Polynomials are multiplied by signed Kronecker substitution in
 `packed_product`, a product of two factors included: the factors are
-multiplied into the one integer prod f_i(2^w), each by Horner in 2^w
-(shifts and small multiples, linear in its size), with w fixed by the
-bound prod ||f_i||_1 on every coefficient, and the product's signed
-base-2^w digits are its coefficients, unpacked through a byte string in
-time linear in its size.  A product tree would pay off only with fast
+multiplied into the one integer prod f_i(2^w), a short factor by Horner
+in 2^w (shifts and small multiples) and a long one, whose Horner shifts
+would cost time quadratic in its length, packed through a byte string;
+w is fixed by the bound prod ||f_i||_1 on every coefficient, and the
+product's signed base-2^w digits are its coefficients, unpacked in time
+linear in its size.  A product tree would pay off only with fast
 multiplication, and CPython multiplies large integers by Karatsuba.
 
 The module also holds the routines shared by every exact arithmetic type
@@ -25,7 +26,7 @@ from decimal import Decimal
 from itertools import zip_longest
 from math import prod
 from operator import mul
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 
 def repeated_doubling(x, n: int, identity, op: Callable):
@@ -69,6 +70,14 @@ def format_terms(terms: Iterable[tuple[int, str]]) -> str:
     return "".join(parts) if parts else "0"
 
 
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """sum c_i * 2^(8*width*i) for integers |c_i| < 2^(8*width)."""
+    zero = bytes(width)
+    positive = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in coeffs)
+    negative = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in coeffs)
+    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
+
+
 def _unpack(v: int, width: int, length: int) -> list[int]:
     """The `length` signed base-2^(8*width) digits of v, low digit first."""
     # adding 2^(w-1) to every digit makes the digits nonnegative, so they
@@ -77,6 +86,9 @@ def _unpack(v: int, width: int, length: int) -> list[int]:
     data = (v + offset).to_bytes(width * length, "little")
     half = 1 << (8 * width - 1)
     return [int.from_bytes(data[i:i + width], "little") - half for i in range(0, len(data), width)]
+
+
+_HORNER_TERMS = 64  # the longest factor applied by Horner; past it, packing is faster
 
 
 def packed_product(factors: Iterable["IntPolynomial"]) -> "IntPolynomial":
@@ -90,6 +102,9 @@ def packed_product(factors: Iterable["IntPolynomial"]) -> "IntPolynomial":
     width = prod(sum(map(abs, f)) for f in fs).bit_length() // 8 + 1
     v = 1
     for f in fs:
+        if len(f) > _HORNER_TERMS:
+            v *= _pack(f, width)
+            continue
         # v * f(2^w) by Horner in 2^w: shifts and small multiples of v
         acc = f[-1] * v
         for c in reversed(f[:-1]):

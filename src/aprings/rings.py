@@ -149,12 +149,15 @@ class RingModel:
 
 
 def poly_eval_in_ring(p: IntPolynomial, r, model: RingModel):
-    """Horner evaluation of p at r; integer coefficients act through
-    repeated addition of 1_R (via embed_int)."""
-    result = model.zero()
-    for c in reversed(p.coeffs):
-        result = model.add(model.mul(result, r), model.embed_int(c))
-    return result
+    """Horner evaluation of p at r over its nonzero coefficients, stepping
+    between two of them by r^gap, each gap's power found once by repeated
+    doubling; integer coefficients act through embed_int."""
+    power = lru_cache(None)(lambda k: repeated_doubling(r, k, model.one(), model.mul))
+    result, above = model.zero(), p.degree
+    for i, c in reversed([(i, c) for i, c in enumerate(p.coeffs) if c]):
+        result = model.add(model.mul(result, power(above - i)), model.embed_int(c))
+        above = i
+    return model.mul(result, power(above)) if above > 0 else result
 
 
 @dataclass(frozen=True)
@@ -507,6 +510,11 @@ def _howell_rows(vectors, n: int, dim: int) -> list[tuple[int, int, tuple[int, .
     return rows
 
 
+def _span_size(rows, n: int) -> int:
+    """The number of elements of the Z/n-span of Howell rows."""
+    return prod(n // h for _, h, _ in rows)
+
+
 class FiniteQuotientRing(RingModel):
     """(Z/N)[G] modulo the ideal J generated by the given elements.
 
@@ -519,8 +527,8 @@ class FiniteQuotientRing(RingModel):
     is the image of the unit vectors e_g, so a vector v of (Z/N)[G] is a
     sum of sum_g min(v_g, N - v_g) signed generators and no fewer, and the
     length of r is the least of these over the lifts r + k, k in J.  The
-    carrier and J are sized before they are enumerated, and neither may
-    exceed max_carrier; building the quotient enumerates neither.
+    carrier and J are sized before they are enumerated; they and the powers
+    `predicates` walks stay within max_carrier, and the build enumerates none.
     """
 
     def __init__(
@@ -569,7 +577,7 @@ class FiniteQuotientRing(RingModel):
     @cached_property
     def _kernel(self) -> list[tuple[int, ...]]:
         n = self.modulus
-        self._limits.check_carrier(prod(n // h for _, h, _ in self._rows))
+        self._limits.check_carrier(_span_size(self._rows, n))
         kernel = [self.zero()]
         for _, h, row in self._rows:
             kernel = [
@@ -601,9 +609,10 @@ class FiniteQuotientRing(RingModel):
         return tuple((label, self._rep(e)) for label, e in self.cover.generators())
 
     def characteristic(self) -> int:
-        # the additive order of 1 divides N
-        n, zero = self.modulus, self.zero()
-        return next(d for d in range(1, n + 1) if n % d == 0 and self.embed_int(d) == zero)
+        # the additive order of 1 is |J + Z 1| / |J|, read off Howell rows
+        n, dim = self.modulus, len(self.cover.labels)
+        spanned = _howell_rows([row for _, _, row in self._rows] + [self.cover.one()], n, dim)
+        return _span_size(spanned, n) // _span_size(self._rows, n)
 
     def is_finite(self) -> bool:
         return True
@@ -628,11 +637,12 @@ class FiniteQuotientRing(RingModel):
         """Walk the powers r, r^2, ... until one repeats: r is nilpotent when
         0 appears and a unit when 1 appears.  In a finite commutative ring
         every element is a unit or a zero divisor, never both, and every
-        element is torsion."""
+        element is torsion.  At most max_carrier powers are kept."""
         seen = set()
         power = r
         while power not in seen:
             seen.add(power)
+            self._limits.check_carrier(len(seen))
             power = self.mul(power, r)
         unit = self.one() in seen
         # no signatures, so r lies in all of them

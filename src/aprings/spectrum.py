@@ -157,33 +157,36 @@ def is_admissible(model: RingModel) -> AdmissibilityResult:
     return AdmissibilityResult(False, f"characteristic {c} is odd")
 
 
-def fundamental_ideal_elements(model: RingModel) -> frozenset:
-    """The ideal generated by 1 -+ s over generators s, materialized.
+def fundamental_ideal_elements(model: RingModel, limits: Optional[Limits] = None) -> frozenset:
+    """The ideal generated by 1 -+ s over generators s, materialized up to
+    max_carrier elements.
 
     b(1-a) = (1-ba) - (1-b), so the ideal equals the additive span of
     its generators; closure is a plain subgroup computation.
     """
+    limits = limits or default_limits()
     one = model.one()
     seeds = set()
     for _, s in model.generators():
         seeds.add(model.sub(one, s))
         seeds.add(model.add(one, s))
-    return closure(model.add, model.zero(), seeds)
+    return closure(model.add, model.zero(), seeds, limits.check_carrier)
 
 
-def ap_condition_check(model: RingModel, k: int) -> bool:
+def ap_condition_check(model: RingModel, k: int, limits: Optional[Limits] = None) -> bool:
     """Arason-Pfister condition AP(k): every sum of fewer than 2^k
     signed generators lying in I^k is zero.  Decided exhaustively, so
-    the model must be finite."""
+    the model must be finite and I^j, j <= k, within max_carrier."""
     if not model.is_finite():
         raise UnsupportedModel("AP(k) is decided exhaustively; model must be finite")
     if k < 1:
         raise ValueError("k must be positive")
-    ideal = fundamental_ideal_elements(model)
+    limits = limits or default_limits()
+    ideal = fundamental_ideal_elements(model, limits)
     power = ideal
     for _ in range(k - 1):
         products = {model.mul(x, y) for x in power for y in ideal}
-        power = closure(model.add, model.zero(), products)
+        power = closure(model.add, model.zero(), products, limits.check_carrier)
     zero = model.zero()
     return all(r == zero for r in power if model.length(r) < 2**k)
 
@@ -435,7 +438,7 @@ def _finite_spectrum_report(model: RingModel, limits: Limits) -> SpectrumReport:
 
     table = oracle.table_for_model(model, limits)
     primes = oracle.prime_ideals(table, limits)
-    ideal_elements = fundamental_ideal_elements(model)
+    ideal_elements = fundamental_ideal_elements(model, limits)
     infos = []
     for P in sorted(primes, key=sorted):
         members = frozenset(table.elements[i] for i in P)

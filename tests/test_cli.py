@@ -85,6 +85,33 @@ def test_annihilator_bound_exceeded(capsys):
     assert "bound" in err
 
 
+# a prime modulus: the carrier is far above max_carrier, and the powers of
+# 2 run through its multiplicative order before one repeats
+BIG_PRIME_QUOTIENT = '{"kind": "finite_quotient", "modulus": 1000000007}'
+
+
+@pytest.mark.parametrize(
+    "argv, reached",
+    [
+        (("analyze", "--ring", BIG_PRIME_QUOTIENT, "--element", "2"), 4097),
+        (("spectrum", "--ring", BIG_PRIME_QUOTIENT), 1000000007),
+        (("spectrum", "--ring", "Z16[C2xC2]"), 65536),
+    ],
+)
+def test_quotient_above_the_carrier_cap_exits_3(capsys, argv, reached):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert f"max_carrier = 4096: reached {reached} elements" in err
+
+
+@pytest.mark.parametrize("ring", ["Z16[C2xC2]", BIG_PRIME_QUOTIENT])
+def test_analyze_answers_on_a_quotient_above_the_carrier_cap(capsys, ring):
+    # building the quotient and the powers of 1 enumerate nothing large
+    code, out, _ = run_cli(capsys, "analyze", "--ring", ring, "--element", "1")
+    assert code == 0
+    assert "length: 1" in out and "unit: True" in out
+
+
 def test_annihilator_malformed_spec(capsys):
     code, _, _ = run_cli(capsys, "annihilator", "--q", "{broken", "--n", "2")
     assert code == 2

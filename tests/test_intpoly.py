@@ -1,5 +1,6 @@
 from decimal import Decimal
 from functools import reduce
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from aprings.annihilator import annihilating_polynomial, root_sum_set
 from aprings.cyclotomic import CyclotomicInteger
 from aprings.intpoly import (
+    _HORNER_TERMS,
     IntPolynomial,
     decimal_str,
     format_terms,
@@ -107,6 +109,17 @@ def test_packed_product_matches_references(lists):
     expected = schoolbook_product(factors)
     assert packed_product(factors) == expected
     assert reference_tree_product(factors) == expected
+
+
+@pytest.mark.parametrize("length", [_HORNER_TERMS, _HORNER_TERMS + 1, 300])
+def test_packed_product_of_long_factors(length):
+    # factors longer than _HORNER_TERMS are packed, not applied by Horner
+    rng = Random(length)
+    edges = (0, 1, -1, 127, -128, 255, -256, 2**64 - 1, -(2**200))
+    longs = [IntPolynomial([rng.choice(edges) for _ in range(length - 1)] + [3]) for _ in range(2)]
+    factors = [IntPolynomial((1, -2)), longs[0], IntPolynomial((0, 5, 7)), longs[1]]
+    assert packed_product(factors) == schoolbook_product(factors)
+    assert longs[0] * longs[1] == schoolbook(longs[0].coeffs, longs[1].coeffs)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import aprings
-from aprings.annihilator import IntegerRoots, RootSpec, RootsOfUnity
+from aprings.annihilator import IntegerRoots, RootSpec, RootsOfUnity, annihilating_polynomial
 from aprings.config import Limits
 from aprings.cyclotomic import CyclotomicInteger, _galois_action, poly_from_roots
 from aprings.errors import (
@@ -197,6 +197,16 @@ def test_quotient_characteristic_is_the_additive_order_of_one(model):
     assert model.characteristic() == additive_order_of_one(model)
 
 
+def test_quotient_characteristic_enumerates_no_multiple_of_one():
+    # read off Howell rows, so a modulus far above max_carrier costs nothing
+    trivial = FiniteAbelianGroup(())
+    assert FiniteQuotientRing(10**30, trivial).characteristic() == 10**30
+    assert FiniteQuotientRing(2**40, trivial, [(2**20,)]).characteristic() == 2**20
+    # J holds 6 - 4g and -4 + 6g, so 10 = 3(6 - 4g) + 2(-4 + 6g) is its least integer
+    model = FiniteQuotientRing(10**12, FiniteAbelianGroup((2,)), [(6, 10**12 - 4)])
+    assert model.characteristic() == 10 == additive_order_of_one(model)
+
+
 def generic_bfs_lengths(model, radius):
     moves = []
     for _, s in model.generators():
@@ -358,6 +368,28 @@ def test_quotient_construction_walks_no_cover_vectors(monkeypatch):
         model._check_r2()
 
 
+def dense_horner(p, r, model):
+    result = model.zero()
+    for c in reversed(p.coeffs):
+        result = model.add(model.mul(result, r), model.embed_int(c))
+    return result
+
+
+@given(st.lists(st.integers(-3, 3), max_size=12), st.integers(0, 3))
+def test_poly_eval_in_ring_matches_dense_horner(coeffs, which):
+    # the evaluation skips zero coefficients through powers r^gap
+    model = [
+        bundled_model("Z[C4]"),
+        bundled_model("Z8[C2]"),
+        bundled_model("burnside-C2"),
+        FiniteQuotientRing(6, FiniteAbelianGroup((3,)), [(1, 1, 1)]),
+    ][which]
+    p = IntPolynomial(coeffs)
+    for _, s in model.generators():
+        r = model.add(s, model.one())
+        assert poly_eval_in_ring(p, r, model) == dense_horner(p, r, model)
+
+
 def test_quotient_with_ideal_generators():
     group = FiniteAbelianGroup((2,))
     # kill 2 - 2g inside (Z/4)[C2]; the kernel has two elements
@@ -502,6 +534,9 @@ def _group_ring(*orders):
 PRODUCT_PAIRS = {
     "ZxZ": ({"kind": "Z"}, {"kind": "Z"}, RootSpec((RootsOfUnity(2), IntegerRoots((0,))))),
     "Z[C2]xZ[C3]": (_group_ring(2), _group_ring(3), RootSpec((RootsOfUnity(6), IntegerRoots((0,))))),
+    # Z states mu_2, so with mu_3 it merges into mu_6 (q = X^7 - X); the
+    # signed root sets of mu_6 + {0} and mu_3 + {-1, 0} agree
+    "ZxZ[C3]": ({"kind": "Z"}, _group_ring(3), RootSpec((RootsOfUnity(6), IntegerRoots((0,))))),
     "Z[C3]xZ^3": (
         _group_ring(3),
         {"kind": "product_z", "copies": 3},
@@ -538,6 +573,15 @@ def test_product_root_spec_is_the_union_with_zero(name):
     assert q(0) == 0
     for factor in (model.left, model.right):
         assert all(q(r) == 0 for r in factor.root_spec().roots())
+
+
+@pytest.mark.parametrize("n", range(1, 4))
+def test_merged_unity_roots_keep_the_signed_p_n(n):
+    # mu_6 + {0} and mu_3 + {-1, 0} have the same signed root set, so the
+    # enlargement of ZxZ[C3]'s q leaves its p_n as they were
+    spec = _product_pair("ZxZ[C3]").root_spec()
+    unmerged = RootSpec((RootsOfUnity(3), IntegerRoots((-1, 0))))
+    assert annihilating_polynomial(spec, n) == annihilating_polynomial(unmerged, n)
 
 
 @pytest.mark.parametrize(

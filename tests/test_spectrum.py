@@ -4,7 +4,8 @@ import random
 import pytest
 
 from aprings import oracle
-from aprings.errors import UnsupportedModel
+from aprings.config import Limits
+from aprings.errors import CarrierBoundExceeded, UnsupportedModel
 from aprings.groups import FiniteAbelianGroup, named_group_names
 from aprings.rings import FINITE_BUNDLED, GroupRingModel, bundled_model, construct_model, parse_element
 from aprings.spectrum import (
@@ -299,6 +300,19 @@ def test_ap_condition_examples():
     assert ap_condition_check(bundled_model("Z3"), 1) is False
     with pytest.raises(UnsupportedModel):
         ap_condition_check(bundled_model("Z[C2]"), 1)
+
+
+def test_ideal_closures_stop_at_the_carrier_cap():
+    # I of (Z/8)[C2] has 32 of its 64 elements
+    model, limits = bundled_model("Z8[C2]"), Limits(max_carrier=16)
+    assert len(fundamental_ideal_elements(model)) == 32
+    with pytest.raises(CarrierBoundExceeded, match="max_carrier = 16: reached"):
+        fundamental_ideal_elements(model, limits)
+    with pytest.raises(CarrierBoundExceeded, match="max_carrier = 16: reached"):
+        ap_condition_check(model, 2, limits)
+    # I of (Z/16)[C2xC2] has 32768 elements, far above the default cap
+    with pytest.raises(CarrierBoundExceeded, match="max_carrier = 4096: reached"):
+        ap_condition_check(bundled_model("Z16[C2xC2]"), 2)
 
 
 def test_ap2_on_z8_c2():
