@@ -1,8 +1,13 @@
 """Command line interface.
 
-Subcommands: annihilator, marks, spectrum, analyze, verify.  Exit
-codes: 0 success, 1 verification failure or internal error, 2 usage
-error, 3 resource bound.  Malformed input is turned into
+Subcommands: annihilator, marks, spectrum, analyze, verify.  Each
+command's options are declared once, as data in COMMANDS.  A
+well-formed call (a command, then exact `--name value`, `--name=value`
+or flag tokens of that command, with valid values and every required
+option) is read from that table directly; anything else goes to the
+argparse parser built from it, which alone prints help, usage and
+errors.  Exit codes: 0 success, 1 verification failure or internal
+error, 2 usage error, 3 resource bound.  Malformed input is turned into
 ExpressionError where it is read, so any other ValueError or KeyError
 is an internal fault.  JSON output is deterministic (sorted keys,
 canonical orderings); unbounded integers are serialized as decimal
@@ -11,12 +16,12 @@ strings.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .annihilator import (
     RootSpec,
@@ -38,6 +43,9 @@ from .intpoly import decimal_str
 from .rings import bundled_model, construct_model, parse_element, verify_annihilated
 from .spectrum import LISTED_PRIME_BOUND, element_predicates, spectrum_report
 from .verification import paper_checks
+
+if TYPE_CHECKING:
+    import argparse
 
 USAGE_ERROR = 2
 BOUND_ERROR = 3
@@ -237,45 +245,62 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _annihilator_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", required=True, help="root spec: preset:NAME, JSON, or @file")
-    p.add_argument("--n", type=int, required=True, help="number of summands")
-    p.add_argument("--mode", choices=["signed", "unsigned"], default=None)
-    p.add_argument("--closed-form", action="store_true")
-    p.add_argument("--format", choices=["text", "json"], default="text")
+class Option(NamedTuple):
+    """One option of a command, as `ArgumentParser.add_argument` takes
+    it: a `store_true` flag, or an option taking one value that `type`
+    converts and `choices` restricts."""
+
+    flag: str
+    help: Optional[str] = None
+    type: Optional[Callable] = None
+    choices: Optional[tuple[str, ...]] = None
+    required: bool = False
+    default: object = None
+    store_true: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
 
-def _marks_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--group", required=True, help=f"named:NAME ({', '.join(named_group_names())}), JSON, or @file")
-    p.add_argument("--check-paper", action="store_true", dest="check_paper",
-                   help="compare against the bundled A5 reference table")
-    p.add_argument("--format", choices=["text", "json"], default="text")
+class Command(NamedTuple):
+    """A subcommand: its help line, its handler and its options."""
+
+    help: str
+    handler: Callable
+    options: tuple[Option, ...]
 
 
-def _spectrum_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ring", required=True, help="preset:NAME, JSON, or @file")
-    p.add_argument("--primes-up-to", type=int, default=LISTED_PRIME_BOUND)
-    p.add_argument("--format", choices=["text", "json"], default="text")
+FORMAT = Option("--format", choices=("text", "json"), default="text")
 
-
-def _analyze_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ring", required=True)
-    p.add_argument("--element", required=True, help='e.g. "2*g0 - 3*g1 + 1"')
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-
-def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--suite", choices=["paper"], required=True)
-    p.add_argument("--filter", default=None, help="only run checks whose name contains this")
-
-
-# name -> (help, handler, function that adds the command's arguments)
-COMMANDS: dict[str, tuple[str, Callable, Callable]] = {
-    "annihilator": ("construct an annihilating polynomial", cmd_annihilator, _annihilator_arguments),
-    "marks": ("compute a table of marks", cmd_marks, _marks_arguments),
-    "spectrum": ("prime spectrum report", cmd_spectrum, _spectrum_arguments),
-    "analyze": ("length, annihilation and predicates of an element", cmd_analyze, _analyze_arguments),
-    "verify": ("run the bundled verification suite", cmd_verify, _verify_arguments),
+COMMANDS: dict[str, Command] = {
+    "annihilator": Command("construct an annihilating polynomial", cmd_annihilator, (
+        Option("--q", "root spec: preset:NAME, JSON, or @file", required=True),
+        Option("--n", "number of summands", type=int, required=True),
+        Option("--mode", choices=("signed", "unsigned")),
+        Option("--closed-form", store_true=True),
+        FORMAT,
+    )),
+    "marks": Command("compute a table of marks", cmd_marks, (
+        Option("--group", f"named:NAME ({', '.join(named_group_names())}), JSON, or @file",
+               required=True),
+        Option("--check-paper", "compare against the bundled A5 reference table", store_true=True),
+        FORMAT,
+    )),
+    "spectrum": Command("prime spectrum report", cmd_spectrum, (
+        Option("--ring", "preset:NAME, JSON, or @file", required=True),
+        Option("--primes-up-to", type=int, default=LISTED_PRIME_BOUND),
+        FORMAT,
+    )),
+    "analyze": Command("length, annihilation and predicates of an element", cmd_analyze, (
+        Option("--ring", required=True),
+        Option("--element", 'e.g. "2*g0 - 3*g1 + 1"', required=True),
+        FORMAT,
+    )),
+    "verify": Command("run the bundled verification suite", cmd_verify, (
+        Option("--suite", choices=("paper",), required=True),
+        Option("--filter", "only run checks whose name contains this"),
+    )),
 }
 
 
@@ -287,6 +312,8 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     line equal to the full one; the full parser keeps argparse's default,
     which names the action `command` in its "invalid choice" and
     "required" errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="aprings",
         description="Annihilating polynomials and structure theory for AP rings.",
@@ -300,11 +327,66 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         names = list(COMMANDS)
         sub = parser.add_subparsers(dest="command", required=True)
     for name in names:
-        help_text, handler, add_arguments = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.set_defaults(func=handler)
+        command = COMMANDS[name]
+        p = sub.add_parser(name, help=command.help)
+        for option in command.options:
+            if option.store_true:
+                p.add_argument(option.flag, action="store_true", help=option.help)
+            else:
+                p.add_argument(option.flag, type=option.type, choices=option.choices,
+                               required=option.required, default=option.default,
+                               help=option.help)
+        p.set_defaults(func=command.handler)
     return parser
+
+
+def _read(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse would return for `argv`, when argv[0] is a
+    command followed only by exact `--name value`, `--name=value` and
+    flag tokens of that command, every value converts and is among the
+    choices, and every required option is given; else None.  A separate
+    value may not start with "-", where argparse reads options."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = {option.flag: option for option in command.options}
+    values = {option.dest: False if option.store_true else option.default
+              for option in command.options}
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        option = options.get(flag)
+        if option is None or (eq and option.store_true):
+            return None
+        if option.store_true:
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, None)
+                if value is None or value.startswith("-"):
+                    return None
+            if option.type is not None:
+                try:
+                    value = option.type(value)
+                except (TypeError, ValueError):
+                    return None
+            if option.choices is not None and value not in option.choices:
+                return None
+        values[option.dest] = value
+        given.add(flag)
+    if any(option.required and option.flag not in given for option in command.options):
+        return None
+    return SimpleNamespace(command=argv[0], func=command.handler, **values)
+
+
+def parse_args(argv: Sequence[str]):
+    """The arguments of one call.  A well-formed `argv` is read from
+    COMMANDS directly; anything else (help, an unknown, abbreviated or
+    missing option, a bad value, a stray token) goes to argparse, which
+    parses it or prints help, usage or the error and exits."""
+    args = _read(argv)
+    return build_parser(argv).parse_args(argv) if args is None else args
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -313,7 +395,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # joined, so that an element starting with "-" is not read as an option
         i = argv.index("--element")
         argv[i:i + 2] = [f"--element={argv[i + 1]}"]
-    args = build_parser(argv).parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except BoundExceeded as exc:

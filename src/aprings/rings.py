@@ -669,9 +669,16 @@ class ProductRing(RingModel):
     than that union: Z[C2] x Z[C3] has the roots mu_6 and 0.
     """
 
-    def __init__(self, left: RingModel, right: RingModel, name: Optional[str] = None):
+    def __init__(
+        self,
+        left: RingModel,
+        right: RingModel,
+        name: Optional[str] = None,
+        limits: Optional[Limits] = None,
+    ):
         self.left = left
         self.right = right
+        self._limits = limits or default_limits()
         spec = left.root_spec().union_with_zero(right.root_spec())
         super().__init__(name or f"{left.name}x{right.name}", spec)
         self._check_r2()
@@ -716,7 +723,9 @@ class ProductRing(RingModel):
         return self.left.is_finite() and self.right.is_finite()
 
     def carrier(self) -> list:
-        return [(a, b) for a in self.left.carrier() for b in self.right.carrier()]
+        left, right = self.left.carrier(), self.right.carrier()
+        self._limits.check_carrier(len(left) * len(right))  # before any pair is built
+        return [(a, b) for a in left for b in right]
 
     def is_root(self, p, r):
         return self.left.is_root(p, r[0]) and self.right.is_root(p, r[1])
@@ -878,6 +887,7 @@ def construct_model(spec: dict, limits: Optional[Limits] = None) -> RingModel:
         return ProductRing(
             construct_model(_field(spec, "left"), limits),
             construct_model(_field(spec, "right"), limits),
+            limits=limits,
         )
     raise ExpressionError(f"unknown model kind: {kind!r}")
 

@@ -4,13 +4,14 @@ import importlib.util
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from aprings import cli
 from aprings.cli import main
@@ -88,6 +89,7 @@ def test_annihilator_bound_exceeded(capsys):
 # a prime modulus: the carrier is far above max_carrier, and the powers of
 # 2 run through its multiplicative order before one repeats
 BIG_PRIME_QUOTIENT = '{"kind": "finite_quotient", "modulus": 1000000007}'
+Z4_C2XC2 = {"kind": "finite_quotient", "modulus": 4, "factor_orders": [2, 2]}
 
 
 @pytest.mark.parametrize(
@@ -96,6 +98,9 @@ BIG_PRIME_QUOTIENT = '{"kind": "finite_quotient", "modulus": 1000000007}'
         (("analyze", "--ring", BIG_PRIME_QUOTIENT, "--element", "2"), 4097),
         (("spectrum", "--ring", BIG_PRIME_QUOTIENT), 1000000007),
         (("spectrum", "--ring", "Z16[C2xC2]"), 65536),
+        # two factors of 256 elements each: refused before a pair is built
+        (("spectrum", "--ring", json.dumps({"kind": "product", "left": Z4_C2XC2, "right": Z4_C2XC2})),
+         65536),
     ],
 )
 def test_quotient_above_the_carrier_cap_exits_3(capsys, argv, reached):
@@ -499,12 +504,12 @@ def reference_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(parser, argv):
+def _parse(parse_args, argv):
     out, err = io.StringIO(), io.StringIO()
     code, namespace = None, None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            namespace = vars(parser.parse_args(argv))
+            namespace = vars(parse_args(argv))
         except SystemExit as exc:
             code = exc.code
     return out.getvalue(), err.getvalue(), code, namespace
@@ -542,7 +547,103 @@ def _parse(parser, argv):
     ],
 )
 def test_build_parser_matches_the_five_subparser_reference(argv):
-    assert _parse(cli.build_parser(argv), argv) == _parse(reference_parser(), argv)
+    expected = _parse(reference_parser().parse_args, argv)
+    assert _parse(cli.build_parser(argv).parse_args, argv) == expected
+    assert _parse(cli.parse_args, argv) == expected
+
+
+OPTION_NAMES = sorted({option.flag for command in cli.COMMANDS.values() for option in command.options})
+VALUES = ("", "-1", "-g", "json", "three", "3", "paper", "named:S3", "a=b", "--n")
+FAULTS = ("value", "bare", "drop", "abbreviated", "unknown", "foreign", "help", "stray")
+
+
+def _valid(option) -> tuple[str, ...]:
+    if option.choices:
+        return option.choices
+    return ("3", "0", " 7") if option.type is int else ("preset:x2-1", "Z[C2]", "1")
+
+
+@st.composite
+def argvs(draw):
+    """A command name, mostly a real one, with its required options and
+    some others in any order, each given exactly, with a value it takes
+    after "=" or as the next token; then, half the time, one fault: a
+    value drawn from VALUES, a missing value or option, an abbreviated,
+    unknown or foreign option, `-h` or `--help`, or a stray token."""
+    name = draw(st.sampled_from([*cli.COMMANDS] * 3 + ["ana", "bogus", "-h", "--help"]))
+    options = cli.COMMANDS.get(name, cli.COMMANDS["annihilator"]).options
+
+    def tokens(option, flag=None, value=None):
+        flag = flag or option.flag
+        value = draw(st.sampled_from(_valid(option))) if value is None else value
+        if option.store_true:
+            return [flag]
+        return [flag, value] if draw(st.booleans()) else [f"{flag}={value}"]
+
+    groups = [tokens(option) for option in options if option.required or draw(st.booleans())]
+    fault = draw(st.sampled_from((None,) * len(FAULTS) + FAULTS))
+    option = draw(st.sampled_from(options))
+    if fault == "value":
+        value = draw(st.sampled_from(VALUES))
+        groups.append([f"{option.flag}={value}"] if option.store_true else tokens(option, value=value))
+    elif fault == "bare":
+        groups.append([option.flag])
+    elif fault == "drop" and groups:
+        del groups[draw(st.integers(0, len(groups) - 1))]
+    elif fault == "abbreviated":
+        groups.append(tokens(option, option.flag[:draw(st.integers(2, len(option.flag) - 1))]))
+    elif fault in ("unknown", "foreign"):
+        names = ["--nope", "-q", "--closed", "--"] if fault == "unknown" else OPTION_NAMES
+        groups.append(tokens(option, draw(st.sampled_from(names))))
+    elif fault in ("help", "stray"):
+        groups.append([draw(st.sampled_from(["-h", "--help"] if fault == "help" else VALUES))])
+    return [name] + [token for group in draw(st.permutations(groups)) for token in group]
+
+
+@settings(max_examples=500)
+@given(argvs())
+def test_direct_reader_agrees_with_argparse_wherever_it_reads(argv):
+    args = cli._read(argv)
+    if args is not None:
+        assert _parse(reference_parser().parse_args, argv) == ("", "", None, vars(args))
+
+
+def _workloads():
+    """perfbench/workloads.py, loaded as a file so that the benchmark's
+    directory needs no package marker."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def readme_examples() -> list[list[str]]:
+    """The argv of every `aprings` call in the README's command-line examples."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    calls = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in calls if line.startswith("aprings ")]
+
+
+def test_every_benchmark_and_readme_call_is_read_directly():
+    calls = _workloads().all_ops() + readme_examples()
+    assert len(calls) > 200
+    for argv in calls:
+        args = cli._read(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(reference_parser().parse_args(argv))
+
+
+def test_a_well_formed_call_imports_no_argparse():
+    code = (
+        "import sys\n"
+        "from aprings.cli import main\n"
+        "code = main(['marks', '--group', 'named:S3'])\n"
+        "print(code, 'argparse' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def written(payload) -> str:
@@ -574,9 +675,7 @@ def test_json_writer_matches_the_stdlib_on_every_golden_json_case():
 def test_json_writer_matches_the_stdlib_on_every_benchmark_payload(monkeypatch, capsys):
     """The payloads themselves, tuples and all, of every operation the
     benchmark's workloads can run."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _workloads()
     payloads = []
     monkeypatch.setattr(cli, "_emit_json", payloads.append)
     monkeypatch.chdir(ROOT)

@@ -442,6 +442,37 @@ def test_product_model_structure():
         assert verify_annihilated(prod, r).annihilated
 
 
+class WatchedCarrier(list):
+    """A factor's carrier that records each walk over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        WatchedCarrier.walks += 1
+        return super().__iter__()
+
+
+def test_product_carrier_above_the_cap_builds_no_pair(monkeypatch):
+    z4_c2xc2 = {"kind": "finite_quotient", "modulus": 4, "factor_orders": [2, 2]}
+    product = construct_model({"kind": "product", "left": z4_c2xc2, "right": z4_c2xc2})
+    for factor in (product.left, product.right):
+        monkeypatch.setattr(factor, "carrier", lambda own=factor.carrier: WatchedCarrier(own()))
+    monkeypatch.setattr(WatchedCarrier, "walks", 0)
+    with pytest.raises(CarrierBoundExceeded, match=r"^carrier exceeds the limit max_carrier = 4096: reached 65536 elements$"):
+        product.carrier()
+    assert WatchedCarrier.walks == 0
+
+
+@pytest.mark.parametrize("left, right", [("Z2", "Z4"), ("Z4[C2]", "Z3"), ("Z2[C2xC2]", "Z9[C2]")])
+def test_product_carrier_within_the_cap_pairs_every_element(left, right):
+    product = ProductRing(bundled_model(left), bundled_model(right))
+    pairs = [(a, b) for a in product.left.carrier() for b in product.right.carrier()]
+    assert product.carrier() == pairs
+    assert ProductRing(product.left, product.right, limits=Limits(max_carrier=len(pairs))).carrier() == pairs
+    with pytest.raises(CarrierBoundExceeded):
+        ProductRing(product.left, product.right, limits=Limits(max_carrier=len(pairs) - 1)).carrier()
+
+
 def test_product_of_factor_polynomials_annihilates_diagonal_generators():
     left = ZRing()
     right = bundled_model("Z[C2]")
