@@ -107,7 +107,10 @@ class RootSpec:
         """q: the product of X^m - 1 over the roots-of-unity atoms and of
         X - v over the integer roots.  Overlapping atoms raise the error
         of `roots`, which checks them."""
-        return _spec_polynomial(self)
+        self.roots()
+        orders, ints = self._split()
+        factors = [IntPolynomial.monomial(m) - 1 for m in orders]
+        return packed_product(factors + [IntPolynomial((-v, 1)) for v in ints])
 
     def union_with_zero(self, other: "RootSpec") -> "RootSpec":
         """The roots of both specs and 0.  Roots of unity merge into
@@ -152,16 +155,6 @@ class RootSpec:
             else:
                 raise ExpressionError(f"unknown root atom kind: {kind!r}")
         return RootSpec(tuple(atoms))
-
-
-@lru_cache(maxsize=512)
-def _spec_polynomial(spec: RootSpec) -> IntPolynomial:
-    # a cover and its quotients share one spec, so their R2 checks build q
-    # once; `roots` still runs on every miss, and an error is never cached
-    spec.roots()
-    orders, ints = spec._split()
-    factors = [IntPolynomial.monomial(m) - 1 for m in orders]
-    return packed_product(factors + [IntPolynomial((-v, 1)) for v in ints])
 
 
 def _json_int(key: str, value) -> int:
@@ -242,11 +235,8 @@ def _sums(
     the sorted sums: tuples of exactly phi(order) ints, which become
     values through the trusted `CyclotomicInteger._reduced`."""
     order = lcm(*(spec.common_order() for spec in specs))
-    # each distinct spec lifts its roots once, however often it repeats
-    lifted = {spec: [r.lift(order).coords for r in spec.roots()] for spec in dict.fromkeys(specs)}
-    largest = {spec: max((abs(c) for coords in roots for c in coords), default=0)
-               for spec, roots in lifted.items()}
-    bias = sum(largest[spec] for spec in specs)
+    lifted = [[r.lift(order).coords for r in spec.roots()] for spec in specs]
+    bias = sum(max((abs(c) for coords in roots for c in coords), default=0) for roots in lifted)
     width = (2 * bias + 1).bit_length()
     zero = CyclotomicInteger.from_int(0, order).coords
     shifts = range(width * (len(zero) - 1), -1, -width)
@@ -254,10 +244,9 @@ def _sums(
     def pack(coords: tuple[int, ...], offset: int) -> int:
         return sum((c + offset) << s for c, s in zip(coords, shifts))
 
-    packed = {spec: tuple(pack(coords, 0) for coords in roots) for spec, roots in lifted.items()}
     current = {pack(zero, bias)}
-    for spec in specs:
-        current = _extend(current, packed[spec], mode, cap)
+    for roots in lifted:
+        current = _extend(current, tuple(pack(coords, 0) for coords in roots), mode, cap)
     mask = (1 << width) - 1
     return tuple(
         CyclotomicInteger._reduced(order, tuple(((v >> s) & mask) - bias for s in shifts))

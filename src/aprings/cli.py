@@ -304,30 +304,17 @@ COMMANDS: dict[str, Command] = {
 }
 
 
-def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser for `argv`: the root parser and only the subparser that
-    argv[0] names, or all of them when argv[0] names no command (help, a
-    missing, unknown or abbreviated name), so that help and argparse's
-    errors list every command.  The metavar keeps the one-command usage
-    line equal to the full one; the full parser keeps argparse's default,
-    which names the action `command` in its "invalid choice" and
-    "required" errors."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every command, built from COMMANDS; it
+    parses what `_read` declines and prints help, usage and errors."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="aprings",
         description="Annihilating polynomials and structure theory for AP rings.",
     )
-    if argv and argv[0] in COMMANDS:
-        names = [argv[0]]
-        sub = parser.add_subparsers(
-            dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}"
-        )
-    else:
-        names = list(COMMANDS)
-        sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        command = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         for option in command.options:
             if option.store_true:
@@ -386,7 +373,7 @@ def parse_args(argv: Sequence[str]):
     missing option, a bad value, a stray token) goes to argparse, which
     parses it or prints help, usage or the error and exits."""
     args = _read(argv)
-    return build_parser(argv).parse_args(argv) if args is None else args
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: Optional[list[str]] = None) -> int:

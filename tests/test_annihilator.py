@@ -26,9 +26,9 @@ from aprings.annihilator import (
 )
 from aprings.config import Limits
 from aprings.cyclotomic import CyclotomicInteger, poly_from_roots
-from aprings.errors import BoundExceeded, ExpressionError, UnsupportedOrder
+from aprings.errors import BoundExceeded, ExpressionError
 from aprings.intpoly import IntPolynomial
-from aprings.rings import bundled_model, construct_model
+from aprings.rings import bundled_model
 
 WIDE = Limits(max_summands=12)
 
@@ -176,41 +176,6 @@ def test_empty_integer_atom_has_no_sums():
     assert _sums((empty,) * 3, "signed", 10) == ()
     assert _sums((RootSpec.unity(8), empty), "unsigned", 10) == ()
     assert mixed_annihilating_polynomial([RootSpec.unity(4), empty]) == IntPolynomial.constant(1)
-
-
-def test_each_distinct_spec_lists_and_lifts_its_roots_once(monkeypatch):
-    """`_sums` asks each distinct spec for its roots once, so its overlap
-    and degree checks still run, and extends once per summand."""
-    a, b = RootSpec.unity(4), RootSpec.integers(0, 2)
-    asked, lifted, extended = [], [], []
-    roots, lift, extend = RootSpec.roots, CyclotomicInteger.lift, annihilator._extend
-    monkeypatch.setattr(RootSpec, "roots", lambda spec: asked.append(spec) or roots(spec))
-    monkeypatch.setattr(CyclotomicInteger, "lift", lambda r, order: lifted.append(r) or lift(r, order))
-    monkeypatch.setattr(annihilator, "_extend", lambda *args: extended.append(args) or extend(*args))
-    specs = (a, b, a, a, b)
-    sums = packed_sums(specs, "signed", 20000)
-    assert asked == [a, b]
-    assert len(lifted) == len(roots(a)) + len(roots(b))
-    assert len(extended) == len(specs)
-    assert sums == reference_sums(specs, "signed", 20000)
-    with pytest.raises(ExpressionError, match="atoms overlap"):
-        _sums((RootSpec((RootsOfUnity(2), IntegerRoots((1,)))),) * 3, "signed", 20000)
-
-
-def test_q_is_built_once_per_spec_and_its_errors_every_time(monkeypatch):
-    built = []
-    product = annihilator.packed_product
-    monkeypatch.setattr(annihilator, "packed_product", lambda factors: built.append(1) or product(factors))
-    annihilator._spec_polynomial.cache_clear()
-    # the quotient's R2 check reuses the q of its cover's
-    construct_model({"kind": "finite_quotient", "modulus": 4, "factor_orders": [2, 2]})
-    assert len(built) == 1
-    overlapping = RootSpec((RootsOfUnity(2), IntegerRoots((-1,))))
-    for _ in range(2):
-        with pytest.raises(UnsupportedOrder, match="deg Phi_400 = 160"):
-            construct_model({"kind": "group_ring", "factor_orders": [400]})
-        with pytest.raises(ExpressionError, match="atoms overlap"):
-            overlapping.polynomial()
 
 
 def test_p_n_hashes_no_cyclotomic_integer(monkeypatch):

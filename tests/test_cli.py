@@ -548,7 +548,7 @@ def _parse(parse_args, argv):
 )
 def test_build_parser_matches_the_five_subparser_reference(argv):
     expected = _parse(reference_parser().parse_args, argv)
-    assert _parse(cli.build_parser(argv).parse_args, argv) == expected
+    assert _parse(cli.build_parser().parse_args, argv) == expected
     assert _parse(cli.parse_args, argv) == expected
 
 
