@@ -17,7 +17,7 @@ class Limits:
     """
 
     max_group_order: int = 5040        # permutation-group closure
-    max_subgroup_order: int = 120      # subgroup-lattice enumeration
+    max_subgroup_order: int = 720      # subgroup-lattice enumeration
     max_carrier: int = 4096            # finite-quotient carrier size
     max_oracle_spectrum: int = 256     # exhaustive ideal enumeration
     max_sumset: int = 20000            # |T_n| cap during sum-set extension

@@ -8,11 +8,13 @@ those indices; the lattice grows by cyclic extension up to conjugacy,
 one g per coset: one subgroup H of each class found so far is extended
 by one element g of each right coset Hg, closing the generators of H
 plus g (G. Pfeiffer, "The subgroups of M24, or how to compute the table
-of marks of a finite group", Experiment. Math. 6 (1997)).  Conjugacy
-classes of subgroups are ordered by subgroup order ascending with ties
-broken by the lexicographically minimal sorted element list of the
-minimal conjugate (ascending bit indices, as index order is sorted
-order), which makes every table of marks reproducible.
+of marks of a finite group", Experiment. Math. 6 (1997)).  Each class
+keeps its distinct conjugates, found as the orbit of one member under
+conjugation by the generators of G, and the marks are counted on those
+orbits.  Conjugacy classes of subgroups are ordered by subgroup order
+ascending with ties broken by the lexicographically minimal sorted
+element list of the minimal conjugate (ascending bit indices, as index
+order is sorted order), which makes every table of marks reproducible.
 """
 
 from __future__ import annotations
@@ -129,6 +131,7 @@ class _CayleyTable:
     index: dict[Perm, int]
     mul: tuple[tuple[int, ...], ...]   # mul[a][b]: index of elements[a] . elements[b]
     conj: tuple[tuple[int, ...], ...]  # conj[g][h]: index of g^-1 h g
+    gens: tuple[int, ...]              # the distinct indices of G.generators
 
 
 @lru_cache(maxsize=64)
@@ -165,7 +168,7 @@ def _cayley_table(G: PermGroup) -> _CayleyTable:
     conj = tuple(
         tuple(mul[inv[g]][row[g]] for row in mul) for g in range(G.order)
     )
-    return _CayleyTable(index=index, mul=mul, conj=conj)
+    return _CayleyTable(index=index, mul=mul, conj=conj, gens=tuple(rows))
 
 
 def _mask(indices: Iterable[int]) -> int:
@@ -188,6 +191,23 @@ def _bits(mask: int) -> tuple[int, ...]:
 def _conjugates(table: _CayleyTable, members: Sequence[int]) -> list[int]:
     """The mask of H^g for every g, in index order, H given by its members."""
     return [_mask(row[h] for h in members) for row in table.conj]
+
+
+def _orbit(table: _CayleyTable, members: Sequence[int]) -> list[int]:
+    """The distinct conjugates of H, H given by its members, as masks:
+    breadth first from H under conjugation by the generators of G, which
+    reaches every H^g as they generate G."""
+    orbit = {_mask(members): members}
+    walk = [members]
+    for H in walk:
+        for s in table.gens:
+            row = table.conj[s]
+            image = [row[h] for h in H]
+            K = _mask(image)
+            if K not in orbit:
+                orbit[K] = image
+                walk.append(image)
+    return list(orbit)
 
 
 # -- subgroup lattice -----------------------------------------------------------
@@ -223,25 +243,40 @@ class SubgroupClass:
         return {"label": self.label, "order": self.order, "size": self.size}
 
 
+@dataclass(frozen=True)
+class _Lattice:
+    """The conjugacy classes of subgroups in table order, and the distinct
+    conjugates of each class as masks, ascending by their sorted members,
+    so its representative first."""
+
+    classes: tuple[SubgroupClass, ...]
+    orbits: tuple[tuple[int, ...], ...]
+
+
 def subgroup_classes(G: PermGroup, limits: Optional[Limits] = None) -> list[SubgroupClass]:
     """All conjugacy classes of subgroups, found by cyclic extension."""
+    return list(_lattice(G, limits).classes)
+
+
+def _lattice(G: PermGroup, limits: Optional[Limits]) -> _Lattice:
     limits = limits or default_limits()
     if G.order > limits.max_subgroup_order:
         raise OrderBoundExceeded(
             f"|G| = {G.order} exceeds the limit max_subgroup_order = "
             f"{limits.max_subgroup_order}"
         )
-    return list(_subgroup_classes_cached(G))
+    return _subgroup_classes_cached(G)
 
 
 @lru_cache(maxsize=64)
-def _subgroup_classes_cached(G: PermGroup) -> list[SubgroupClass]:
+def _subgroup_classes_cached(G: PermGroup) -> _Lattice:
     """Every conjugacy class of subgroups, by cyclic extension up to
-    conjugacy, one g per coset (Pfeiffer 1997).
+    conjugacy, one g per coset (Pfeiffer 1997), with its conjugates.
 
-    A new subgroup K = <gens(H), g> is mapped through `conj` once, which
-    records its whole class; only that one member of the class is
-    extended.  An extended H tries one g per right coset Hg, since
+    The class of a new subgroup K = <gens(H), g> is the orbit of K under
+    conjugation by the generators of G (`_orbit`), found breadth first
+    and kept; only K itself is extended.  An extended H tries one g per
+    right coset Hg, since
     <H, g> = <H, hg> for h in H.  Every class turns up: a subgroup K other
     than 1 has a maximal subgroup H, which some x conjugates to the
     extended member H0 of its class, and then K^x = <H0, g^x> for any g
@@ -250,7 +285,7 @@ def _subgroup_classes_cached(G: PermGroup) -> list[SubgroupClass]:
     table = _cayley_table(G)
     mul = table.mul
     found = {1}
-    classes: list[tuple[tuple[int, ...], int]] = [((0,), 1)]
+    classes: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((0,), (1,))]
     frontier: list[tuple[int, tuple[int, ...]]] = [(1, ())]
     while frontier:
         nxt = []
@@ -264,23 +299,27 @@ def _subgroup_classes_cached(G: PermGroup) -> list[SubgroupClass]:
                 K = subgroup_closure(mul, gens + (g,))
                 if K in found:
                     continue
-                orbit = set(_conjugates(table, _bits(K)))
-                found |= orbit
-                classes.append((min(map(_bits, orbit)), len(orbit)))
+                # sorted by members, so the representative comes first
+                orbit = tuple(sorted(_orbit(table, _bits(K)), key=_bits))
+                found.update(orbit)
+                classes.append((_bits(orbit[0]), orbit))
                 nxt.append((K, gens + (g,)))
         frontier = nxt
     # Sorted indices compare as the sorted elements do.
     classes.sort(key=lambda item: (len(item[0]), item[0]))
     labels = _order_labels([len(rep) for rep, _ in classes])
-    return [
-        SubgroupClass(
-            label=label,
-            order=len(rep),
-            size=size,
-            representative=tuple(G.elements[i] for i in rep),
-        )
-        for label, (rep, size) in zip(labels, classes)
-    ]
+    return _Lattice(
+        classes=tuple(
+            SubgroupClass(
+                label=label,
+                order=len(rep),
+                size=len(orbit),
+                representative=tuple(G.elements[i] for i in rep),
+            )
+            for label, (rep, orbit) in zip(labels, classes)
+        ),
+        orbits=tuple(orbit for _, orbit in classes),
+    )
 
 
 def _order_labels(orders: list[int]) -> list[str]:
@@ -306,12 +345,12 @@ def mark(G: PermGroup, H1: Iterable[Perm], H2: Iterable[Perm]) -> int:
     """
     table = _cayley_table(G)
     H1mask = _mask(table.index[h] for h in H1)
-    return _mark(H1mask, _conjugates(table, [table.index[h] for h in H2]))
+    conjugates = _conjugates(table, [table.index[h] for h in H2])
+    return _mark(H1mask, sum(1 for K in conjugates if K & ~H1mask == 0))
 
 
-def _mark(H1: int, conjugates: Iterable[int]) -> int:
-    """#{g : H2^g <= H1} / |H1|, from the masks H2^g for every g."""
-    count = sum(1 for K in conjugates if K & ~H1 == 0)
+def _mark(H1: int, count: int) -> int:
+    """count / |H1|, count being #{g : H2^g <= H1}."""
     order = H1.bit_count()
     if count % order:
         raise CheckFailed(f"{count} conjugators is not a multiple of |H1| = {order}")
@@ -356,14 +395,21 @@ class TableOfMarks:
 
 
 def table_of_marks(G: PermGroup, limits: Optional[Limits] = None) -> TableOfMarks:
-    classes = subgroup_classes(G, limits)
-    table = _cayley_table(G)
-    members = [[table.index[h] for h in c.representative] for c in classes]
-    conjugates = [_conjugates(table, m) for m in members]
-    marks = tuple(
-        tuple(_mark(H1, conj) for conj in conjugates) for H1 in map(_mask, members)
-    )
-    return TableOfMarks(group_order=G.order, classes=tuple(classes), marks=marks)
+    """The marks counted on the stored orbits: H2^g is each conjugate K of
+    H2 for |N(H2)| = |G| / size(H2) elements g, so #{g : H2^g <= H1} is
+    that many times #{K : K <= H1}.  A K of order not dividing |H1| is
+    in no H1, so those marks are 0 without a count."""
+    lattice = _lattice(G, limits)
+    pairs = list(zip(lattice.classes, lattice.orbits))
+    marks = []
+    for c1, (H1, *_) in pairs:
+        outside = ~H1
+        marks.append(tuple(
+            _mark(H1, G.order // c2.size * sum(1 for K in orbit if not K & outside))
+            if c1.order % c2.order == 0 else 0
+            for c2, orbit in pairs
+        ))
+    return TableOfMarks(group_order=G.order, classes=lattice.classes, marks=tuple(marks))
 
 
 # -- finite abelian groups -------------------------------------------------------

@@ -552,8 +552,10 @@ class FiniteQuotientRing(RingModel):
         self._rows = _howell_rows(sorted(seeds), modulus, dim)
         # the trivial group is left out of the name: Z6, not Z6[C1]
         over = f"[{group.describe()}]" if group.order > 1 else ""
+        # No R2 walk of its own: Z[G] -> (Z/N)[G]/J is a ring homomorphism
+        # and the generators here are the images of the cover's, so q(s)
+        # is the image of the q(e_g) = 0 that the cover has checked.
         super().__init__(name or f"Z{modulus}{over}", self.cover.root_spec())
-        self._check_r2()
 
     def _normalize(self, vec) -> tuple[int, ...]:
         coords = exact_ints(vec, f"ideal generator {vec!r} is not a list of integers")

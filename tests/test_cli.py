@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from aprings import cli
 from aprings.cli import main
 from aprings.groups import named_group_names
-from aprings.rings import FiniteQuotientRing, bundled_model
+from aprings.rings import bundled_model
 from aprings.spectrum import LISTED_PRIME_BOUND
 
 
@@ -390,10 +390,10 @@ def test_malformed_input_is_a_usage_error(capsys, argv):
 
 @pytest.mark.parametrize("ring", ["Z4[C2]", '{"kind":"finite_quotient","modulus":4,"factor_orders":[2]}'])
 def test_fault_while_building_a_model_is_internal(capsys, monkeypatch, ring):
-    def broken(self):
+    def broken(*args):
         raise KeyError("missing coset representative")
 
-    monkeypatch.setattr(FiniteQuotientRing, "_check_r2", broken)
+    monkeypatch.setattr("aprings.rings._howell_rows", broken)
     bundled_model.cache_clear()  # so that the named ring is built again
     code, _, err = run_cli(capsys, "spectrum", "--ring", ring)
     assert code == 1

@@ -84,6 +84,10 @@ def is_subconjugate(G, H2, H1):
 def _group(name):
     if name == "S5":
         return close_group(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+    if name == "S6":
+        return close_group(6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)])
+    if name == "A6":  # (0 1 2) and (1 2 3 4 5)
+        return close_group(6, [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)])
     if (PERFBENCH_INPUTS / f"{name}.json").exists():
         return group_from_json(json.loads((PERFBENCH_INPUTS / f"{name}.json").read_text()))
     return named_group(name)
@@ -142,6 +146,13 @@ def test_subgroup_bound():
         subgroup_classes(named_group("A5"), Limits(max_subgroup_order=30))
 
 
+def test_default_subgroup_bound_is_720():
+    limit = r"^\|G\| = 721 exceeds the limit max_subgroup_order = 720$"
+    for build in (subgroup_classes, table_of_marks):
+        with pytest.raises(OrderBoundExceeded, match=limit):
+            build(named_group("C721"))
+
+
 GROUP_CORPUS = named_group_names() + [f"C{n}" for n in range(7, 31)] + ["d12", "agl1_5", "c4xc4"]
 
 
@@ -158,7 +169,8 @@ def test_table_of_marks_matches_brute_force(name):
 
 
 @pytest.mark.parametrize(
-    "name, classes, subgroups", [("S5", 19, 156), ("S4", 11, 30), ("A5", 9, 59)]
+    "name, classes, subgroups",
+    [("S6", 56, 1455), ("A6", 22, 501), ("S5", 19, 156), ("S4", 11, 30), ("A5", 9, 59)],
 )
 def test_lattice_counts(name, classes, subgroups):
     G = _group(name)
@@ -215,15 +227,50 @@ def test_random_groups_match_brute_force(seed):
     ]
 
 
-@pytest.mark.parametrize(
-    "G",
-    [pytest.param(_group(name), id=name) for name in GROUP_CORPUS + ["S5"]]
-    + [pytest.param(_random_group(seed), id=f"random{seed}") for seed in range(30)],
-)
+# the 40 listed groups, S5 and the 30 seeded random groups
+TABLE_GROUPS = [pytest.param(_group(name), id=name) for name in GROUP_CORPUS + ["S5"]] + [
+    pytest.param(_random_group(seed), id=f"random{seed}") for seed in range(30)
+]
+
+
+@pytest.mark.parametrize("G", TABLE_GROUPS)
 def test_cayley_table_matches_reference(G):
     table = groups._cayley_table(G)
     assert table.index == {p: i for i, p in enumerate(G.elements)}
     assert (table.mul, table.conj) == reference_cayley(G)
+
+
+@pytest.mark.parametrize("G", TABLE_GROUPS)
+def test_stored_orbits_are_the_conjugates(G):
+    """Each class keeps its distinct conjugates, found from the
+    generators, as the masks of H^g over every g would give them,
+    ascending by sorted members, so with the representative first."""
+    table = groups._cayley_table(G)
+    lattice = groups._subgroup_classes_cached(G)
+    for c, orbit in zip(lattice.classes, lattice.orbits):
+        members = [table.index[h] for h in c.representative]
+        assert len(set(orbit)) == len(orbit) == c.size
+        assert set(orbit) == set(groups._conjugates(table, members))
+        assert list(orbit) == sorted(orbit, key=groups._bits)
+        assert orbit[0] == groups._mask(members)
+
+
+def test_marks_reject_a_count_that_the_order_does_not_divide(monkeypatch):
+    # A5: |N(C2)| = 4 and S3 holds 3 of the 15 conjugates of C2, so
+    # dropping one of those from the orbit counts 4 * 2 = 8 conjugators
+    # for S3, which |S3| = 6 does not divide
+    G = named_group("A5")
+    lattice = groups._subgroup_classes_cached(G)
+    by_order = {c.order: i for i, c in enumerate(lattice.classes)}
+    S3, C2 = lattice.orbits[by_order[6]][0], lattice.orbits[by_order[2]]
+    inside = next(K for K in C2 if K & ~S3 == 0)
+    orbits = list(lattice.orbits)
+    orbits[by_order[2]] = tuple(K for K in C2 if K != inside)
+    forged = groups._Lattice(classes=lattice.classes, orbits=tuple(orbits))
+    monkeypatch.setattr(groups, "_subgroup_classes_cached", lambda G: forged)
+    message = r"^8 conjugators is not a multiple of \|H1\| = 6$"
+    with pytest.raises(CheckFailed, match=message):
+        table_of_marks(G)
 
 
 def test_cayley_table_rejects_generators_that_do_not_reach_the_group():

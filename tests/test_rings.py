@@ -368,6 +368,19 @@ def test_quotient_construction_walks_no_cover_vectors(monkeypatch):
         model._check_r2()
 
 
+@pytest.mark.parametrize(
+    "model",
+    [pytest.param(bundled_model(name), id=name) for name in NAMED]
+    + [pytest.param(m, id=f"random{i}") for i, m in enumerate(random_quotients())],
+)
+def test_quotient_generators_are_roots_of_q(model):
+    # a quotient runs no R2 walk of its own, as its generators are the
+    # images of its cover's; this checks by Horner what that walk checked
+    q = model.generating_polynomial()
+    for _, s in model.generators():
+        assert poly_eval_in_ring(q, s, model) == model.zero()
+
+
 def dense_horner(p, r, model):
     result = model.zero()
     for c in reversed(p.coeffs):
