@@ -20,6 +20,7 @@ order is sorted order), which makes every table of marks reproducible.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -268,6 +269,13 @@ def _lattice(G: PermGroup, limits: Optional[Limits]) -> _Lattice:
     return _subgroup_classes_cached(G)
 
 
+# The subgroups a lattice may hold.  Its cost, and the k^2 marks over its
+# k classes, grow with the number of subgroups, which the order of G does
+# not bound: C2^7 (order 128) has 29212 subgroups, all normal.  C2^6 has
+# 2825, the most of any group of order at most 120, and S6 has 1455.
+MAX_SUBGROUPS = 4096
+
+
 @lru_cache(maxsize=64)
 def _subgroup_classes_cached(G: PermGroup) -> _Lattice:
     """Every conjugacy class of subgroups, by cyclic extension up to
@@ -280,7 +288,7 @@ def _subgroup_classes_cached(G: PermGroup) -> _Lattice:
     <H, g> = <H, hg> for h in H.  Every class turns up: a subgroup K other
     than 1 has a maximal subgroup H, which some x conjugates to the
     extended member H0 of its class, and then K^x = <H0, g^x> for any g
-    in K - H.
+    in K - H.  Past MAX_SUBGROUPS subgroups it raises OrderBoundExceeded.
     """
     table = _cayley_table(G)
     mul = table.mul
@@ -302,6 +310,11 @@ def _subgroup_classes_cached(G: PermGroup) -> _Lattice:
                 # sorted by members, so the representative comes first
                 orbit = tuple(sorted(_orbit(table, _bits(K)), key=_bits))
                 found.update(orbit)
+                if len(found) > MAX_SUBGROUPS:
+                    raise OrderBoundExceeded(
+                        f"|G| = {G.order} has more than {MAX_SUBGROUPS} subgroups, "
+                        f"the limit of the subgroup lattice"
+                    )
                 classes.append((_bits(orbit[0]), orbit))
                 nxt.append((K, gens + (g,)))
         frontier = nxt
@@ -323,14 +336,21 @@ def _subgroup_classes_cached(G: PermGroup) -> _Lattice:
 
 
 def _order_labels(orders: list[int]) -> list[str]:
+    """The order of each class, lettered a, b, ..., z, aa, ab, ... among
+    the classes of the same order when there are several."""
+    total = Counter(orders)
+    seen: Counter = Counter()
     labels = []
-    for i, order in enumerate(orders):
-        peers = [j for j, o in enumerate(orders) if o == order]
-        if len(peers) == 1:
+    for order in orders:
+        if total[order] == 1:
             labels.append(str(order))
-        else:
-            suffix = "abcdefghijklmnopqrstuvwxyz"[peers.index(i)]
-            labels.append(f"{order}{suffix}")
+            continue
+        n = seen[order] = seen[order] + 1
+        suffix = ""
+        while n:
+            n, r = divmod(n - 1, 26)
+            suffix = "abcdefghijklmnopqrstuvwxyz"[r] + suffix
+        labels.append(f"{order}{suffix}")
     return labels
 
 
@@ -400,14 +420,14 @@ def table_of_marks(G: PermGroup, limits: Optional[Limits] = None) -> TableOfMark
     that many times #{K : K <= H1}.  A K of order not dividing |H1| is
     in no H1, so those marks are 0 without a count."""
     lattice = _lattice(G, limits)
-    pairs = list(zip(lattice.classes, lattice.orbits))
     marks = []
-    for c1, (H1, *_) in pairs:
+    for c1, orbit1 in zip(lattice.classes, lattice.orbits):
+        H1 = orbit1[0]
         outside = ~H1
         marks.append(tuple(
             _mark(H1, G.order // c2.size * sum(1 for K in orbit if not K & outside))
             if c1.order % c2.order == 0 else 0
-            for c2, orbit in pairs
+            for c2, orbit in zip(lattice.classes, lattice.orbits)
         ))
     return TableOfMarks(group_order=G.order, classes=lattice.classes, marks=tuple(marks))
 

@@ -185,6 +185,25 @@ def test_marks_group_from_file(tmp_path, capsys):
     assert json.loads(out)["marks"] == [[2, 0], [1, 1]]
 
 
+def test_marks_refuses_a_group_with_too_many_subgroups(capsys):
+    """C2^7, seven disjoint transpositions, has order 128 but 29212
+    subgroups; the lattice stops at MAX_SUBGROUPS instead of building
+    a table of marks over all of them."""
+    generators = []
+    for i in range(7):
+        p = list(range(14))
+        p[2 * i], p[2 * i + 1] = 2 * i + 1, 2 * i
+        generators.append(p)
+    group = json.dumps({"degree": 14, "generators": generators})
+    code, out, err = run_cli(capsys, "marks", "--group", group)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "resource bound exceeded: |G| = 128 has more than 4096 subgroups, "
+        "the limit of the subgroup lattice\n"
+    )
+
+
 def test_spectrum_z_c2(capsys):
     code, out, _ = run_cli(
         capsys, "spectrum", "--ring", "preset:Z[C2]", "--format", "json"

@@ -153,6 +153,39 @@ def test_default_subgroup_bound_is_720():
             build(named_group("C721"))
 
 
+def _elementary_abelian_2_group(rank):
+    """C2^rank as `rank` disjoint transpositions."""
+    generators = []
+    for i in range(rank):
+        p = list(range(2 * rank))
+        p[2 * i], p[2 * i + 1] = 2 * i + 1, 2 * i
+        generators.append(tuple(p))
+    return close_group(2 * rank, generators)
+
+
+def test_subgroup_count_bound():
+    """The order cap does not bound the lattice: C2^7 has order 128 and
+    29212 subgroups.  C2^6, with 2825, the most of any group of order at
+    most 120, stays under the bound."""
+    assert groups.MAX_SUBGROUPS == 4096
+    limit = r"^\|G\| = 128 has more than 4096 subgroups, the limit of the subgroup lattice$"
+    for build in (subgroup_classes, table_of_marks):
+        with pytest.raises(OrderBoundExceeded, match=limit):
+            build(_elementary_abelian_2_group(7))
+    classes = subgroup_classes(_elementary_abelian_2_group(6))
+    assert len(classes) == 2825
+    assert sum(c.size for c in classes) == 2825
+
+
+def test_more_than_26_classes_of_one_order_get_two_letter_suffixes():
+    """C2^5 has 31 subgroups of order 2."""
+    labels = [c.label for c in subgroup_classes(_elementary_abelian_2_group(5))]
+    assert labels[1:32] == [f"2{a}" for a in "abcdefghijklmnopqrstuvwxyz"] + [
+        "2aa", "2ab", "2ac", "2ad", "2ae"
+    ]
+    assert len(set(labels)) == len(labels)
+
+
 GROUP_CORPUS = named_group_names() + [f"C{n}" for n in range(7, 31)] + ["d12", "agl1_5", "c4xc4"]
 
 
