@@ -138,7 +138,8 @@ class RootSpec:
     @staticmethod
     def from_json(data: dict) -> "RootSpec":
         """The spec that `to_json` writes; a malformed one raises
-        ExpressionError."""
+        ExpressionError, and so does one with an atom without roots, as
+        one without atoms does."""
         raw_atoms = data.get("atoms") if isinstance(data, dict) else None
         if not isinstance(raw_atoms, list):
             raise ExpressionError(f"a root spec needs a list 'atoms', got {data!r}")
@@ -147,8 +148,10 @@ class RootSpec:
             kind = raw.get("kind") if isinstance(raw, dict) else None
             if kind == "integers":
                 values = raw.get("values")
-                if not isinstance(values, list):
-                    raise ExpressionError(f"'values' must be a list of integers, got {values!r}")
+                if not isinstance(values, list) or not values:
+                    raise ExpressionError(
+                        f"'values' must be a nonempty list of integers, got {values!r}"
+                    )
                 atoms.append(IntegerRoots(tuple(_json_int("values", v) for v in values)))
             elif kind == "roots_of_unity":
                 atoms.append(RootsOfUnity(_json_int("order", raw.get("order"))))

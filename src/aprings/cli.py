@@ -7,9 +7,9 @@ or flag tokens of that command, with valid values and every required
 option) is read from that table directly; anything else goes to the
 argparse parser built from it, which alone prints help, usage and
 errors.  Exit codes: 0 success, 1 verification failure or internal
-error, 2 usage error, 3 resource bound.  Malformed input is turned into
-ExpressionError where it is read, so any other ValueError or KeyError
-is an internal fault.  JSON output is deterministic (sorted keys,
+error, 2 usage error, 3 resource bound, 141 stdout closed by its
+reader.  Malformed input is turned into ExpressionError where it is
+read, so any other ValueError or KeyError is an internal fault.  JSON output is deterministic (sorted keys,
 canonical orderings); unbounded integers are serialized as decimal
 strings.
 """
@@ -17,6 +17,7 @@ strings.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -49,6 +50,7 @@ if TYPE_CHECKING:
 
 USAGE_ERROR = 2
 BOUND_ERROR = 3
+BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command that SIGPIPE ended
 
 
 def _json_parts(value, indent: str, parts: list[str]) -> None:
@@ -180,6 +182,8 @@ def cmd_marks(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if args.primes_up_to < 2:
+        raise ExpressionError("--primes-up-to must be at least 2, the least prime")
     model = _load(args.ring, bundled_model, construct_model)
     report = spectrum_report(model, prime_bound=args.primes_up_to)
     if args.format == "json":
@@ -384,7 +388,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         argv[i:i + 2] = [f"--element={argv[i + 1]}"]
     args = parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head -1`): no traceback, and
+        # what stdout still buffers goes to devnull, so that the flush at
+        # exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except BoundExceeded as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
         return BOUND_ERROR

@@ -2,12 +2,12 @@
 
 Permutations act on {0, ..., d-1} and are stored as image tuples.  The
 lattice and the marks work on a Cayley table (`_cayley_table`): the
-elements of G indexed in sorted order, with multiplication and
-conjugation tables on the indices.  A subgroup is an int bitmask over
-those indices; the lattice grows by cyclic extension up to conjugacy,
-one g per coset: one subgroup H of each class found so far is extended
-by one element g of each right coset Hg, closing the generators of H
-plus g (G. Pfeiffer, "The subgroups of M24, or how to compute the table
+elements of G indexed in sorted order, with the multiplication table
+and the generators' conjugation rows on the indices.  A subgroup is an
+int bitmask over those indices; the lattice grows by cyclic extension up
+to conjugacy, one g per coset: one subgroup H of each class found so far
+is extended by one element g of each right coset Hg, closing the
+generators of H plus g (G. Pfeiffer, "The subgroups of M24, or how to compute the table
 of marks of a finite group", Experiment. Math. 6 (1997)).  Each class
 keeps its distinct conjugates, found as the orbit of one member under
 conjugation by the generators of G, and the marks are counted on those
@@ -121,8 +121,8 @@ def closure(
 @dataclass(frozen=True)
 class _CayleyTable:
     """G.elements indexed in their order, which `close_group` makes the
-    sorted order, with the multiplication and conjugation tables on the
-    indices.
+    sorted order, with the multiplication table on the indices and the
+    conjugation rows of the generators.
 
     Index 0 is the identity (the sorted-first permutation), and a set of
     elements is an int bitmask with bit i for element i, so ascending bit
@@ -131,7 +131,7 @@ class _CayleyTable:
 
     index: dict[Perm, int]
     mul: tuple[tuple[int, ...], ...]   # mul[a][b]: index of elements[a] . elements[b]
-    conj: tuple[tuple[int, ...], ...]  # conj[g][h]: index of g^-1 h g
+    conj: tuple[tuple[int, ...], ...]  # conj[i][h]: index of s^-1 h s, s = gens[i]
     gens: tuple[int, ...]              # the distinct indices of G.generators
 
 
@@ -165,11 +165,11 @@ def _cayley_table(G: PermGroup) -> _CayleyTable:
             f"{G.order} elements of the group"
         )
     mul = tuple(mul)
-    inv = [index[inverse_perm(a)] for a in G.elements]
-    conj = tuple(
-        tuple(mul[inv[g]][row[g]] for row in mul) for g in range(G.order)
-    )
-    return _CayleyTable(index=index, mul=mul, conj=conj, gens=tuple(rows))
+    conj = []
+    for s in rows:
+        row_inv = mul[index[inverse_perm(G.elements[s])]]
+        conj.append(tuple(row_inv[row[s]] for row in mul))
+    return _CayleyTable(index=index, mul=mul, conj=tuple(conj), gens=tuple(rows))
 
 
 def _mask(indices: Iterable[int]) -> int:
@@ -189,11 +189,6 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _conjugates(table: _CayleyTable, members: Sequence[int]) -> list[int]:
-    """The mask of H^g for every g, in index order, H given by its members."""
-    return [_mask(row[h] for h in members) for row in table.conj]
-
-
 def _orbit(table: _CayleyTable, members: Sequence[int]) -> list[int]:
     """The distinct conjugates of H, H given by its members, as masks:
     breadth first from H under conjugation by the generators of G, which
@@ -201,8 +196,7 @@ def _orbit(table: _CayleyTable, members: Sequence[int]) -> list[int]:
     orbit = {_mask(members): members}
     walk = [members]
     for H in walk:
-        for s in table.gens:
-            row = table.conj[s]
+        for row in table.conj:
             image = [row[h] for h in H]
             K = _mask(image)
             if K not in orbit:
@@ -214,10 +208,15 @@ def _orbit(table: _CayleyTable, members: Sequence[int]) -> list[int]:
 # -- subgroup lattice -----------------------------------------------------------
 
 
+# byte i of a closure's `seen` (0 or 1) as the digit of bit i
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def subgroup_closure(mul: Sequence[Sequence[int]], gens: tuple[int, ...]) -> int:
     """The subgroup generated by the element indices `gens`, as a mask:
     the closure of the identity under x -> x . g over the multiplication
-    table, breadth first (`found` grows while it is walked)."""
+    table, breadth first (`found` grows while it is walked).  The mask is
+    read off `seen` as a binary numeral, highest index first."""
     seen = bytearray(len(mul))
     seen[0] = 1
     found = [0]
@@ -228,7 +227,7 @@ def subgroup_closure(mul: Sequence[Sequence[int]], gens: tuple[int, ...]) -> int
             if not seen[c]:
                 seen[c] = 1
                 found.append(c)
-    return _mask(found)
+    return int(seen.translate(_BIT_DIGITS)[::-1], 2)
 
 
 @dataclass(frozen=True)
@@ -361,12 +360,14 @@ def mark(G: PermGroup, H1: Iterable[Perm], H2: Iterable[Perm]) -> int:
     """Fixed points of H2 on the coset space G/H1.
 
     A coset gH1 is fixed by H2 exactly when g^-1 H2 g lies in H1, so the
-    count is #{g : H2^g <= H1} / |H1|.
+    count is #{g : H2^g <= H1} / |H1|, counted on the distinct conjugates
+    of H2 as `table_of_marks` counts it.
     """
     table = _cayley_table(G)
     H1mask = _mask(table.index[h] for h in H1)
-    conjugates = _conjugates(table, [table.index[h] for h in H2])
-    return _mark(H1mask, sum(1 for K in conjugates if K & ~H1mask == 0))
+    orbit = _orbit(table, [table.index[h] for h in H2])
+    inside = sum(1 for K in orbit if K & ~H1mask == 0)
+    return _mark(H1mask, G.order // len(orbit) * inside)
 
 
 def _mark(H1: int, count: int) -> int:
@@ -430,6 +431,37 @@ def table_of_marks(G: PermGroup, limits: Optional[Limits] = None) -> TableOfMark
             for c2, orbit in zip(lattice.classes, lattice.orbits)
         ))
     return TableOfMarks(group_order=G.order, classes=lattice.classes, marks=tuple(marks))
+
+
+def p_residual_classes(G: PermGroup, p: int) -> tuple[int, ...]:
+    """For each class of subgroups U, in table order, the index of the
+    class of O^p(U), p a prime: the subgroup generated by the elements of
+    U whose order is prime to p, the least normal subgroup of U of
+    p-power index.  By Dress's theorem the Burnside-ring ideals p_(U,p)
+    and p_(V,p) are equal exactly when O^p(U) and O^p(V) are conjugate
+    (T. tom Dieck, Transformation Groups and Representation Theory, LNM
+    766, ch. 1).  Found on the Cayley table and the stored orbits; no
+    mark is read."""
+    lattice = _lattice(G, None)
+    mul = _cayley_table(G).mul
+    coprime = 0  # the mask of the elements of order prime to p
+    for h in range(G.order):
+        x, order = h, 1
+        while x:
+            x, order = mul[x][h], order + 1
+        if order % p:
+            coprime |= 1 << h
+    class_of = {K: j for j, orbit in enumerate(lattice.orbits) for K in orbit}
+    out = []
+    for orbit in lattice.orbits:
+        gens: tuple[int, ...] = ()
+        K = 1
+        for h in _bits(orbit[0] & coprime):
+            if not K >> h & 1:
+                gens += (h,)
+                K = subgroup_closure(mul, gens)
+        out.append(class_of[K])
+    return tuple(out)
 
 
 # -- finite abelian groups -------------------------------------------------------

@@ -105,8 +105,9 @@ def packed_product(factors: Iterable["IntPolynomial"]) -> "IntPolynomial":
         if len(f) > _HORNER_TERMS:
             v *= _pack(f, width)
             continue
-        # v * f(2^w) by Horner in 2^w: shifts and small multiples of v
-        acc = f[-1] * v
+        # v * f(2^w) by Horner in 2^w: shifts and small multiples of v;
+        # a monic f starts from v itself, not from a copy 1 * v
+        acc = v if f[-1] == 1 else f[-1] * v
         for c in reversed(f[:-1]):
             acc <<= 8 * width
             if c:

@@ -25,6 +25,7 @@ from .cyclotomic import CyclotomicInteger
 from .errors import (
     ExpressionError,
     NonIntegralPullback,
+    OrderBoundExceeded,
     R2Violation,
     UnsupportedModel,
     exact_ints,
@@ -360,6 +361,14 @@ class ProductZRing(FreeRing):
 # -- group rings ------------------------------------------------------------------
 
 
+# The largest |G| of a group ring.  Z[G] keeps |G|^2 structure constants,
+# and a finite quotient builds its cover Z[G] first: C2^9 (order 512) takes
+# about 0.6 s and 30 MB, C2^10 about 2.5 s and 130 MB, four times as much
+# for each doubling.  The cyclotomic cap on exp(G) is met only after the
+# structure constants are built, and bounds |G| only for a cyclic G.
+MAX_GROUP_RING_ORDER = 512
+
+
 class GroupRingModel(FreeRing):
     """Z[G] for a finite abelian G, with S = G and q = X^exp(G) - 1.
 
@@ -367,10 +376,16 @@ class GroupRingModel(FreeRing):
     elements; index 0 is the identity.  The ghost is the characters of
     G into the exp(G)-th roots of unity, one per Galois orbit, as
     integer signs when exp(G) <= 2: Z[G] embeds into the product of one
-    Z[zeta_d] per orbit.
+    Z[zeta_d] per orbit.  A G of order above MAX_GROUP_RING_ORDER raises
+    OrderBoundExceeded before anything is built.
     """
 
     def __init__(self, group: FiniteAbelianGroup, name: Optional[str] = None):
+        if group.order > MAX_GROUP_RING_ORDER:
+            raise OrderBoundExceeded(
+                f"|G| = {group.order} exceeds the limit MAX_GROUP_RING_ORDER = "
+                f"{MAX_GROUP_RING_ORDER} of a group ring"
+            )
         self.group = group
         self.basis = group.elements()
         index = {g: i for i, g in enumerate(self.basis)}

@@ -9,15 +9,14 @@ also the minimal primes; a finite quotient has no signatures and walks
 the powers of r; a product combines its factors.  The maximal ideals
 are the congruence ideals sigma(r) = 0 mod p, and for 2-power
 generating polynomials the fundamental ideal (elements of even length)
-sits above everything at index two.  Prime ideals are descriptors with
-decidable membership, never materialized element sets; only the finite
-oracle enumerates.
+sits above everything at index two.  Prime ideals are descriptors,
+never materialized element sets; only the finite oracle enumerates.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from dataclasses import asdict, dataclass
+from typing import NamedTuple, Optional
 
 from .config import Limits, default_limits
 from .errors import CheckFailed, UnsupportedModel
@@ -44,15 +43,12 @@ def signatures(model: RingModel) -> list[Signature]:
 
 @dataclass(frozen=True)
 class PrimeIdeal:
-    """Descriptor with a decidable membership test."""
+    """Descriptor of a prime ideal: its kind, its label and, for a
+    maximal ideal, its residue characteristic."""
 
     kind: str  # signature | fundamental | character | dress
     label: str
     prime: Optional[int] = None
-    _member: Callable = field(compare=False, repr=False, default=None)
-
-    def contains(self, r) -> bool:
-        return self._member(r)
 
     def to_json(self) -> dict:
         data = {"kind": self.kind, "label": self.label}
@@ -62,37 +58,12 @@ class PrimeIdeal:
 
 
 def signature_ideal(sig: Signature) -> PrimeIdeal:
-    return PrimeIdeal(
-        kind="signature",
-        label=f"ker {sig.label}",
-        _member=lambda r: sig(r) == 0,
-    )
+    return PrimeIdeal(kind="signature", label=f"ker {sig.label}")
 
 
 def ghost_kernel(col: GhostColumn) -> PrimeIdeal:
     kind, label = col.kernel
-    return PrimeIdeal(
-        kind=kind,
-        label=label,
-        _member=lambda r: col.evaluate(r) == 0,
-    )
-
-
-def dress_ideal(model: BurnsideModel, class_index: int, p: int) -> PrimeIdeal:
-    """p_(U,p): mark congruent to 0 mod p (p = 0 means mark equal to 0)."""
-    column = model.ghost[class_index]
-    label = model.table.classes[class_index].label
-
-    def member(r) -> bool:
-        value = column.evaluate(r)
-        return value == 0 if p == 0 else value % p == 0
-
-    return PrimeIdeal(
-        kind="dress",
-        label=f"p[{label},{p}]",
-        prime=p if p else None,
-        _member=member,
-    )
+    return PrimeIdeal(kind=kind, label=label)
 
 
 def fundamental_ideal(model: RingModel) -> PrimeIdeal:
@@ -100,12 +71,7 @@ def fundamental_ideal(model: RingModel) -> PrimeIdeal:
     polynomials, where length parity is a homomorphism onto Z/2 exactly
     when the model is admissible."""
     _require_two_power(model)
-    return PrimeIdeal(
-        kind="fundamental",
-        label="I",
-        prime=2,
-        _member=lambda r: model.length(r) % 2 == 0,
-    )
+    return PrimeIdeal(kind="fundamental", label="I", prime=2)
 
 
 def _is_two_power(n: int) -> bool:
@@ -229,8 +195,7 @@ def element_predicates(model: RingModel, r) -> ElementPredicates:
 # -- Dress relations ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DressMember:
+class DressMember(NamedTuple):
     class_index: int
     class_label: str
     p: int  # 0 or a prime
@@ -248,45 +213,34 @@ class DressRelations:
 def dress_relations(model: BurnsideModel, primes: list[int]) -> DressRelations:
     """Containments among the ideals p_(U,p) for p in {0} u primes.
 
-    Containment is decided semantically: p_(U,p) is the sublattice of
-    coefficient vectors c with u.c = 0 (p = 0) or u.c = 0 mod p, where
-    u is the mark column of U.  Explicit lattice generators exist
-    because the column of the full-group class is all ones, and a
-    sublattice is contained in a congruence ideal exactly when all its
-    generators are.
+    p_(U,p) is the sublattice of coefficient vectors c with u.c = 0
+    (p = 0) or u.c = 0 mod p, where u is the mark column of U.  It is
+    spanned by e_i - u(i) e_1 and, for p != 0, p e_1, where e_1 = [G/G]
+    has mark 1 in every column; the column v of V sends these to
+    v(i) - u(i) and p.  So p_(U,p) lies in p_(V,p') exactly when
+    p' != 0, p is 0 or p' and u = v mod p', or p = p' = 0 and u = v:
+    each containment is read off the classes of the columns mod p'
+    (under equality for p' = 0).  Minimal and maximal come from the
+    containment graph.
     """
-    k = model.k
+    ps = [0] + sorted(set(primes))
     members = [
-        DressMember(j, model.table.classes[j].label, p)
-        for j in range(k)
-        for p in [0] + sorted(set(primes))
+        DressMember(j, cls.label, p) for j, cls in enumerate(model.table.classes) for p in ps
     ]
-    columns = {j: model.ghost[j].values for j in range(k)}
-    # the all-ones row (checked at construction): every column has a 1 there
-    anchor = model.one().index(1)
-
-    def lattice_generators(j: int, p: int) -> list[tuple[int, ...]]:
-        u = columns[j]
-        gens = []
-        for i in range(k):
-            if i == anchor:
-                continue
-            vec = [0] * k
-            vec[i] = 1
-            vec[anchor] = -u[i]
-            gens.append(tuple(vec))
-        if p:
-            vec = [0] * k
-            vec[anchor] = p
-            gens.append(tuple(vec))
-        return gens
-
-    ideals = {m: dress_ideal(model, m.class_index, m.p) for m in members}
-    subset = {}
-    for a in members:
-        gens = lattice_generators(a.class_index, a.p)
-        for b in members:
-            subset[(a, b)] = all(ideals[b].contains(g) for g in gens)
+    # the class of each column mod p: the index of its first column
+    residue = {}
+    for p in ps:
+        first: dict = {}
+        residue[p] = [
+            first.setdefault(tuple(x % p for x in col.values) if p else col.values, j)
+            for j, col in enumerate(model.ghost)
+        ]
+    subset = {
+        (a, b): a.p in (0, b.p)
+        and residue[b.p][a.class_index] == residue[b.p][b.class_index]
+        for a in members
+        for b in members
+    }
 
     def strictly_below(a: DressMember, b: DressMember) -> bool:
         return subset[(a, b)] and not subset[(b, a)]
@@ -304,22 +258,6 @@ def dress_relations(model: BurnsideModel, primes: list[int]) -> DressRelations:
         minimal=minimal,
         maximal=maximal,
     )
-
-
-def dress_statement_predicts(
-    model: BurnsideModel, a: DressMember, b: DressMember
-) -> bool:
-    """The containment criterion: equal congruence ideals at the same
-    prime, or a p = 0 ideal below the corresponding mod-q ideal."""
-    u = model.ghost[a.class_index].values
-    v = model.ghost[b.class_index].values
-    if a.p == b.p:
-        if a.p == 0:
-            return u == v
-        return all((x - y) % a.p == 0 for x, y in zip(u, v))
-    if a.p == 0 and b.p != 0:
-        return all((x - y) % b.p == 0 for x, y in zip(u, v))
-    return False
 
 
 # -- spectrum reports ---------------------------------------------------------------------

@@ -399,12 +399,62 @@ def test_analyze_element_starting_with_minus(capsys, element):
         ["annihilator", "--q", '{"atoms":[{"kind":"roots_of_unity","order":4.0}]}', "--n", "2"],
         ["marks", "--group", '{"degree":2,"generators":[[1,0.0]]}'],
         ["marks", "--group", '{"degree":2.0,"generators":[[1,0]]}'],
+        # a root spec with no root, as with no atom
+        ["annihilator", "--q", '{"atoms":[]}', "--n", "2"],
+        ["annihilator", "--q", '{"atoms":[{"kind":"integers","values":[]}]}', "--n", "2"],
+        # no prime lies below 2: the maximal families would list none
+        ["spectrum", "--ring", "Z", "--primes-up-to", "1"],
+        ["spectrum", "--ring", "Z", "--primes-up-to", "0"],
+        ["spectrum", "--ring", "Z", "--primes-up-to=-5"],
+        ["spectrum", "--ring", "burnside-A5", "--primes-up-to", "-5"],
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("ring, order", [
+    ('{"kind":"group_ring","factor_orders":[3000]}', 3000),
+    ('{"kind":"finite_quotient","modulus":2,"factor_orders":[2,2,2,2,2,2,2,2,2,2]}', 1024),
+    ('{"kind":"product","left":{"kind":"Z"},"right":{"kind":"group_ring","factor_orders":[513]}}', 513),
+])
+def test_group_ring_past_the_order_cap_exits_3_at_once(capsys, monkeypatch, ring, order):
+    """Refused before the group is listed, so before any of the |G|^2
+    structure constants is built."""
+    from aprings.groups import FiniteAbelianGroup
+
+    def listed(self):
+        raise AssertionError("the group was listed")
+
+    monkeypatch.setattr(FiniteAbelianGroup, "elements", listed)
+    code, out, err = run_cli(capsys, "analyze", "--ring", ring, "--element", "1")
+    assert (code, out) == (3, "")
+    assert err == (
+        f"resource bound exceeded: |G| = {order} exceeds the limit "
+        "MAX_GROUP_RING_ORDER = 512 of a group ring\n"
+    )
+
+
+def test_stdout_closed_by_its_reader_ends_without_a_traceback():
+    """`aprings ... | head -1` after head has exited: the write fails
+    with EPIPE, and the command exits 141 (128 + SIGPIPE) with nothing
+    on stderr.  The pipe's read end is closed before the child starts."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "aprings.cli", "spectrum", "--ring", "burnside-A5",
+             "--format", "json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=_child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.BROKEN_PIPE, b"")
+    assert cli.BROKEN_PIPE == 141
 
 
 @pytest.mark.parametrize("ring", ["Z4[C2]", '{"kind":"finite_quotient","modulus":4,"factor_orders":[2]}'])

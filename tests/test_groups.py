@@ -268,9 +268,13 @@ TABLE_GROUPS = [pytest.param(_group(name), id=name) for name in GROUP_CORPUS + [
 
 @pytest.mark.parametrize("G", TABLE_GROUPS)
 def test_cayley_table_matches_reference(G):
+    """The multiplication table, and the conjugation rows of the
+    generators, which are all the table keeps of conjugation."""
     table = groups._cayley_table(G)
     assert table.index == {p: i for i, p in enumerate(G.elements)}
-    assert (table.mul, table.conj) == reference_cayley(G)
+    assert table.gens == tuple(dict.fromkeys(table.index[s] for s in G.generators))
+    mul, conj = reference_cayley(G)
+    assert (table.mul, table.conj) == (mul, tuple(conj[s] for s in table.gens))
 
 
 @pytest.mark.parametrize("G", TABLE_GROUPS)
@@ -280,10 +284,11 @@ def test_stored_orbits_are_the_conjugates(G):
     ascending by sorted members, so with the representative first."""
     table = groups._cayley_table(G)
     lattice = groups._subgroup_classes_cached(G)
+    _, conj = reference_cayley(G)
     for c, orbit in zip(lattice.classes, lattice.orbits):
         members = [table.index[h] for h in c.representative]
         assert len(set(orbit)) == len(orbit) == c.size
-        assert set(orbit) == set(groups._conjugates(table, members))
+        assert set(orbit) == {groups._mask(row[h] for h in members) for row in conj}
         assert list(orbit) == sorted(orbit, key=groups._bits)
         assert orbit[0] == groups._mask(members)
 
@@ -424,3 +429,51 @@ def test_group_json_roundtrip():
     G = named_group("S3")
     again = group_from_json({"degree": G.degree, "generators": [list(g) for g in G.generators]})
     assert again.elements == G.elements
+
+
+# -- O^p(U) -------------------------------------------------------------------------
+
+
+def perm_order(g) -> int:
+    n, x = 1, g
+    while x != identity_perm(len(g)):
+        n, x = n + 1, compose(x, g)
+    return n
+
+
+def reference_p_residual_classes(G, p):
+    """O^p(U) on permutations: the closure of the elements of U of order
+    prime to p; its class is the class of its order that it is conjugate
+    into (a positive mark)."""
+    classes = subgroup_classes(G)
+    out = []
+    for c in classes:
+        coprime = [h for h in c.representative if perm_order(h) % p]
+        K = closure(compose, identity_perm(G.degree), coprime)
+        out.append(next(
+            j for j, d in enumerate(classes)
+            if d.order == len(K) and mark(G, d.representative, K) > 0
+        ))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", named_group_names())
+def test_p_residual_classes_match_brute_force(name):
+    G = named_group(name)
+    for p in (2, 3, 5, 7):
+        assert groups.p_residual_classes(G, p) == reference_p_residual_classes(G, p), p
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("C2", (1, 2, 2)),
+    ("S3", (2, 3, 4)),
+    ("D8", (1, 8, 8)),
+    ("A4", (3, 3, 5)),
+    ("S4", (3, 9, 11)),
+    ("A5", (5, 7, 8)),
+])
+def test_p_residual_class_counts(name, counts):
+    """The number of distinct classes O^p(U) at p = 2, 3, 5: the number of
+    distinct ideals p_(U,p) of the Burnside ring over p (Dress)."""
+    G = named_group(name)
+    assert tuple(len(set(groups.p_residual_classes(G, p))) for p in (2, 3, 5)) == counts

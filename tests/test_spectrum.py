@@ -9,9 +9,9 @@ from aprings.errors import CarrierBoundExceeded, UnsupportedModel
 from aprings.groups import FiniteAbelianGroup, named_group_names
 from aprings.rings import FINITE_BUNDLED, GroupRingModel, bundled_model, construct_model, parse_element
 from aprings.spectrum import (
+    PrimeIdeal,
     ap_condition_check,
     dress_relations,
-    dress_statement_predicts,
     element_predicates,
     fundamental_ideal,
     fundamental_ideal_elements,
@@ -114,15 +114,23 @@ def test_signatures_of_z_c2():
 # -- minimal primes -----------------------------------------------------------
 
 
+def in_kernel(col, r) -> bool:
+    """Membership in the minimal prime of a ghost column, the kernel of
+    that column."""
+    return col.evaluate(r) == 0
+
+
 def test_minimal_primes_z_c2_are_signature_kernels():
     model = bundled_model("Z[C2]")
     primes = minimal_primes(model)
-    assert len(primes) == 2
-    sig_kernels = [signature_ideal(sig) for sig in signatures(model)]
+    sigs = signatures(model)
+    assert [p.label for p in primes] == [col.kernel[1] for col in model.ghost]
+    assert [signature_ideal(sig).label for sig in sigs] == ["ker sigma(+,+)", "ker sigma(+,-)"]
+    assert len(primes) == len(sigs) == 2
     rng = random.Random(5)
     for r in [model.random_element(rng, 4) for _ in range(40)]:
-        got = sorted(p.contains(r) for p in primes)
-        expected = sorted(p.contains(r) for p in sig_kernels)
+        got = sorted(in_kernel(col, r) for col in model.ghost)
+        expected = sorted(sig(r) == 0 for sig in sigs)
         assert got == expected
 
 
@@ -136,8 +144,8 @@ def test_minimal_primes_z_c4():
     # 1 + g^2 exactly in that of g -> i
     for text, index in (("g - 1", 0), ("1 + g^2", 1)):
         r = parse_element(model, text)
-        assert [p.contains(r) for p in primes] == [i == index for i in range(3)]
-    assert all(p.contains(model.zero()) for p in primes)
+        assert [in_kernel(col, r) for col in model.ghost] == [i == index for i in range(3)]
+    assert all(in_kernel(col, model.zero()) for col in model.ghost)
 
 
 @pytest.mark.parametrize(
@@ -153,19 +161,22 @@ def test_minimal_primes_are_pairwise_distinct(model):
     integer vector of the rational kernel of its ghost column, which
     another column does not kill.  (Minimal primes are incomparable.)"""
     primes = minimal_primes(model)
+    assert [(p.kind, p.label) for p in primes] == [col.kernel for col in model.ghost]
     n = len(model.labels)
     kernels = [rational_kernel(column_rows(col), n) for col in model.ghost]
-    for P, kernel in zip(primes, kernels):
-        assert all(P.contains(w) for w in kernel), P.label
+    for P, col, kernel in zip(primes, model.ghost, kernels):
+        assert all(in_kernel(col, w) for w in kernel), P.label
     for i, j in itertools.permutations(range(len(primes)), 2):
-        assert any(not primes[j].contains(w) for w in kernels[i]), (primes[i].label, primes[j].label)
+        assert any(not in_kernel(model.ghost[j], w) for w in kernels[i]), (
+            primes[i].label, primes[j].label
+        )
 
 
 def test_minimal_primes_burnside_a5():
     model = bundled_model("burnside-A5")
     primes = minimal_primes(model)
     assert len(primes) == 9
-    assert not any(p.contains(model.one()) for p in primes)
+    assert not any(in_kernel(col, model.one()) for col in model.ghost)
 
 
 def test_minimal_primes_unsupported_for_quotients():
@@ -183,7 +194,10 @@ def test_spectrum_z():
     assert report.fundamental is not None
     assert report.max_families[0].primes == [3, 5, 7, 11, 13]
     # the fundamental ideal of Z is the even integers
-    assert report.fundamental.contains((4,)) and not report.fundamental.contains((3,))
+    assert report.fundamental == PrimeIdeal("fundamental", "I", 2)
+    model = bundled_model("Z")
+    assert element_predicates(model, (4,)).in_fundamental
+    assert not element_predicates(model, (3,)).in_fundamental
 
 
 def test_spectrum_z_c2():
@@ -250,10 +264,11 @@ def test_spectrum_z6_not_local():
 
 def test_fundamental_ideal_membership_is_length_parity():
     model = bundled_model("Z[C2]")
-    ideal = fundamental_ideal(model)
-    assert ideal.contains(parse_element(model, "1 + g"))
-    assert not ideal.contains(parse_element(model, "g"))
-    assert ideal.contains(model.zero())
+    assert fundamental_ideal(model).to_json() == {"kind": "fundamental", "label": "I", "prime": 2}
+    for text, inside in (("1 + g", True), ("g", False), ("0", True)):
+        r = parse_element(model, text)
+        assert element_predicates(model, r).in_fundamental is inside
+        assert (model.length(r) % 2 == 0) is inside
 
 
 def test_fundamental_ideal_elements_is_an_ideal():
@@ -416,17 +431,47 @@ def test_dress_relations_a5():
     # the identity class element belongs to no minimal Dress ideal
     one = model.one()
     for j in range(9):
-        from aprings.spectrum import dress_ideal
+        assert not in_dress_ideal(model, j, 0, one)
 
-        assert not dress_ideal(model, j, 0).contains(one)
+
+def in_dress_ideal(model, class_index: int, p: int, r) -> bool:
+    """r in p_(U,p): its mark at U is 0 (p = 0) or 0 mod p."""
+    value = model.ghost[class_index].evaluate(r)
+    return value == 0 if p == 0 else value % p == 0
+
+
+def lattice_generator_subset(model, a, b) -> bool:
+    """p_(U,p) <= p_(V,p') by definition: every lattice generator of
+    p_(U,p) lies in p_(V,p').  The generators are e_i - u(i) e_1 for
+    i != 1 and, for p != 0, p e_1, where e_1 = [G/G] is the all-ones row
+    of the table of marks (column U sends them to 0 and to p)."""
+    k = model.k
+    anchor = model.one().index(1)
+    u = model.ghost[a.class_index].values
+    gens = []
+    for i in range(k):
+        if i != anchor:
+            vec = [0] * k
+            vec[i] = 1
+            vec[anchor] = -u[i]
+            gens.append(tuple(vec))
+    if a.p:
+        vec = [0] * k
+        vec[anchor] = a.p
+        gens.append(tuple(vec))
+    return all(in_dress_ideal(model, b.class_index, b.p, g) for g in gens)
 
 
 def test_dress_statement_matches_semantic_containment():
-    model = bundled_model("burnside-A5")
-    rel = dress_relations(model, [2, 3, 5])
-    for a in rel.members:
-        for b in rel.members:
-            assert rel.subset[(a, b)] == dress_statement_predicts(model, a, b)
+    """The congruence reading of `dress_relations` equals containment of
+    the lattice generators, on every named group with P = {2, 3, 5, 7}."""
+    for group in named_group_names():
+        model = bundled_model(f"burnside-{group}")
+        rel = dress_relations(model, [2, 3, 5, 7])
+        assert len(rel.subset) == (model.k * 5) ** 2
+        for a in rel.members:
+            for b in rel.members:
+                assert rel.subset[(a, b)] == lattice_generator_subset(model, a, b), (group, a, b)
 
 
 def test_dress_mod2_coincidences_exist():

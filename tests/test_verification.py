@@ -67,3 +67,20 @@ def test_oracle_agreement_failure_message(monkeypatch):
 
     monkeypatch.setattr(v, "element_predicates", units_flipped)
     assert _failure(v.check_oracle_agreement) == "Z4[C2]: unit differs at g"
+
+
+def test_dress_relations_check_catches_one_flipped_containment(monkeypatch):
+    """The expectation comes from O^p on the subgroup lattice, not from
+    the marks that `dress_relations` reads, so one wrong entry fails."""
+    real = v.dress_relations
+
+    def flipped(model, primes):
+        rel = real(model, primes)
+        a, b = rel.members[1], rel.members[0]  # p[1,2] <= p[1,0]: false
+        rel.subset[(a, b)] = not rel.subset[(a, b)]
+        return rel
+
+    monkeypatch.setattr(v, "dress_relations", flipped)
+    assert _failure(v.check_dress_relations) == (
+        "containment p[1,2] <= p[1,0]: computed True, statement says False"
+    )
