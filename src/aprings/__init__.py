@@ -20,7 +20,6 @@ from .annihilator import (
     annihilating_polynomial,
     degree_bound,
     lewis_polynomial,
-    mixed_annihilating_polynomial,
     pfister_chain_polynomial,
     quartic_p,
     quartic_t,
@@ -41,7 +40,6 @@ from .groups import (
     close_group,
     mark,
     named_group,
-    subgroup_classes,
     table_of_marks,
 )
 from .intpoly import IntPolynomial
@@ -72,7 +70,6 @@ from .spectrum import (
     element_predicates,
     fundamental_ideal,
     is_admissible,
-    minimal_primes,
     signatures,
     spectrum_report,
 )

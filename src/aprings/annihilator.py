@@ -218,28 +218,26 @@ def root_sum_set(
     return _sum_set_cached(spec, n, mode, limits)
 
 
-def _sums(
-    specs: tuple[RootSpec, ...], mode: SignMode, cap: int
-) -> tuple[CyclotomicInteger, ...]:
-    """All sums eps_1*s_1 + ... + eps_k*s_k with s_i a root of specs[i]
-    (eps_i = 1 in unsigned mode), sorted, at the common order of the specs.
+def _sums(spec: RootSpec, n: int, mode: SignMode, cap: int) -> tuple[CyclotomicInteger, ...]:
+    """All sums eps_1*s_1 + ... + eps_n*s_n with each s_i a root of spec
+    (eps_i = 1 in unsigned mode), sorted, at the spec's common order.
 
     The sums are enumerated as packed integers: a coordinate vector
     (c_0, ..., c_(d-1)) is the int with digits c_j + bias in base
-    2^width, coordinate 0 the most significant.  Here bias is the sum over
-    the specs of their largest absolute lifted root coordinate, so every
-    coordinate of every partial sum lies in [-bias, bias], and each digit
-    lies in [0, 2*bias], which width = (2*bias + 1).bit_length() bits
-    hold.  A root packs without the bias, so adding or subtracting it
-    adds or subtracts its coordinates digit by digit, and no digit ever
-    carries into or borrows from the next.  As the digits are
-    nonnegative and of one fixed width, int order is the lexicographic
-    order of the coordinate tuples, so the sorted ints unpack once into
-    the sorted sums: tuples of exactly phi(order) ints, which become
-    values through the trusted `CyclotomicInteger._reduced`."""
-    order = lcm(*(spec.common_order() for spec in specs))
-    lifted = [[r.lift(order).coords for r in spec.roots()] for spec in specs]
-    bias = sum(max((abs(c) for coords in roots for c in coords), default=0) for roots in lifted)
+    2^width, coordinate 0 the most significant.  Here bias is n times the
+    largest absolute root coordinate, so every coordinate of every
+    partial sum lies in [-bias, bias], and each digit lies in
+    [0, 2*bias], which width = (2*bias + 1).bit_length() bits hold.  A
+    root packs without the bias, so adding or subtracting it adds or
+    subtracts its coordinates digit by digit, and no digit ever carries
+    into or borrows from the next.  As the digits are nonnegative and of
+    one fixed width, int order is the lexicographic order of the
+    coordinate tuples, so the sorted ints unpack once into the sorted
+    sums: tuples of exactly phi(order) ints, which become values through
+    the trusted `CyclotomicInteger._reduced`."""
+    order = spec.common_order()
+    roots = [r.coords for r in spec.roots()]
+    bias = n * max((abs(c) for coords in roots for c in coords), default=0)
     width = (2 * bias + 1).bit_length()
     zero = CyclotomicInteger.from_int(0, order).coords
     shifts = range(width * (len(zero) - 1), -1, -width)
@@ -247,9 +245,10 @@ def _sums(
     def pack(coords: tuple[int, ...], offset: int) -> int:
         return sum((c + offset) << s for c, s in zip(coords, shifts))
 
+    packed = tuple(pack(coords, 0) for coords in roots)
     current = {pack(zero, bias)}
-    for roots in lifted:
-        current = _extend(current, tuple(pack(coords, 0) for coords in roots), mode, cap)
+    for _ in range(n):
+        current = _extend(current, packed, mode, cap)
     mask = (1 << width) - 1
     return tuple(
         CyclotomicInteger._reduced(order, tuple(((v >> s) & mask) - bias for s in shifts))
@@ -259,26 +258,8 @@ def _sums(
 
 @lru_cache(maxsize=512)
 def _sum_set_cached(spec: RootSpec, n: int, mode: SignMode, limits: Limits) -> SumSet:
-    elements = _sums((spec,) * n, mode, limits.max_sumset)
+    elements = _sums(spec, n, mode, limits.max_sumset)
     return SumSet(order=spec.common_order(), n=n, elements=elements)
-
-
-def mixed_annihilating_polynomial(
-    specs: list[RootSpec] | tuple[RootSpec, ...],
-    mode: SignMode = "signed",
-    limits: Optional[Limits] = None,
-) -> IntPolynomial:
-    """Annihilator for sums drawing the i-th summand from specs[i]."""
-    _check_mode(mode)
-    limits = limits or default_limits()
-    specs = tuple(specs)
-    if not specs:
-        raise ValueError("at least one root spec is required")
-    if len(specs) > limits.max_summands:
-        raise BoundExceeded(
-            f"{len(specs)} summands exceed the limit max_summands = {limits.max_summands}"
-        )
-    return poly_from_roots(_sums(specs, mode, limits.max_sumset))
 
 
 def annihilating_polynomial(

@@ -1,20 +1,16 @@
 """Exact arithmetic in rings of cyclotomic integers Z[zeta_m].
 
 An element is a coordinate vector over the power basis
-1, zeta, ..., zeta^(d-1) of Z[X]/(Phi_m), d = deg Phi_m.  Values of
-different orders compare equal when they agree after lifting to a
-common order; the rational integers are exactly the values whose
-non-constant coordinates vanish.
-
-Hashing uses the normalized trace Tr(x)/phi(m), which is invariant
-under order lifting, so equal values hash equal across orders (and a
-rational value hashes like the corresponding Fraction, hence like the
-corresponding int).
+1, zeta, ..., zeta^(d-1) of Z[X]/(Phi_m), d = deg Phi_m, and keeps the
+order m it was built at: adding, multiplying or comparing values of
+different orders raises ValueError naming both orders.  The rational
+integers are exactly the values whose non-constant coordinates vanish;
+such a value equals its int and hashes like it, and every other value
+hashes as its coordinate tuple.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, lcm
 from operator import add, mul
@@ -48,24 +44,6 @@ def euler_phi(n: int) -> int:
     if m > 1:
         result -= result // m
     return result
-
-
-@lru_cache(maxsize=None)
-def moebius(n: int) -> int:
-    if n < 1:
-        raise ValueError("moebius needs a positive argument")
-    m, count = n, 0
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            count += 1
-        p += 1
-    if m > 1:
-        count += 1
-    return -1 if count % 2 else 1
 
 
 # -- cyclotomic polynomials ----------------------------------------------------
@@ -138,18 +116,6 @@ def _times(m: int, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return _reduce(m, out)
 
 
-@lru_cache(maxsize=None)
-def _trace_table(m: int) -> tuple[int, ...]:
-    # Tr(zeta_m^j) over Q: zeta_m^j is a primitive e-th root, e = m/gcd(j, m),
-    # with trace mu(e) * phi(m) / phi(e).
-    d, _ = _reduction_state(m)
-    traces = []
-    for j in range(d):
-        e = m // gcd(j, m)
-        traces.append(moebius(e) * euler_phi(m) // euler_phi(e))
-    return tuple(traces)
-
-
 # -- elements ------------------------------------------------------------------
 
 
@@ -165,16 +131,18 @@ class CyclotomicInteger:
     `+` and `*` is a scalar: it is added to coordinate 0, or scales each
     coordinate, without being lifted to a value of its own.
 
-    The trace hash is lift-invariant but collides heavily (for a 2-power
-    order it is the constant coordinate alone), so p_n never hashes these
-    objects: `annihilator._sums` enumerates T_n on packed integers, and
-    `poly_from_roots` keys the roots by coordinate tuple at their common
-    order and rotates them and takes their powers with `_times` on those
-    tuples.  Only the orbit polynomials of irrational roots are expanded
-    in this class's arithmetic.
+    A value keeps its order: the roots of one q all sit at the common
+    order of its root spec, so every sum set, orbit product and ghost
+    value is computed at one order, and an operand of another order is
+    a fault that `+`, `-`, `*` and `==` report with ValueError.  p_n
+    never builds a set of these objects: `annihilator._sums` enumerates
+    T_n on packed integers, and `poly_from_roots` keys the roots by
+    coordinate tuple and rotates them and takes their powers with
+    `_times` on those tuples.  Only the orbit polynomials of irrational
+    roots are expanded in this class's arithmetic.
     """
 
-    __slots__ = ("order", "coords", "_hash")
+    __slots__ = ("order", "coords")
 
     def __init__(self, order: int, coords: Sequence[int]):
         if order < 1:
@@ -185,7 +153,6 @@ class CyclotomicInteger:
             coords = _reduce(order, coords)
         self.order = order
         self.coords = coords
-        self._hash: Optional[int] = None
 
     @staticmethod
     def _reduced(order: int, coords: tuple[int, ...]) -> "CyclotomicInteger":
@@ -195,7 +162,6 @@ class CyclotomicInteger:
         value = object.__new__(CyclotomicInteger)
         value.order = order
         value.coords = coords
-        value._hash = None
         return value
 
     # -- constructors -------------------------------------------------
@@ -226,25 +192,6 @@ class CyclotomicInteger:
             return self.coords[0]
         return None
 
-    # -- order handling -----------------------------------------------
-
-    def lift(self, target: int) -> "CyclotomicInteger":
-        if target == self.order:
-            return self
-        if target % self.order:
-            raise ValueError(f"cannot lift order {self.order} into order {target}")
-        step = target // self.order
-        vec = [0] * ((len(self.coords) - 1) * step + 1)
-        for j, c in enumerate(self.coords):
-            vec[j * step] = c
-        return CyclotomicInteger._reduced(target, _reduce(target, vec))
-
-    def _common(self, other: "CyclotomicInteger"):
-        if self.order == other.order:
-            return self, other
-        target = lcm(self.order, other.order)
-        return self.lift(target), other.lift(target)
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other) -> "CyclotomicInteger":
@@ -255,8 +202,7 @@ class CyclotomicInteger:
         other = _coerce(other, self.order)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._common(other)
-        return CyclotomicInteger._reduced(a.order, tuple(map(add, a.coords, b.coords)))
+        return CyclotomicInteger._reduced(self.order, tuple(map(add, self.coords, other.coords)))
 
     __radd__ = __add__
 
@@ -281,8 +227,7 @@ class CyclotomicInteger:
         other = _coerce(other, self.order)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._common(other)
-        return CyclotomicInteger._reduced(a.order, _times(a.order, a.coords, b.coords))
+        return CyclotomicInteger._reduced(self.order, _times(self.order, self.coords, other.coords))
 
     __rmul__ = __mul__
 
@@ -297,18 +242,13 @@ class CyclotomicInteger:
         if isinstance(other, int):
             return self.is_rational and self.coords[0] == other
         if isinstance(other, CyclotomicInteger):
-            if self.order == other.order:
-                return self.coords == other.coords
-            a, b = self._common(other)
-            return a.coords == b.coords
+            _check_orders(self.order, other.order)
+            return self.coords == other.coords
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            traces = _trace_table(self.order)
-            tr = sum(c * t for c, t in zip(self.coords, traces))
-            self._hash = hash(Fraction(tr, euler_phi(self.order)))
-        return self._hash
+        # a rational value equals its int, so it hashes like it
+        return hash(self.coords[0]) if self.is_rational else hash(self.coords)
 
     def sort_key(self) -> tuple:
         return (self.order, self.coords)
@@ -324,8 +264,19 @@ class CyclotomicInteger:
         )
 
 
+def _check_orders(order: int, other: int) -> None:
+    if order != other:
+        raise ValueError(
+            f"cyclotomic values of orders {order} and {other} do not combine: "
+            "a value keeps the order it was built at"
+        )
+
+
 def _coerce(value, order: int):
+    """value as an operand at this order: an int is embedded, and a value
+    of another order raises ValueError."""
     if isinstance(value, CyclotomicInteger):
+        _check_orders(order, value.order)
         return value
     if isinstance(value, int):
         return CyclotomicInteger.from_int(value, order)
@@ -418,25 +369,27 @@ def _galois_orbits(m: int, keys: list[tuple[int, ...]]) -> list[list[tuple[int, 
 def poly_from_roots(roots: Iterable[CyclotomicInteger]) -> IntPolynomial:
     """Monic integer polynomial with the given distinct cyclotomic roots.
 
-    The roots are lifted to their common order m.  When a primitive k-th
-    root of unity maps the nonzero roots onto themselves (`_rotation`
-    finds the largest such k | lcm(2, m)), they fall into classes t*mu_k
-    with distinct k-th powers, and the product is X^[0 is a root] *
-    G(X^k), G = prod (Y - t^k) over the classes, with t the least member.
+    The roots all have one order m.  When a primitive k-th root of unity
+    maps the nonzero roots onto themselves (`_rotation` finds the largest
+    such k | lcm(2, m)), they fall into classes t*mu_k with distinct k-th
+    powers, and the product is X^[0 is a root] * G(X^k),
+    G = prod (Y - t^k) over the classes, with t the least member.
     The powers are split into orbits under zeta -> zeta^a, gcd(a, m) = 1.
     A one-element orbit is a rational root a, whose factor Y - a is taken
     as it stands; each other orbit's minimal polynomial (degree at most
     phi(m)) is expanded exactly in Z[zeta_m] and descended to Z, and
     `packed_product` multiplies the factors into one packed integer.
     Raises NonIntegerCoefficient when a conjugate of a root is missing
-    (then some coefficient is irrational) and ValueError on a repeated
-    root.
+    (then some coefficient is irrational), and ValueError on a repeated
+    root or on roots of two orders.
     """
     rs = list(roots)
     if not rs:
         return IntPolynomial.constant(1)
-    m = lcm(*(r.order for r in rs))
-    keys = [r.lift(m).coords for r in rs]
+    m = rs[0].order
+    for r in rs:
+        _check_orders(m, r.order)
+    keys = [r.coords for r in rs]
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate roots")
     nonzero = set(keys) - {(0,) * len(keys[0])}

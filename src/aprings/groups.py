@@ -253,11 +253,6 @@ class _Lattice:
     orbits: tuple[tuple[int, ...], ...]
 
 
-def subgroup_classes(G: PermGroup, limits: Optional[Limits] = None) -> list[SubgroupClass]:
-    """All conjugacy classes of subgroups, found by cyclic extension."""
-    return list(_lattice(G, limits).classes)
-
-
 def _lattice(G: PermGroup, limits: Optional[Limits]) -> _Lattice:
     limits = limits or default_limits()
     if G.order > limits.max_subgroup_order:
@@ -599,3 +594,18 @@ A5_LABEL_ALIASES = {
 def a5_reference_table() -> dict:
     text = resources.files("aprings").joinpath("data/a5_table_of_marks.json").read_text()
     return json.loads(text)
+
+
+def a5_reference_difference(table: TableOfMarks) -> Optional[str]:
+    """The first way the table differs from the bundled A5 reference (its
+    marks, then its labels, then its class orders), or None when it
+    equals the reference."""
+    reference = a5_reference_table()
+    if [list(row) for row in table.marks] != reference["marks"]:
+        return "marks differ"
+    expected_labels = [A5_LABEL_ALIASES[l] for l in reference["labels"]]
+    if table.labels() != expected_labels:
+        return f"labels {table.labels()} != {expected_labels}"
+    if [c.order for c in table.classes] != reference["orders"]:
+        return "class orders differ"
+    return None

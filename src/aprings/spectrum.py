@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
 from .config import Limits, default_limits
-from .errors import CheckFailed, UnsupportedModel
+from .errors import BoundExceeded, CheckFailed, UnsupportedModel
 from .groups import closure
 from .rings import BurnsideModel, GhostColumn, RingModel, Signature
 
@@ -89,14 +89,6 @@ def _require_two_power(model: RingModel) -> None:
         raise UnsupportedModel(
             f"{model.name} does not have a 2-power generating polynomial"
         )
-
-
-# -- minimal primes ---------------------------------------------------------------
-
-
-def minimal_primes(model: RingModel) -> list[PrimeIdeal]:
-    """Kernels of the ghost columns: characters, projections or marks."""
-    return [ghost_kernel(col) for col in model.ghost]
 
 
 # -- admissibility ------------------------------------------------------------------
@@ -315,14 +307,24 @@ class SpectrumReport:
 
 # the maximal-ideal families list their primes up to this bound by default
 LISTED_PRIME_BOUND = 13
+# and never past this one: each family lists every prime up to the bound
+MAX_LISTED_PRIME = 10**5
 
 
 def _primes_up_to(bound: int) -> list[int]:
-    out = []
-    for n in range(2, bound + 1):
-        if all(n % p for p in out):
-            out.append(n)
-    return out
+    """The primes up to bound, by the sieve of Eratosthenes; a bound past
+    MAX_LISTED_PRIME raises BoundExceeded."""
+    if bound > MAX_LISTED_PRIME:
+        raise BoundExceeded(
+            f"the prime bound {bound} exceeds the limit MAX_LISTED_PRIME = {MAX_LISTED_PRIME}"
+        )
+    sieve = bytearray([0, 0]) + bytearray([1]) * (bound - 1)
+    p = 2
+    while p * p <= bound:
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+        p += 1
+    return [n for n, is_prime in enumerate(sieve) if is_prime]
 
 
 def spectrum_report(

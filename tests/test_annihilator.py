@@ -1,7 +1,6 @@
 """Sum-set enumeration against a naive brute force, plus the closed forms."""
 
 import re
-from math import lcm
 from operator import add, sub
 
 import pytest
@@ -17,7 +16,6 @@ from aprings.annihilator import (
     degree_bound,
     exact_degree,
     lewis_polynomial,
-    mixed_annihilating_polynomial,
     pfister_chain_polynomial,
     quartic_p,
     quartic_t,
@@ -88,24 +86,23 @@ def reference_extend(current, roots, mode, cap):
     return nxt
 
 
-def reference_sums(specs, mode, cap):
+def reference_sums(spec, n, mode, cap):
     """The sorted coordinate tuples of `_sums`, enumerated as tuples."""
-    order = lcm(*(spec.common_order() for spec in specs))
-    current = {CyclotomicInteger.from_int(0, order).coords}
-    for spec in specs:
-        roots = tuple(r.lift(order).coords for r in spec.roots())
+    current = {CyclotomicInteger.from_int(0, spec.common_order()).coords}
+    roots = tuple(r.coords for r in spec.roots())
+    for _ in range(n):
         current = reference_extend(current, roots, mode, cap)
     return sorted(current)
 
 
-def packed_sums(specs, mode, cap):
-    return [e.coords for e in _sums(specs, mode, cap)]
+def packed_sums(spec, n, mode, cap):
+    return [e.coords for e in _sums(spec, n, mode, cap)]
 
 
-def or_message(sums, specs, mode, cap):
+def or_message(sums, spec, n, mode, cap):
     """The sorted coordinate tuples, or the message of the cap they hit."""
     try:
-        return sums(specs, mode, cap)
+        return sums(spec, n, mode, cap)
     except BoundExceeded as exc:
         return str(exc)
 
@@ -133,12 +130,10 @@ modes = st.sampled_from(["signed", "unsigned"])
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(packing_specs(), min_size=1, max_size=3), st.integers(1, 4), modes, st.booleans())
-def test_packed_sums_match_tuple_sums(specs, n, mode, repeat):
-    # T_n of one spec (repeat), or the mixed sums of specs of different
-    # orders; a cap of 600 is often hit, and its message must not change
-    specs = (specs[0],) * n if repeat else tuple(specs)
-    assert or_message(packed_sums, specs, mode, 600) == or_message(reference_sums, specs, mode, 600)
+@given(packing_specs(), st.integers(1, 4), modes)
+def test_packed_sums_match_tuple_sums(spec, n, mode):
+    # a cap of 600 is often hit, and its message must not change
+    assert or_message(packed_sums, spec, n, mode, 600) == or_message(reference_sums, spec, n, mode, 600)
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,41 +141,38 @@ def test_packed_sums_match_tuple_sums(specs, n, mode, repeat):
 def test_packed_sums_reach_the_bias(spec, n, mode):
     # n copies of the root with the largest absolute coordinate sum to a
     # coordinate of absolute value bias: the widest digit the packing holds
-    specs = (spec,) * n
-    roots = [r.lift(spec.common_order()).coords for r in spec.roots()]
+    roots = [r.coords for r in spec.roots()]
     bias = n * max((abs(c) for coords in roots for c in coords), default=0)
-    packed = packed_sums(specs, mode, 20000)
-    assert packed == reference_sums(specs, mode, 20000)
+    packed = packed_sums(spec, n, mode, 20000)
+    assert packed == reference_sums(spec, n, mode, 20000)
     assert max((abs(c) for coords in packed for c in coords), default=0) == bias
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(packing_specs(largest=20), min_size=2, max_size=3), modes)
-def test_mixed_annihilator_matches_tuple_sums(specs, mode):
+@given(packing_specs(largest=20), st.integers(1, 3), modes)
+def test_annihilator_matches_tuple_sums(spec, n, mode):
     # small roots and a cap of 150 keep the expansions quick; the packing
     # of large roots is compared above
     limits = Limits(max_sumset=150)
     try:
-        expected = reference_sums(specs, mode, limits.max_sumset)
+        expected = reference_sums(spec, n, mode, limits.max_sumset)
     except BoundExceeded as exc:
         with pytest.raises(BoundExceeded, match=f"^{re.escape(str(exc))}$"):
-            mixed_annihilating_polynomial(specs, mode, limits)
+            annihilating_polynomial(spec, n, mode, limits)
         return
-    order = lcm(*(spec.common_order() for spec in specs))
-    roots = [CyclotomicInteger(order, coords) for coords in expected]
-    assert mixed_annihilating_polynomial(specs, mode, limits) == poly_from_roots(roots)
+    roots = [CyclotomicInteger(spec.common_order(), coords) for coords in expected]
+    assert annihilating_polynomial(spec, n, mode, limits) == poly_from_roots(roots)
 
 
 def test_empty_integer_atom_has_no_sums():
     empty = RootSpec.integers()
-    assert _sums((empty,) * 3, "signed", 10) == ()
-    assert _sums((RootSpec.unity(8), empty), "unsigned", 10) == ()
-    assert mixed_annihilating_polynomial([RootSpec.unity(4), empty]) == IntPolynomial.constant(1)
+    assert _sums(empty, 3, "signed", 10) == ()
+    assert annihilating_polynomial(empty, 2) == IntPolynomial.constant(1)
 
 
 def test_p_n_hashes_no_cyclotomic_integer(monkeypatch):
     """p_n, computed and then fetched from the caches, keys every root on
-    coordinates or packed ints: the trace hash collides heavily."""
+    coordinates or packed ints, never on a value."""
     a5 = bundled_model("burnside-A5").root_spec()
 
     def refuse(self):
@@ -226,29 +218,10 @@ def test_sum_set_cap_error_names_the_limit_its_cap_and_the_size_reached():
         root_sum_set(RootSpec.unity(8), 4, limits=Limits(max_sumset=10))
     match = re.fullmatch(r"sum set exceeds the limit max_sumset = 10: reached (\d+) elements", str(info.value))
     assert match and int(match.group(1)) > 10
-    with pytest.raises(BoundExceeded, match=r"max_sumset = 3: reached \d+ elements"):
-        mixed_annihilating_polynomial(
-            [RootSpec.unity(4), RootSpec.unity(3)], limits=Limits(max_sumset=3)
-        )
     # the summand bound of root_sum_set keeps its message (the golden
-    # outputs record it); the mixed one names the limit
+    # outputs record it)
     with pytest.raises(BoundExceeded, match=r"^n = 9 exceeds the summand bound 8$"):
         root_sum_set(RootSpec.integers(-1, 1), 9)
-    with pytest.raises(BoundExceeded, match=r"^3 summands exceed the limit max_summands = 2$"):
-        mixed_annihilating_polynomial([RootSpec.unity(2)] * 3, limits=Limits(max_summands=2))
-
-
-def test_mixed_annihilator_spec_example():
-    p = mixed_annihilating_polynomial(
-        [RootSpec.integers(-1, 1), RootSpec.integers(-1, 0, 1)]
-    )
-    assert p == IntPolynomial.from_roots([-2, -1, 0, 1, 2])
-
-
-def test_mixed_single_spec_is_plain_annihilator():
-    spec = RootSpec.integers(-1, 1)
-    assert mixed_annihilating_polynomial([spec]) == annihilating_polynomial(spec, 1)
-    assert annihilating_polynomial(spec, 1) == IntPolynomial((-1, 0, 1))
 
 
 def test_lewis_examples():

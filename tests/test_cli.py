@@ -244,6 +244,21 @@ def test_spectrum_burnside_a5(capsys):
     assert all(f["primes"] == [2, 3, 5] for f in payload["max"]["families"])
 
 
+def test_prime_bound_past_the_cap_exits_3(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--ring", "burnside-A5", "--primes-up-to", "100001")
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource bound exceeded: the prime bound 100001 exceeds the limit "
+        "MAX_LISTED_PRIME = 100000\n"
+    )
+    code, out, _ = run_cli(
+        capsys, "spectrum", "--ring", "burnside-A5", "--primes-up-to", "100000", "--format", "json"
+    )
+    assert code == 0
+    for family in json.loads(out)["max"]["families"]:
+        assert len(family["primes"]) == 9592 and family["primes"][-1] == 99991
+
+
 def test_spectrum_json_deterministic(capsys):
     _, first, _ = run_cli(
         capsys, "spectrum", "--ring", "preset:burnside-A5", "--format", "json"

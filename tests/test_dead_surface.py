@@ -11,18 +11,19 @@ CALLERS = (LIBRARY, ROOT / "scripts", ROOT / "perfbench")
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
-def referenced_names(node: ast.AST):
+def referenced_names(node: ast.AST, imports: bool = True):
     """(line, name) for every name the code refers to: variables,
-    attributes, imported names and their aliases, and the parts of string
-    constants shaped like dotted identifiers ("cyclotomic.poly_from_roots",
-    as the benchmark's hooks name their targets).  Comments and prose in
-    docstrings refer to nothing."""
+    attributes, imported names and their aliases (unless `imports` is
+    false), and the parts of string constants shaped like dotted
+    identifiers ("cyclotomic.poly_from_roots", as the benchmark's hooks
+    name their targets).  Comments and prose in docstrings refer to
+    nothing."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             yield sub.lineno, sub.id
         elif isinstance(sub, ast.Attribute):
             yield sub.lineno, sub.attr
-        elif isinstance(sub, ast.alias):
+        elif isinstance(sub, ast.alias) and imports:
             yield sub.lineno, sub.name.rpartition(".")[2]
             if sub.asname:
                 yield sub.lineno, sub.asname
@@ -39,10 +40,14 @@ def test_every_def_is_used_outside_its_definition():
     The scan reads the syntax tree, so a name that only a comment or a
     docstring mentions does not count.  It goes by name: a name defined
     by several classes, such as `to_json`, passes as soon as any one of
-    them is used.
+    them is used.  A re-export in a package's `__init__.py` is not a use:
+    it would keep alive a function that only the tests import from there.
     """
     trees = {path: ast.parse(path.read_text()) for root in CALLERS for path in root.rglob("*.py")}
-    uses = {path: list(referenced_names(tree)) for path, tree in trees.items()}
+    uses = {
+        path: list(referenced_names(tree, imports=path.name != "__init__.py"))
+        for path, tree in trees.items()
+    }
     counts = Counter(name for found in uses.values() for _, name in found)
     spans: dict[str, list] = {}
     for path in LIBRARY.rglob("*.py"):

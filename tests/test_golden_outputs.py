@@ -5,7 +5,7 @@ named group, every finite bundled model) and one product JSON spec, the
 data file holds the exact stdout, stderr and exit code of
 ``aprings spectrum --format json`` and of ``aprings analyze --format
 json`` on a few fixed elements.  For the free presets it also holds
-``minimal_primes(...)`` as JSON and the signatures (labels and values),
+the minimal primes (the kernels of the ghost columns) as JSON and the signatures (labels and values),
 or the error they raise.  A second data file holds the same for the
 ``--format text`` output: ``spectrum`` and ``analyze`` on the same rings
 and elements, ``annihilator`` on the bundled presets and on mixed JSON
@@ -30,7 +30,7 @@ import pytest
 from aprings.cli import main
 from aprings.groups import named_group_names
 from aprings.rings import FINITE_BUNDLED, bundled_model, construct_model
-from aprings.spectrum import minimal_primes, signatures
+from aprings.spectrum import ghost_kernel, signatures
 
 DATA = Path(__file__).with_name("golden_outputs.json")
 TEXT_DATA = Path(__file__).with_name("golden_text_outputs.json")
@@ -112,7 +112,9 @@ def _recorded(func):
 def free_structure(name: str) -> dict:
     model = bundled_model(name)
     return {
-        "minimal_primes": _recorded(lambda: [p.to_json() for p in minimal_primes(model)]),
+        "minimal_primes": _recorded(
+            lambda: [ghost_kernel(col).to_json() for col in model.ghost]
+        ),
         "signatures": _recorded(
             lambda: [[sig.label, list(sig.values)] for sig in signatures(model)]
         ),

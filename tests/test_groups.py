@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from aprings import groups
 from aprings.groups import (
     A5_LABEL_ALIASES,
     FiniteAbelianGroup,
+    a5_reference_difference,
     a5_reference_table,
     characters,
     close_group,
@@ -21,7 +23,6 @@ from aprings.groups import (
     mark,
     named_group,
     named_group_names,
-    subgroup_classes,
     table_of_marks,
 )
 
@@ -122,14 +123,14 @@ def test_close_group_bound():
 
 
 def test_subgroup_classes_a5():
-    classes = subgroup_classes(named_group("A5"))
+    classes = table_of_marks(named_group("A5")).classes
     assert [c.order for c in classes] == [1, 2, 3, 4, 5, 6, 10, 12, 60]
     assert [c.size for c in classes] == [1, 15, 10, 5, 6, 10, 6, 5, 1]
 
 
 def test_subgroup_classes_small():
-    assert len(subgroup_classes(named_group("C2"))) == 2
-    s3 = subgroup_classes(named_group("S3"))
+    assert len(table_of_marks(named_group("C2")).classes) == 2
+    s3 = table_of_marks(named_group("S3")).classes
     assert [c.order for c in s3] == [1, 2, 3, 6]
 
 
@@ -137,20 +138,19 @@ def test_subgroup_classes_small():
 def test_cyclic_subgroup_count_is_divisor_count(n):
     G = named_group(f"C{n}")
     divisors = sum(1 for d in range(1, n + 1) if n % d == 0)
-    assert len(subgroup_classes(G)) == divisors
+    assert len(table_of_marks(G).classes) == divisors
 
 
 def test_subgroup_bound():
     limit = r"^\|G\| = 60 exceeds the limit max_subgroup_order = 30$"
     with pytest.raises(OrderBoundExceeded, match=limit):
-        subgroup_classes(named_group("A5"), Limits(max_subgroup_order=30))
+        table_of_marks(named_group("A5"), Limits(max_subgroup_order=30))
 
 
 def test_default_subgroup_bound_is_720():
     limit = r"^\|G\| = 721 exceeds the limit max_subgroup_order = 720$"
-    for build in (subgroup_classes, table_of_marks):
-        with pytest.raises(OrderBoundExceeded, match=limit):
-            build(named_group("C721"))
+    with pytest.raises(OrderBoundExceeded, match=limit):
+        table_of_marks(named_group("C721"))
 
 
 def _elementary_abelian_2_group(rank):
@@ -169,17 +169,17 @@ def test_subgroup_count_bound():
     most 120, stays under the bound."""
     assert groups.MAX_SUBGROUPS == 4096
     limit = r"^\|G\| = 128 has more than 4096 subgroups, the limit of the subgroup lattice$"
-    for build in (subgroup_classes, table_of_marks):
-        with pytest.raises(OrderBoundExceeded, match=limit):
-            build(_elementary_abelian_2_group(7))
-    classes = subgroup_classes(_elementary_abelian_2_group(6))
+    with pytest.raises(OrderBoundExceeded, match=limit):
+        table_of_marks(_elementary_abelian_2_group(7))
+    # the lattice alone: the table would hold 2825^2 marks
+    classes = groups._subgroup_classes_cached(_elementary_abelian_2_group(6)).classes
     assert len(classes) == 2825
     assert sum(c.size for c in classes) == 2825
 
 
 def test_more_than_26_classes_of_one_order_get_two_letter_suffixes():
     """C2^5 has 31 subgroups of order 2."""
-    labels = [c.label for c in subgroup_classes(_elementary_abelian_2_group(5))]
+    labels = [c.label for c in table_of_marks(_elementary_abelian_2_group(5)).classes]
     assert labels[1:32] == [f"2{a}" for a in "abcdefghijklmnopqrstuvwxyz"] + [
         "2aa", "2ab", "2ac", "2ad", "2ae"
     ]
@@ -231,7 +231,7 @@ def test_closure_count_is_one_per_coset_of_each_class(monkeypatch, name, closure
         return closure_of(mul, gens)
 
     monkeypatch.setattr(groups, "subgroup_closure", counted)
-    classes = subgroup_classes(G)
+    classes = table_of_marks(G).classes
     groups._subgroup_classes_cached.cache_clear()
     assert len(calls) == closures == sum(G.order // c.order - 1 for c in classes)
 
@@ -321,7 +321,7 @@ def test_cayley_table_rejects_generators_that_do_not_reach_the_group():
 
 def test_mark_examples():
     G = named_group("A5")
-    classes = subgroup_classes(G)
+    classes = table_of_marks(G).classes
     by_order = {c.order: frozenset(c.representative) for c in classes}
     assert mark(G, by_order[4], by_order[2]) == 3  # V4 row, C2 column
     full = by_order[60]
@@ -332,7 +332,7 @@ def test_mark_examples():
 
 def test_mark_constant_on_conjugacy_classes():
     G = named_group("S4")
-    classes = subgroup_classes(G)
+    classes = table_of_marks(G).classes
     rng = random.Random(7)
     for c in classes[:5]:
         H = frozenset(c.representative)
@@ -360,6 +360,21 @@ def test_table_of_marks_a5_matches_reference():
     ref = a5_reference_table()
     assert [list(r) for r in table.marks] == ref["marks"]
     assert table.labels() == [A5_LABEL_ALIASES[l] for l in ref["labels"]]
+    assert a5_reference_difference(table) is None
+
+
+def test_a5_reference_difference_names_the_first_difference():
+    table = table_of_marks(named_group("A5"))
+    assert a5_reference_difference(table_of_marks(named_group("S3"))) == "marks differ"
+    renamed = replace(table, classes=tuple(replace(c, label=f"U{c.label}") for c in table.classes))
+    assert a5_reference_difference(renamed).startswith("labels ['U1', 'U2', ")
+    # the same marks over a group of twice the order
+    doubled = replace(
+        table,
+        group_order=120,
+        classes=tuple(replace(c, order=2 * c.order) for c in table.classes),
+    )
+    assert a5_reference_difference(doubled) == "class orders differ"
 
 
 CORPUS = ["trivial", "C2", "C3", "C4", "C5", "C6", "V4", "S3", "D8", "D10", "A4", "C12", "S4", "C24"]
@@ -445,7 +460,7 @@ def reference_p_residual_classes(G, p):
     """O^p(U) on permutations: the closure of the elements of U of order
     prime to p; its class is the class of its order that it is conjugate
     into (a positive mark)."""
-    classes = subgroup_classes(G)
+    classes = table_of_marks(G).classes
     out = []
     for c in classes:
         coprime = [h for h in c.representative if perm_order(h) % p]

@@ -15,12 +15,13 @@ from aprings.spectrum import (
     element_predicates,
     fundamental_ideal,
     fundamental_ideal_elements,
+    ghost_kernel,
     is_admissible,
-    minimal_primes,
     signature_ideal,
     signatures,
     spectrum_report,
     _has_two_power_q,
+    _primes_up_to,
 )
 
 from test_rings import (
@@ -122,7 +123,7 @@ def in_kernel(col, r) -> bool:
 
 def test_minimal_primes_z_c2_are_signature_kernels():
     model = bundled_model("Z[C2]")
-    primes = minimal_primes(model)
+    primes = [ghost_kernel(col) for col in model.ghost]
     sigs = signatures(model)
     assert [p.label for p in primes] == [col.kernel[1] for col in model.ghost]
     assert [signature_ideal(sig).label for sig in sigs] == ["ker sigma(+,+)", "ker sigma(+,-)"]
@@ -136,7 +137,7 @@ def test_minimal_primes_z_c2_are_signature_kernels():
 
 def test_minimal_primes_z_c4():
     model = bundled_model("Z[C4]")
-    primes = minimal_primes(model)
+    primes = [ghost_kernel(col) for col in model.ghost]
     # Z[C4] (x) Q = Q x Q x Q(i): chi(1) and chi(3) are conjugate and
     # share one kernel
     assert [p.label for p in primes] == ["ker phi_chi(0)", "ker phi_chi(1)", "ker phi_chi(2)"]
@@ -160,7 +161,7 @@ def test_minimal_primes_are_pairwise_distinct(model):
     """Each minimal prime holds an element that no other one holds: an
     integer vector of the rational kernel of its ghost column, which
     another column does not kill.  (Minimal primes are incomparable.)"""
-    primes = minimal_primes(model)
+    primes = [ghost_kernel(col) for col in model.ghost]
     assert [(p.kind, p.label) for p in primes] == [col.kernel for col in model.ghost]
     n = len(model.labels)
     kernels = [rational_kernel(column_rows(col), n) for col in model.ghost]
@@ -174,17 +175,25 @@ def test_minimal_primes_are_pairwise_distinct(model):
 
 def test_minimal_primes_burnside_a5():
     model = bundled_model("burnside-A5")
-    primes = minimal_primes(model)
+    primes = [ghost_kernel(col) for col in model.ghost]
     assert len(primes) == 9
     assert not any(in_kernel(col, model.one()) for col in model.ghost)
 
 
 def test_minimal_primes_unsupported_for_quotients():
     with pytest.raises(UnsupportedModel):
-        minimal_primes(bundled_model("Z4[C2]"))
+        bundled_model("Z4[C2]").ghost
 
 
 # -- spectrum reports -----------------------------------------------------------
+
+
+def test_prime_sieve_matches_trial_division():
+    primes = []
+    for bound in range(2, 2001):
+        if all(bound % p for p in primes):
+            primes.append(bound)
+        assert _primes_up_to(bound) == primes
 
 
 def test_spectrum_z():
