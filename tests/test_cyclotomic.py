@@ -25,7 +25,6 @@ def test_cyclotomic_base_cases():
     assert cyclotomic_polynomial(4) == IntPolynomial((1, 0, 1))
     assert cyclotomic_polynomial(8) == IntPolynomial((1, 0, 0, 0, 1))
     assert cyclotomic_polynomial(12) == IntPolynomial((1, 0, -1, 0, 1))
-    assert [euler_phi(n) for n in (1, 2, 8, 12)] == [1, 1, 4, 4]
 
 
 @pytest.mark.parametrize("m", range(1, 65))
@@ -424,6 +423,14 @@ def test_times_matches_dense_reduction(m, data):
     a, b = (tuple(data.draw(st.lists(coords, min_size=d, max_size=d))) for _ in range(2))
     assert _times(m, a, b) == reference_times(m, a, b)
     assert (CyclotomicInteger(m, a) * CyclotomicInteger(m, b)).coords == reference_times(m, a, b)
+
+
+def test_moebius_and_phi():
+    # the primitive n-th roots of unity sum to moebius(n), so the coefficient
+    # of x^(phi(n) - 1) in Phi_n is -moebius(n)
+    phis = [cyclotomic_polynomial(n) for n in (1, 2, 3, 4, 6, 12)]
+    assert [-f.coefficient(f.degree - 1) for f in phis] == [1, -1, -1, 0, 1, 0]
+    assert [euler_phi(n) for n in (1, 2, 8, 12)] == [1, 1, 4, 4]
 
 
 orders = st.sampled_from([1, 2, 3, 4, 6, 8, 12])
