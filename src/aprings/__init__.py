@@ -9,69 +9,8 @@ rings via tables of marks, finite quotients), and computes their
 structure theory: signatures, minimal and maximal prime ideals, the
 fundamental ideal, admissibility, and nilpotent/torsion/unit/zero-
 divisor classification, cross-checked against a brute-force oracle on
-finite carriers.
+finite carriers.  The package re-exports nothing: import each name from
+its module, as in `from aprings.groups import table_of_marks`.
 """
-
-from .annihilator import (
-    IntegerRoots,
-    RootSpec,
-    RootsOfUnity,
-    SumSet,
-    annihilating_polynomial,
-    degree_bound,
-    lewis_polynomial,
-    pfister_chain_polynomial,
-    quartic_p,
-    quartic_t,
-    root_sum_set,
-)
-from .config import Limits, default_limits
-from .cyclotomic import (
-    CyclotomicInteger,
-    cyclotomic_polynomial,
-    poly_from_roots,
-)
-from .groups import (
-    FiniteAbelianGroup,
-    PermGroup,
-    SubgroupClass,
-    TableOfMarks,
-    characters,
-    close_group,
-    mark,
-    named_group,
-    table_of_marks,
-)
-from .intpoly import IntPolynomial
-from .rings import (
-    AnnihilationReport,
-    BurnsideModel,
-    FiniteQuotientRing,
-    FreeRing,
-    GroupRingModel,
-    ProductRing,
-    ProductZRing,
-    RingModel,
-    ZRing,
-    bundled_model,
-    construct_model,
-    parse_element,
-    poly_eval_in_ring,
-    verify_annihilated,
-)
-from .spectrum import (
-    AdmissibilityResult,
-    ElementPredicates,
-    PrimeIdeal,
-    Signature,
-    SpectrumReport,
-    ap_condition_check,
-    dress_relations,
-    element_predicates,
-    fundamental_ideal,
-    is_admissible,
-    signatures,
-    spectrum_report,
-)
 
 __version__ = "0.1.0"

@@ -120,15 +120,20 @@ def cmd_annihilator(args) -> int:
     mode = args.mode or default_mode
     sums = root_sum_set(spec, args.n, mode)
     poly = annihilating_polynomial(spec, args.n, mode)
-    closed_matches = None
     if args.closed_form:
         if preset is None:
             raise ExpressionError("--closed-form needs a preset root spec")
         closed = closed_form_for_preset(preset, args.n)
         if closed is None:
             raise ExpressionError(f"preset {preset!r} has no closed form")
-        closed_matches = closed == poly
-        if not closed_matches:
+        # stated for the preset's mode; in the other it holds for symmetric roots
+        spec_roots = set(spec.roots())
+        if mode != default_mode and spec_roots != {-r for r in spec_roots}:
+            raise ExpressionError(
+                f"the closed form of preset {preset!r} is stated for {default_mode} "
+                f"sums; its roots are not symmetric, so {mode} sums differ"
+            )
+        if closed != poly:
             print("closed form disagrees with the enumerated polynomial", file=sys.stderr)
             return 1
     if args.format == "json":
@@ -140,8 +145,8 @@ def cmd_annihilator(args) -> int:
             "polynomial": poly.to_json(),
             "degree": poly.degree,
         }
-        if closed_matches is not None:
-            payload["closed_form_matches"] = closed_matches
+        if args.closed_form:
+            payload["closed_form_matches"] = True
         _emit_json(payload)
     else:
         roots = ", ".join(str(e) for e in sums.elements)
@@ -149,7 +154,7 @@ def cmd_annihilator(args) -> int:
         print(f"roots: {roots}")
         print(f"p_n(x) = {poly}")
         print(f"coefficients (ascending): {', '.join(map(decimal_str, poly.coeffs))}")
-        if closed_matches is not None:
+        if args.closed_form:
             print("closed form matches the enumeration")
     return 0
 

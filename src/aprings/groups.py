@@ -129,47 +129,55 @@ class _CayleyTable:
     order is sorted element order.
     """
 
-    index: dict[Perm, int]
     mul: tuple[tuple[int, ...], ...]   # mul[a][b]: index of elements[a] . elements[b]
-    conj: tuple[tuple[int, ...], ...]  # conj[i][h]: index of s^-1 h s, s = gens[i]
-    gens: tuple[int, ...]              # the distinct indices of G.generators
+    conj: tuple[tuple[int, ...], ...]  # conj[i][h]: index of s^-1 h s, s = i-th distinct gen
+
+
+def cayley_walk(n: int, identity: int, rows: dict[int, Sequence[int]]) -> tuple[list, list]:
+    """The table of x . b on n indexed elements of an associative operation
+    with an identity, from the rows rows[s][b] = index(s . b) of the
+    generators s, breadth first from the identity: the row of z = y . s is
+    the row of y read at rows[s], as (y . s) . b = y . (s . b).  Returns
+    the table (list rows, None where the generators do not reach) and the
+    edges (y, s, z) in the order the rows were built."""
+    table: list = [None] * n
+    table[identity] = list(range(n))
+    edges = []
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for y in frontier:
+            row_y = table[y]
+            for s, row in rows.items():
+                z = row_y[s]
+                if table[z] is None:
+                    table[z] = [row_y[j] for j in row]
+                    edges.append((y, s, z))
+                    nxt.append(z)
+        frontier = nxt
+    return table, edges
 
 
 @lru_cache(maxsize=64)
 def _cayley_table(G: PermGroup) -> _CayleyTable:
-    """The tables from one left-regular row per generator s,
-    row_s[b] = index(s . b): breadth first from the identity, the row of
-    g . s is the row of g read at row_s, as (g . s) . b = g . (s . b).
-    |S| |G| compositions instead of |G|^2."""
+    """The tables from one left-regular row per generator s by
+    `cayley_walk`: |S| |G| compositions instead of |G|^2."""
     index = {p: i for i, p in enumerate(G.elements)}
     rows = {}  # generator index s -> [index(s . b) for b in G.elements]
     for s in G.generators:
         if index[s] not in rows:
             rows[index[s]] = [index[compose(s, b)] for b in G.elements]
-    mul: list = [None] * G.order
-    mul[0] = tuple(range(G.order))
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            row_g = mul[g]
-            for s, row in rows.items():
-                z = row_g[s]
-                if mul[z] is None:
-                    mul[z] = tuple(row_g[j] for j in row)
-                    nxt.append(z)
-        frontier = nxt
-    if None in mul:
+    mul, edges = cayley_walk(G.order, 0, rows)
+    if len(edges) + 1 < G.order:
         raise CheckFailed(
-            f"the generators reach {G.order - mul.count(None)} of the "
-            f"{G.order} elements of the group"
+            f"the generators reach {len(edges) + 1} of the {G.order} elements of the group"
         )
-    mul = tuple(mul)
+    mul = tuple(map(tuple, mul))
     conj = []
     for s in rows:
         row_inv = mul[index[inverse_perm(G.elements[s])]]
         conj.append(tuple(row_inv[row[s]] for row in mul))
-    return _CayleyTable(index=index, mul=mul, conj=tuple(conj), gens=tuple(rows))
+    return _CayleyTable(mul=mul, conj=tuple(conj))
 
 
 def _mask(indices: Iterable[int]) -> int:
@@ -351,22 +359,10 @@ def _order_labels(orders: list[int]) -> list[str]:
 # -- marks ---------------------------------------------------------------------
 
 
-def mark(G: PermGroup, H1: Iterable[Perm], H2: Iterable[Perm]) -> int:
-    """Fixed points of H2 on the coset space G/H1.
-
-    A coset gH1 is fixed by H2 exactly when g^-1 H2 g lies in H1, so the
-    count is #{g : H2^g <= H1} / |H1|, counted on the distinct conjugates
-    of H2 as `table_of_marks` counts it.
-    """
-    table = _cayley_table(G)
-    H1mask = _mask(table.index[h] for h in H1)
-    orbit = _orbit(table, [table.index[h] for h in H2])
-    inside = sum(1 for K in orbit if K & ~H1mask == 0)
-    return _mark(H1mask, G.order // len(orbit) * inside)
-
-
 def _mark(H1: int, count: int) -> int:
-    """count / |H1|, count being #{g : H2^g <= H1}."""
+    """The mark of H2 on G/H1, its number of fixed cosets: gH1 is fixed
+    by H2 exactly when H2^g <= H1, so the mark is count / |H1|, count
+    being #{g : H2^g <= H1}."""
     order = H1.bit_count()
     if count % order:
         raise CheckFailed(f"{count} conjugators is not a multiple of |H1| = {order}")
@@ -553,8 +549,15 @@ def named_group(name: str) -> PermGroup:
     if name in _NAMED:
         degree, gens = _NAMED[name]
         return close_group(degree, gens)
-    if name.startswith("C") and name[1:].isdigit() and int(name[1:]) > 0:
-        n = int(name[1:])
+    digits = name[1:].lstrip("0")
+    if name.startswith("C") and digits.isascii() and digits.isdecimal():
+        # refused before a cycle is built or a name too long for int() read
+        cap = default_limits().max_group_order
+        if len(digits) > len(str(cap)) or int(digits) > cap:
+            raise OrderBoundExceeded(
+                f"{name} has order {digits}, above the limit max_group_order = {cap}"
+            )
+        n = int(digits)
         return close_group(n, (_cycle(n),))
     raise ExpressionError(f"unknown named group: {name!r}")
 

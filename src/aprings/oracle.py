@@ -9,11 +9,11 @@ what makes this usable as an oracle against the structural shortcuts.
 The tables are filled from the rows of the additive generators S,
 with |S| n calls each to the model's `add` and `mul` instead of n^2.
 The ring is additively generated by S, so a breadth-first walk from
-0 along y -> y + s reaches every element.  Each step is the same
-distributive arithmetic the model would do: the row of y + s is the
-row of y shifted by s, and (y + s) c = y c + s c is read off the
-rows already built.  The table checks then compare rows reached
-along different paths, so they still test the model's arithmetic.
+0 along y -> y + s reaches every element (`groups.cayley_walk`).  Each
+step is ring arithmetic: the row of y + s is the row of y read at the
+row of s, and (y + s) c = y c + s c is read off the rows already built.
+The table checks then compare rows reached along different paths, so
+they still test the model's arithmetic.
 
 The tables come from commutative, associative rings with 1, so the
 principal ideal Rx = {r x} (the set of row x of the multiplication
@@ -35,6 +35,7 @@ from typing import Optional
 
 from .config import Limits, default_limits
 from .errors import CarrierBoundExceeded, CheckFailed
+from .groups import cayley_walk
 
 
 @dataclass
@@ -80,20 +81,7 @@ def table_for_model(model, limits: Optional[Limits] = None) -> FiniteRingTable:
             times[index[s]] = [index[model.mul(s, c)] for c in carrier]
 
     zero = index[model.zero()]
-    add: list = [None] * n
-    add[zero] = list(range(n))
-    edges = []  # (y, s, y + s), in the order the rows were built
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for s, row in shift.items():
-                z = row[y]
-                if add[z] is None:
-                    add[z] = [row[k] for k in add[y]]
-                    edges.append((y, s, z))
-                    nxt.append(z)
-        frontier = nxt
+    add, edges = cayley_walk(n, zero, shift)  # (y, s, y + s) per row built
     if len(edges) + 1 < n:
         raise CheckFailed(
             f"the generators of {model.name} do not span its carrier: "

@@ -24,20 +24,6 @@ from .groups import closure
 from .rings import BurnsideModel, GhostColumn, RingModel, Signature
 
 
-# -- signatures -----------------------------------------------------------------
-
-
-def signatures(model: RingModel) -> list[Signature]:
-    """The complete list of signatures of the model.
-
-    For a free model these are its ghost columns, provided they are
-    integer-valued.  A ring of positive characteristic admits none: a
-    homomorphism onto Z would force characteristic zero.  A product has
-    those of its factors.
-    """
-    return model.signatures()
-
-
 # -- prime ideal descriptors --------------------------------------------------------
 
 

@@ -49,7 +49,6 @@ from .spectrum import (
     fundamental_ideal_elements,
     ap_condition_check,
     is_admissible,
-    signatures,
 )
 
 # Bound generous enough for the n = 10 closed-form checks.
@@ -257,7 +256,7 @@ def check_pfister_local_global() -> str:
     rng = random.Random(0xA11)
     for name in ("Z[C2]", "Z[C2xC2]"):
         model = bundled_model(name)
-        sigs = signatures(model)
+        sigs = model.signatures()
         zero = model.zero()
         samples = [model.random_element(rng, max_length=6) for _ in range(200)]
         samples.extend([zero, model.one(), model.neg(model.one())])
@@ -276,7 +275,7 @@ def check_zero_divisors_union() -> str:
     checked = 0
     for name in ("Z[C2]", "Z[C2xC2]"):
         model = bundled_model(name)
-        sigs = signatures(model)
+        sigs = model.signatures()
         zero = model.zero()
         # e_sigma = sum sigma(g) g is killed by multiplication against
         # anything in ker(sigma), giving an explicit witness.

@@ -80,6 +80,21 @@ def test_annihilator_closed_form_needs_preset(capsys):
     assert code == 2
 
 
+def test_annihilator_closed_form_outside_its_mode_is_a_usage_error(capsys):
+    """The Pfister closed form is stated for unsigned sums of {0, 2^K},
+    which is not symmetric, so in signed mode it is not a claim to check."""
+    code, out, err = run_cli(
+        capsys, "annihilator", "--q", "preset:pfister:1", "--n", "2", "--mode", "signed",
+        "--closed-form",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "usage error: the closed form of preset 'pfister:1' is stated for unsigned sums; "
+        "its roots are not symmetric, so signed sums differ\n"
+    )
+
+
 def test_annihilator_bound_exceeded(capsys):
     code, _, err = run_cli(capsys, "annihilator", "--q", "preset:x2-1", "--n", "9")
     assert code == 3
@@ -202,6 +217,27 @@ def test_marks_refuses_a_group_with_too_many_subgroups(capsys):
         "resource bound exceeded: |G| = 128 has more than 4096 subgroups, "
         "the limit of the subgroup lattice\n"
     )
+
+
+@pytest.mark.parametrize("digits", ["100", "9" * 5000], ids=["C100", "5000-digits"])
+def test_marks_refuses_a_named_cyclic_group_above_the_order_cap(capsys, monkeypatch, digits):
+    """Cn is refused from its name, before its degree-n cycle is built,
+    even when n has more digits than int() converts."""
+    monkeypatch.setenv("APRINGS_MAX_GROUP_ORDER", "30")
+    code, out, err = run_cli(capsys, "marks", "--group", f"named:C{digits}")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"resource bound exceeded: C{digits} has order {digits}, "
+        "above the limit max_group_order = 30\n"
+    )
+
+
+@pytest.mark.parametrize("name", ["C0", "C\u00b2", "C-3", "C"])
+def test_marks_unknown_cyclic_name_is_a_usage_error(capsys, name):
+    code, _, err = run_cli(capsys, "marks", "--group", f"named:{name}")
+    assert code == 2
+    assert err == f"usage error: unknown named group: {name!r}\n"
 
 
 def test_spectrum_z_c2(capsys):
@@ -728,6 +764,28 @@ def test_a_well_formed_call_imports_no_argparse():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_the_package_loads_only_the_modules_it_is_asked_for():
+    """`import aprings` loads no submodule, as the package re-exports
+    nothing, and `import aprings.groups` loads none of the ring,
+    polynomial or command modules."""
+    code = (
+        "import sys\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('aprings.'))\n"
+        "import aprings\n"
+        "print(*loaded())\n"
+        "import aprings.groups\n"
+        "print(*loaded())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    package, groups = proc.stdout.split("\n")[:2]
+    assert package == ""
+    heavy = {f"aprings.{name}" for name in
+             ("annihilator", "rings", "spectrum", "oracle", "verification", "cli")}
+    assert "aprings.groups" in groups.split()
+    assert heavy.isdisjoint(groups.split())
 
 
 def written(payload) -> str:

@@ -42,8 +42,15 @@ def test_every_def_is_used_outside_its_definition():
     by several classes, such as `to_json`, passes as soon as any one of
     them is used.  A re-export in a package's `__init__.py` is not a use:
     it would keep alive a function that only the tests import from there.
+    Nor is a file under a `tests/` directory (`perfbench/tests`) a caller:
+    its `pytest.mark` would count as a use of a library `mark`.
     """
-    trees = {path: ast.parse(path.read_text()) for root in CALLERS for path in root.rglob("*.py")}
+    trees = {
+        path: ast.parse(path.read_text())
+        for root in CALLERS
+        for path in root.rglob("*.py")
+        if "tests" not in path.relative_to(ROOT).parts
+    }
     uses = {
         path: list(referenced_names(tree, imports=path.name != "__init__.py"))
         for path, tree in trees.items()

@@ -30,7 +30,7 @@ import pytest
 from aprings.cli import main
 from aprings.groups import named_group_names
 from aprings.rings import FINITE_BUNDLED, bundled_model, construct_model
-from aprings.spectrum import ghost_kernel, signatures
+from aprings.spectrum import ghost_kernel
 
 DATA = Path(__file__).with_name("golden_outputs.json")
 TEXT_DATA = Path(__file__).with_name("golden_text_outputs.json")
@@ -116,7 +116,7 @@ def free_structure(name: str) -> dict:
             lambda: [ghost_kernel(col).to_json() for col in model.ghost]
         ),
         "signatures": _recorded(
-            lambda: [[sig.label, list(sig.values)] for sig in signatures(model)]
+            lambda: [[sig.label, list(sig.values)] for sig in model.signatures()]
         ),
     }
 

@@ -20,7 +20,6 @@ from aprings.groups import (
     group_from_json,
     identity_perm,
     inverse_perm,
-    mark,
     named_group,
     named_group_names,
     table_of_marks,
@@ -271,10 +270,10 @@ def test_cayley_table_matches_reference(G):
     """The multiplication table, and the conjugation rows of the
     generators, which are all the table keeps of conjugation."""
     table = groups._cayley_table(G)
-    assert table.index == {p: i for i, p in enumerate(G.elements)}
-    assert table.gens == tuple(dict.fromkeys(table.index[s] for s in G.generators))
+    index = {p: i for i, p in enumerate(G.elements)}
+    gens = dict.fromkeys(index[s] for s in G.generators)
     mul, conj = reference_cayley(G)
-    assert (table.mul, table.conj) == (mul, tuple(conj[s] for s in table.gens))
+    assert (table.mul, table.conj) == (mul, tuple(conj[s] for s in gens))
 
 
 @pytest.mark.parametrize("G", TABLE_GROUPS)
@@ -282,11 +281,11 @@ def test_stored_orbits_are_the_conjugates(G):
     """Each class keeps its distinct conjugates, found from the
     generators, as the masks of H^g over every g would give them,
     ascending by sorted members, so with the representative first."""
-    table = groups._cayley_table(G)
+    index = {p: i for i, p in enumerate(G.elements)}
     lattice = groups._subgroup_classes_cached(G)
     _, conj = reference_cayley(G)
     for c, orbit in zip(lattice.classes, lattice.orbits):
-        members = [table.index[h] for h in c.representative]
+        members = [index[h] for h in c.representative]
         assert len(set(orbit)) == len(orbit) == c.size
         assert set(orbit) == {groups._mask(row[h] for h in members) for row in conj}
         assert list(orbit) == sorted(orbit, key=groups._bits)
@@ -320,29 +319,27 @@ def test_cayley_table_rejects_generators_that_do_not_reach_the_group():
 
 
 def test_mark_examples():
-    G = named_group("A5")
-    classes = table_of_marks(G).classes
-    by_order = {c.order: frozenset(c.representative) for c in classes}
-    assert mark(G, by_order[4], by_order[2]) == 3  # V4 row, C2 column
-    full = by_order[60]
-    for order, H in by_order.items():
-        assert mark(G, full, H) == 1
-    assert mark(G, by_order[1], by_order[1]) == 60
+    table = table_of_marks(named_group("A5"))
+    by_order = {c.order: i for i, c in enumerate(table.classes)}
+    assert table.marks[by_order[4]][by_order[2]] == 3  # V4 row, C2 column
+    for j in by_order.values():
+        assert table.marks[by_order[60]][j] == 1
+    assert table.marks[by_order[1]][by_order[1]] == 60
 
 
 def test_mark_constant_on_conjugacy_classes():
     G = named_group("S4")
-    classes = table_of_marks(G).classes
+    table = table_of_marks(G)
     rng = random.Random(7)
-    for c in classes[:5]:
+    for i, c in enumerate(table.classes[:5]):
         H = frozenset(c.representative)
-        for other in classes:
+        for j, other in enumerate(table.classes):
             K = tuple(other.representative)
-            base = mark(G, H, K)
+            base = table.marks[i][j]
             for _ in range(3):
                 g = G.elements[rng.randrange(G.order)]
                 conj = tuple(conjugate_perm(g, h) for h in K)
-                assert mark(G, H, conj) == base
+                assert reference_mark(G, H, conj) == base
 
 
 def test_table_of_marks_c2():
@@ -467,7 +464,7 @@ def reference_p_residual_classes(G, p):
         K = closure(compose, identity_perm(G.degree), coprime)
         out.append(next(
             j for j, d in enumerate(classes)
-            if d.order == len(K) and mark(G, d.representative, K) > 0
+            if d.order == len(K) and reference_mark(G, d.representative, K) > 0
         ))
     return tuple(out)
 

@@ -18,7 +18,6 @@ from aprings.spectrum import (
     ghost_kernel,
     is_admissible,
     signature_ideal,
-    signatures,
     spectrum_report,
     _has_two_power_q,
     _primes_up_to,
@@ -56,17 +55,17 @@ def test_which_models_have_a_two_power_q(name):
 
 
 def test_signature_counts():
-    assert len(signatures(bundled_model("Z"))) == 1
-    assert len(signatures(bundled_model("Z^3"))) == 3
-    assert len(signatures(bundled_model("Z[C2]"))) == 2
-    assert len(signatures(bundled_model("Z[C2xC2]"))) == 4
-    assert len(signatures(bundled_model("burnside-A5"))) == 9
-    assert signatures(bundled_model("Z4[C2]")) == []
+    assert len(bundled_model("Z").signatures()) == 1
+    assert len(bundled_model("Z^3").signatures()) == 3
+    assert len(bundled_model("Z[C2]").signatures()) == 2
+    assert len(bundled_model("Z[C2xC2]").signatures()) == 4
+    assert len(bundled_model("burnside-A5").signatures()) == 9
+    assert bundled_model("Z4[C2]").signatures() == []
 
 
 def test_signatures_unsupported_for_higher_exponent():
     with pytest.raises(UnsupportedModel):
-        signatures(bundled_model("Z[C4]"))
+        bundled_model("Z[C4]").signatures()
 
 
 def test_signatures_are_ring_homomorphisms():
@@ -74,7 +73,7 @@ def test_signatures_are_ring_homomorphisms():
         model = bundled_model(name)
         rng = random.Random(2)
         xs = [model.random_element(rng, 4) for _ in range(6)]
-        for sig in signatures(model):
+        for sig in model.signatures():
             assert sig(model.one()) == 1
             for a in xs:
                 for b in xs:
@@ -99,7 +98,7 @@ PRODUCT_SPECS = {
 def test_signature_values_are_values_on_the_generators(name):
     spec = PRODUCT_SPECS.get(name)
     model = construct_model(spec) if spec else bundled_model(name)
-    sigs = signatures(model)
+    sigs = model.signatures()
     assert sigs
     for sig in sigs:
         assert sig.values == tuple(sig(s) for _, s in model.generators()), sig.label
@@ -108,7 +107,7 @@ def test_signature_values_are_values_on_the_generators(name):
 def test_signatures_of_z_c2():
     model = bundled_model("Z[C2]")
     g = parse_element(model, "g")
-    values = sorted(sig(g) for sig in signatures(model))
+    values = sorted(sig(g) for sig in model.signatures())
     assert values == [-1, 1]
 
 
@@ -124,7 +123,7 @@ def in_kernel(col, r) -> bool:
 def test_minimal_primes_z_c2_are_signature_kernels():
     model = bundled_model("Z[C2]")
     primes = [ghost_kernel(col) for col in model.ghost]
-    sigs = signatures(model)
+    sigs = model.signatures()
     assert [p.label for p in primes] == [col.kernel[1] for col in model.ghost]
     assert [signature_ideal(sig).label for sig in sigs] == ["ker sigma(+,+)", "ker sigma(+,-)"]
     assert len(primes) == len(sigs) == 2
@@ -417,7 +416,7 @@ def test_z6_breaks_the_local_equivalences():
     # characteristic, not just even characteristic
     model = bundled_model("Z6")
     assert is_admissible(model).admissible
-    assert signatures(model) == []
+    assert model.signatures() == []
     two = model.embed_int(2)
     assert two in fundamental_ideal_elements(model)
     assert not element_predicates(model, two).nilpotent
@@ -543,7 +542,7 @@ def test_dress_flags_agree_with_oracle_on_small_burnside():
 def test_distinct_signatures_have_distinct_kernels():
     for name in ("Z[C2]", "Z[C2xC2]", "Z^3", "burnside-A5"):
         model = bundled_model(name)
-        sigs = signatures(model)
+        sigs = model.signatures()
         gens = [s for _, s in model.generators()]
         probes = gens + [model.one()]
         for i, a in enumerate(sigs):
@@ -570,4 +569,4 @@ def test_no_signatures_on_finite_carriers_exhaustive():
             acc = model.add(acc, r)
             order += 1
         assert order <= len(model.carrier())
-    assert signatures(model) == []
+    assert model.signatures() == []
