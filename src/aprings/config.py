@@ -40,6 +40,15 @@ class Limits:
                 f"reached {size} elements"
             )
 
+    def check_oracle_spectrum(self, size: int) -> None:
+        """Raise CarrierBoundExceeded when the ideals of a finite ring of
+        `size` elements, more than max_oracle_spectrum, are to be enumerated."""
+        if size > self.max_oracle_spectrum:
+            raise CarrierBoundExceeded(
+                f"ideal enumeration exceeds the limit max_oracle_spectrum = "
+                f"{self.max_oracle_spectrum}: reached a carrier of {size} elements"
+            )
+
 
 _ENV_FIELDS = {
     "max_group_order": "APRINGS_MAX_GROUP_ORDER",

@@ -29,7 +29,6 @@ from math import lcm, prod
 from typing import Callable, Iterable, Optional, Sequence
 
 from .config import Limits, default_limits
-from .cyclotomic import CyclotomicInteger
 from .errors import CheckFailed, ExpressionError, OrderBoundExceeded, exact_ints
 
 Perm = tuple[int, ...]
@@ -490,32 +489,6 @@ class FiniteAbelianGroup:
         return "x".join(f"C{o}" for o in self.factor_orders) if self.factor_orders else "C1"
 
 
-@dataclass(frozen=True)
-class Character:
-    """Homomorphism of a finite abelian group into the exp(G)-th roots of unity."""
-
-    group: FiniteAbelianGroup
-    exponents: tuple[int, ...]  # image of generator i is zeta_m^(m/o_i * t_i), m = exp(G)
-
-    def value(self, g: tuple[int, ...]) -> CyclotomicInteger:
-        m = self.group.exponent
-        total = sum(
-            (m // oi) * ti * gi for gi, ti, oi in zip(g, self.exponents, self.group.factor_orders)
-        )
-        return CyclotomicInteger.zeta(m, total % m)
-
-    def label(self) -> str:
-        return "chi(" + ",".join(str(t) for t in self.exponents) + ")"
-
-
-def characters(G: FiniteAbelianGroup) -> list[Character]:
-    """All |G| homomorphisms G -> mu_exp(G), by exponent tuple."""
-    return [
-        Character(group=G, exponents=exps)
-        for exps in product(*(range(o) for o in G.factor_orders))
-    ]
-
-
 # -- named groups ----------------------------------------------------------------
 
 
@@ -544,8 +517,9 @@ def named_group_names() -> list[str]:
     return sorted(_NAMED)
 
 
-@lru_cache(maxsize=None)
 def named_group(name: str) -> PermGroup:
+    """The group of a bundled name or of Cn, closed afresh on each call,
+    so that the order cap in force then applies."""
     if name in _NAMED:
         degree, gens = _NAMED[name]
         return close_group(degree, gens)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .config import Limits, default_limits
-from .errors import CarrierBoundExceeded, CheckFailed
+from .errors import CheckFailed
 from .groups import cayley_walk
 
 
@@ -128,13 +128,7 @@ def all_ideals(T: FiniteRingTable, limits: Optional[Limits] = None) -> list[froz
     Every ideal J is the sum of the principal ideals Rx for x in J, so
     adding them one at a time from 0 walks through known ideals to J.
     """
-    limits = limits or default_limits()
-    cap = limits.max_oracle_spectrum
-    if T.size > cap:
-        raise CarrierBoundExceeded(
-            f"ideal enumeration exceeds the limit max_oracle_spectrum = {cap}: "
-            f"reached a carrier of {T.size} elements"
-        )
+    (limits or default_limits()).check_oracle_spectrum(T.size)
     principal = list(dict.fromkeys(map(frozenset, T.mul)))
     zero_ideal = frozenset({T.zero})
     known = {zero_ideal}

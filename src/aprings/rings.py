@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 from random import Random
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .annihilator import RootSpec, annihilating_polynomial
 from .config import Limits, default_limits
@@ -30,13 +30,7 @@ from .errors import (
     UnsupportedModel,
     exact_ints,
 )
-from .groups import (
-    FiniteAbelianGroup,
-    TableOfMarks,
-    characters,
-    named_group,
-    table_of_marks,
-)
+from .groups import FiniteAbelianGroup, TableOfMarks, named_group, table_of_marks
 from .intpoly import IntPolynomial, format_terms, repeated_doubling
 
 
@@ -109,10 +103,6 @@ class RingModel:
         """The columns of the ghost map; only a free model has one."""
         raise UnsupportedModel(f"no spectrum classification for {self.name}")
 
-    def signatures(self) -> list[Signature]:
-        """Every ring homomorphism onto Z."""
-        raise NotImplementedError
-
     def predicates(self, r) -> tuple[Optional[bool], ...]:
         """(nilpotent, torsion, unit, zero divisor, in every signature
         ideal) for r; None where the model cannot decide.  Zero divisors
@@ -161,18 +151,6 @@ def poly_eval_in_ring(p: IntPolynomial, r, model: RingModel):
     return model.mul(result, power(above)) if above > 0 else result
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Ring homomorphism onto Z, given by its values on the generating set."""
-
-    label: str
-    values: tuple[int, ...]  # value on the i-th generator
-    _eval: Callable = field(compare=False, repr=False)
-
-    def __call__(self, r) -> int:
-        return self._eval(r)
-
-
 # -- rings free as Z-modules ------------------------------------------------------
 
 
@@ -182,13 +160,14 @@ class GhostColumn:
     a ring of cyclotomic integers, given by its values on the basis, so
     it evaluates a free-model element (its coefficient vector) directly.
     `kernel` is the (kind, label) under which its kernel is listed as a
-    minimal prime."""
+    minimal prime.  An integer-valued column is a signature, a ring
+    homomorphism onto Z."""
 
     label: str
     values: tuple
     kernel: tuple[str, str]
 
-    def evaluate(self, r: Sequence[int]):
+    def __call__(self, r: Sequence[int]):
         return sum(c * v for c, v in zip(r, self.values) if c)
 
 
@@ -230,17 +209,19 @@ class FreeRing(RingModel):
         self._check_r2()
 
     def ghost_map(self, r) -> tuple:
-        return tuple(col.evaluate(r) for col in self.ghost)
+        return tuple(col(r) for col in self.ghost)
 
     @cached_property
     def integral(self) -> bool:
         """Whether every ghost column is integer-valued."""
         return all(isinstance(v, int) for col in self.ghost for v in col.values)
 
-    def signatures(self):
+    def signatures(self) -> tuple[GhostColumn, ...]:
+        """Every ring homomorphism onto Z: the ghost columns, when they
+        are integer-valued."""
         if not self.integral:
             raise UnsupportedModel("signature enumeration needs an exponent-2 group")
-        return [Signature(col.label, col.values, col.evaluate) for col in self.ghost]
+        return self.ghost
 
     def predicates(self, r):
         # the ghost is an injective ring homomorphism into a product of domains
@@ -413,22 +394,25 @@ class GroupRingModel(FreeRing):
 
     @cached_property
     def ghost(self):
-        # chi and chi^a, gcd(a, exp G) = 1, are Galois conjugate and have
-        # the same kernel: the character whose exponent tuple is least in
-        # its orbit stands for the orbit
+        # chi_t sends g to zeta_m^(sum_i m/o_i t_i g_i), m = exp(G).  chi_t
+        # and chi_at, gcd(a, m) = 1, are Galois conjugate and have the
+        # same kernel: the t least in its orbit stands for the orbit.  For
+        # m <= 2 the values are signs, and the column is a signature.
         orders, m = self.group.factor_orders, self.group.exponent
         units = [a for a in range(1, m + 1) if gcd(a, m) == 1]
         columns = []
-        for chi in characters(self.group):
-            t = chi.exponents
+        for t in product(*map(range, orders)):
             if any(tuple(a * x % o for x, o in zip(t, orders)) < t for a in units):
                 continue
-            label = chi.label()
-            values = tuple(chi.value(g) for g in self.basis)
-            if self.group.exponent <= 2:
-                values = tuple(v.as_int() for v in values)
-                label = "sigma(" + ",".join("+" if v == 1 else "-" for v in values) + ")"
-            columns.append(GhostColumn(label, values, ("character", f"ker phi_{chi.label()}")))
+            powers = [sum(m // o * x * y for x, y, o in zip(t, g, orders)) % m for g in self.basis]
+            if m <= 2:
+                label = "sigma(" + ",".join("-" if k else "+" for k in powers) + ")"
+                values, kernel = tuple(1 - 2 * k for k in powers), ("signature", f"ker {label}")
+            else:
+                label = "chi(" + ",".join(map(str, t)) + ")"
+                values = tuple(CyclotomicInteger.zeta(m, k) for k in powers)
+                kernel = ("character", f"ker phi_{label}")
+            columns.append(GhostColumn(label, values, kernel))
         return tuple(columns)
 
 
@@ -647,9 +631,6 @@ class FiniteQuotientRing(RingModel):
             sum(min(x, n - x) for x in self._vec_add(r, k)) for k in self._kernel
         )
 
-    def signatures(self):
-        return []  # positive characteristic: no homomorphism onto Z
-
     def predicates(self, r):
         """Walk the powers r, r^2, ... until one repeats: r is nilpotent when
         0 appears and a unit when 1 appears.  In a finite commutative ring
@@ -662,7 +643,7 @@ class FiniteQuotientRing(RingModel):
             self._limits.check_carrier(len(seen))
             power = self.mul(power, r)
         unit = self.one() in seen
-        # no signatures, so r lies in all of them
+        # positive characteristic: no signatures, so r lies in all of them
         return self.zero() in seen, True, unit, not unit, True
 
     def element_to_json(self, r):
@@ -747,17 +728,6 @@ class ProductRing(RingModel):
     def is_root(self, p, r):
         return self.left.is_root(p, r[0]) and self.right.is_root(p, r[1])
 
-    def signatures(self):
-        out = []
-        for idx, (side, sub) in enumerate((("L", self.left), ("R", self.right))):
-            for sig in sub.signatures():
-                def evaluate(r, sig=sig, idx=idx):
-                    return sig(r[idx])
-
-                values = tuple(evaluate(s) for _, s in self.generators())
-                out.append(Signature(f"{side}.{sig.label}", values, evaluate))
-        return out
-
     def predicates(self, r):
         # nilpotent, torsion, a unit or in every signature ideal when both
         # coordinates are, a zero divisor when either is, and undecided
@@ -830,11 +800,17 @@ def parse_element(model: RingModel, text: str):
             body = body[1:]
         if not body:
             raise ExpressionError(f"dangling sign in {text!r}")
-        m = re.match(r"^(\d+)(?:\*(.*))?$", body)
+        # ASCII digits only, and a "*" needs a generator after it
+        m = re.match(r"^([0-9]+)(?:\*(.+))?$", body)
         if m:
-            coeff = int(m.group(1))
+            try:
+                coeff = int(m.group(1))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise ExpressionError(
+                    f"a coefficient of {len(m.group(1))} digits is too long to read"
+                ) from None
             rest = m.group(2)
-            if rest is None or rest == "":
+            if rest is None:
                 result = model.add(result, model.embed_int(sign * coeff))
                 continue
             if rest not in labels:
@@ -926,14 +902,14 @@ def bundled_model(name: str) -> RingModel:
         group_name = name[len("burnside-"):]
         G = named_group(group_name)
         return BurnsideModel(table_of_marks(G), name=name)
-    m = re.fullmatch(r"Z(\d+)\[(C\d+(?:xC\d+)*)\]", name)
+    m = re.fullmatch(r"Z([0-9]+)(?:\[(C[0-9]+(?:xC[0-9]+)*)\])?", name)
     if m:
-        modulus = int(m.group(1))
-        orders = tuple(int(part[1:]) for part in m.group(2).split("x"))
+        try:
+            modulus = int(m.group(1))
+            orders = tuple(int(part[1:]) for part in m.group(2).split("x")) if m.group(2) else ()
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise ExpressionError("a number in the model name is too long to read") from None
         return FiniteQuotientRing(modulus, FiniteAbelianGroup(orders), name=name)
-    m = re.fullmatch(r"Z(\d+)", name)
-    if m:
-        return FiniteQuotientRing(int(m.group(1)), FiniteAbelianGroup(()), name=name)
     raise ExpressionError(f"unknown bundled model: {name!r}")
 
 

@@ -1,12 +1,12 @@
 """Signatures, prime-ideal descriptors and structure predicates.
 
 A signature is a surjective ring homomorphism onto Z; its kernel is a
-signature ideal.  Each model answers the two questions that depend on
-its kind, `signatures()` and `predicates(r)`: a free model reads them
-off its ghost map (identity coordinates, characters
-phi_chi(sum a_i s_i) = sum a_i chi(s_i) or marks), whose kernels are
-also the minimal primes; a finite quotient has no signatures and walks
-the powers of r; a product combines its factors.  The maximal ideals
+signature ideal.  Each model answers `predicates(r)` itself: a free
+model reads it off its ghost map (identity coordinates, characters
+phi_chi(sum a_i s_i) = sum a_i chi(s_i) or marks), whose columns are
+the signatures when they are integer-valued and whose kernels are the
+minimal primes; a finite quotient has no signatures and walks the
+powers of r; a product combines its factors.  The maximal ideals
 are the congruence ideals sigma(r) = 0 mod p, and for 2-power
 generating polynomials the fundamental ideal (elements of even length)
 sits above everything at index two.  Prime ideals are descriptors,
@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 from .config import Limits, default_limits
 from .errors import BoundExceeded, CheckFailed, UnsupportedModel
 from .groups import closure
-from .rings import BurnsideModel, GhostColumn, RingModel, Signature
+from .rings import BurnsideModel, GhostColumn, RingModel
 
 
 # -- prime ideal descriptors --------------------------------------------------------
@@ -43,21 +43,15 @@ class PrimeIdeal:
         return data
 
 
-def signature_ideal(sig: Signature) -> PrimeIdeal:
-    return PrimeIdeal(kind="signature", label=f"ker {sig.label}")
-
-
 def ghost_kernel(col: GhostColumn) -> PrimeIdeal:
     kind, label = col.kernel
     return PrimeIdeal(kind=kind, label=label)
 
 
-def fundamental_ideal(model: RingModel) -> PrimeIdeal:
-    """Elements of even length.  Defined for 2-power generating
-    polynomials, where length parity is a homomorphism onto Z/2 exactly
-    when the model is admissible."""
-    _require_two_power(model)
-    return PrimeIdeal(kind="fundamental", label="I", prime=2)
+# The fundamental ideal, the elements of even length.  Defined for 2-power
+# generating polynomials, where length parity is a homomorphism onto Z/2
+# exactly when the model is admissible.
+FUNDAMENTAL_IDEAL = PrimeIdeal(kind="fundamental", label="I", prime=2)
 
 
 def _is_two_power(n: int) -> bool:
@@ -70,35 +64,17 @@ def _has_two_power_q(model: RingModel) -> bool:
     return m is not None and _is_two_power(m)
 
 
-def _require_two_power(model: RingModel) -> None:
+# -- admissibility ------------------------------------------------------------------
+
+
+def is_admissible(model: RingModel) -> bool:
+    """No odd characteristic, equivalently |R/I| = 2, equivalently no
+    vanishing signed generator sum of odd size."""
     if not _has_two_power_q(model):
         raise UnsupportedModel(
             f"{model.name} does not have a 2-power generating polynomial"
         )
-
-
-# -- admissibility ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdmissibilityResult:
-    admissible: bool
-    witness: str
-
-    def __bool__(self) -> bool:
-        return self.admissible
-
-
-def is_admissible(model: RingModel) -> AdmissibilityResult:
-    """No odd characteristic, equivalently |R/I| = 2, equivalently no
-    vanishing signed generator sum of odd size."""
-    _require_two_power(model)
-    c = model.characteristic()
-    if c == 0:
-        return AdmissibilityResult(True, "characteristic 0")
-    if c % 2 == 0:
-        return AdmissibilityResult(True, f"characteristic {c} is even")
-    return AdmissibilityResult(False, f"characteristic {c} is odd")
+    return model.characteristic() % 2 == 0
 
 
 def fundamental_ideal_elements(model: RingModel, limits: Optional[Limits] = None) -> frozenset:
@@ -335,14 +311,7 @@ def spectrum_report(
         raise UnsupportedModel(
             "spectrum classification needs an exponent-2 group ring"
         )
-    sigs = model.signatures()
-    # an integer-valued character is a signature, and its kernel is
-    # listed as a signature ideal
-    minimal = [
-        signature_ideal(sig) if col.kernel[0] == "character" else ghost_kernel(col)
-        for sig, col in zip(sigs, ghost)
-    ]
-    fundamental = fundamental_ideal(model) if _has_two_power_q(model) else None
+    fundamental = FUNDAMENTAL_IDEAL if _has_two_power_q(model) else None
     if fundamental is not None:
         listed, note = [p for p in primes if p != 2], "all odd primes"
     else:
@@ -350,11 +319,11 @@ def spectrum_report(
     return SpectrumReport(
         model_name=model.name,
         local=False,
-        minimal=minimal,
+        minimal=[ghost_kernel(col) for col in ghost],
         fundamental=fundamental,
         max_families=[
-            MaxFamily(base_label=sig.label, primes=list(listed), note=note)
-            for sig in sigs
+            MaxFamily(base_label=col.label, primes=list(listed), note=note)
+            for col in ghost
         ],
     )
 
@@ -362,6 +331,8 @@ def spectrum_report(
 def _finite_spectrum_report(model: RingModel, limits: Limits) -> SpectrumReport:
     from . import oracle
 
+    # refused before the oracle builds its tables
+    limits.check_oracle_spectrum(len(model.carrier()))
     table = oracle.table_for_model(model, limits)
     primes = oracle.prime_ideals(table, limits)
     ideal_elements = fundamental_ideal_elements(model, limits)
@@ -378,7 +349,7 @@ def _finite_spectrum_report(model: RingModel, limits: Limits) -> SpectrumReport:
     local = len(infos) == 1
     fundamental = None
     if _has_two_power_q(model) and is_admissible(model):
-        fundamental = fundamental_ideal(model)
+        fundamental = FUNDAMENTAL_IDEAL
         # The {I}-only classification is provable when the ring has
         # 2-power characteristic (then every prime has index 2); an
         # even characteristic with an odd factor admits further primes.

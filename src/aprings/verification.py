@@ -343,15 +343,15 @@ def check_dress_relations() -> str:
 def check_admissibility() -> str:
     for n in range(2, 13):
         model = bundled_model(f"Z{n}")
-        result = is_admissible(model)
-        _require(result.admissible == (n % 2 == 0), f"Z/{n}: {result}")
+        admissible = is_admissible(model)
+        _require(admissible == (n % 2 == 0), f"Z/{n}: admissible = {admissible}")
     return "is_admissible(Z/n) = (n even) for n = 2..12"
 
 
 def check_ap1_agreement() -> str:
     for name in FINITE_BUNDLED:
         model = bundled_model(name)
-        adm = is_admissible(model).admissible
+        adm = is_admissible(model)
         ap1 = ap_condition_check(model, 1)
         _require(adm == ap1, f"{name}: admissible={adm} but AP(1)={ap1}")
     return f"AP(1) agrees with admissibility on {len(FINITE_BUNDLED)} finite models"

@@ -458,6 +458,17 @@ def test_analyze_element_starting_with_minus(capsys, element):
         ["spectrum", "--ring", "Z", "--primes-up-to", "0"],
         ["spectrum", "--ring", "Z", "--primes-up-to=-5"],
         ["spectrum", "--ring", "burnside-A5", "--primes-up-to", "-5"],
+        # an element has ASCII digits only and a generator after every "*"
+        ["analyze", "--ring", "Z4[C2]", "--element", "2*"],
+        ["analyze", "--ring", "Z4[C2]", "--element", "1 + 3* + g"],
+        ["analyze", "--ring", "Z", "--element", "\u0661\u0662"],
+        ["analyze", "--ring", "Z4[C2]", "--element", "\u0662*g"],
+        ["analyze", "--ring", "Z", "--element", "9" * 5000],
+        # and so has a bundled name, with numbers int() can read
+        ["spectrum", "--ring", "Z\u0661\u0662"],
+        ["spectrum", "--ring", "Z4[C\u0662]"],
+        ["spectrum", "--ring", "Z" + "9" * 5000],
+        ["spectrum", "--ring", "Z2[C" + "9" * 5000 + "]"],
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, argv):
@@ -769,10 +780,10 @@ def test_a_well_formed_call_imports_no_argparse():
 def test_the_package_loads_only_the_modules_it_is_asked_for():
     """`import aprings` loads no submodule, as the package re-exports
     nothing, and `import aprings.groups` loads none of the ring,
-    polynomial or command modules."""
+    polynomial or command modules, nor `decimal`."""
     code = (
         "import sys\n"
-        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('aprings.'))\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('aprings.') or m == 'decimal')\n"
         "import aprings\n"
         "print(*loaded())\n"
         "import aprings.groups\n"
@@ -783,7 +794,8 @@ def test_the_package_loads_only_the_modules_it_is_asked_for():
     package, groups = proc.stdout.split("\n")[:2]
     assert package == ""
     heavy = {f"aprings.{name}" for name in
-             ("annihilator", "rings", "spectrum", "oracle", "verification", "cli")}
+             ("annihilator", "rings", "spectrum", "oracle", "verification", "cli",
+              "cyclotomic", "intpoly")} | {"decimal"}
     assert "aprings.groups" in groups.split()
     assert heavy.isdisjoint(groups.split())
 

@@ -10,10 +10,8 @@ from aprings.config import Limits
 from aprings import groups
 from aprings.groups import (
     A5_LABEL_ALIASES,
-    FiniteAbelianGroup,
     a5_reference_difference,
     a5_reference_table,
-    characters,
     close_group,
     closure,
     compose,
@@ -144,6 +142,15 @@ def test_subgroup_bound():
     limit = r"^\|G\| = 60 exceeds the limit max_subgroup_order = 30$"
     with pytest.raises(OrderBoundExceeded, match=limit):
         table_of_marks(named_group("A5"), Limits(max_subgroup_order=30))
+
+
+def test_named_group_applies_the_order_cap_in_force_at_each_call(monkeypatch):
+    # a group built before the cap was lowered is not handed out after it
+    assert named_group("C100").order == 100
+    monkeypatch.setenv("APRINGS_MAX_GROUP_ORDER", "30")
+    for name in ("C100", "C101"):
+        with pytest.raises(OrderBoundExceeded, match="max_group_order = 30"):
+            named_group(name)
 
 
 def test_default_subgroup_bound_is_720():
@@ -406,35 +413,6 @@ def test_table_invariants_on_corpus(name):
 def test_equal_order_classes_get_letter_suffixes():
     table = table_of_marks(named_group("V4"))
     assert table.labels() == ["1", "2a", "2b", "2c", "4"]
-
-
-def test_characters_c2():
-    G = FiniteAbelianGroup((2,))
-    chars = characters(G)
-    assert len(chars) == 2
-    values = sorted(chi.value((1,)).as_int() for chi in chars)
-    assert values == [-1, 1]
-
-
-def test_characters_c2xc2():
-    G = FiniteAbelianGroup((2, 2))
-    assert len(characters(G)) == 4
-
-
-def test_characters_c4():
-    G = FiniteAbelianGroup((4,))
-    chars = characters(G)
-    assert len(chars) == 4
-    values = {chi.value((1,)) for chi in chars}
-    from aprings.cyclotomic import CyclotomicInteger
-
-    i = CyclotomicInteger.zeta(4)
-    assert values == {1 + 0 * i, i, -1 + 0 * i, -i}
-    for chi in chars:
-        assert chi.value((1,)) ** 4 == 1
-        # multiplicativity on the generator relation g^4 = 1
-        total = chi.value((1,)) * chi.value((3,))
-        assert total == chi.value((0,))
 
 
 def test_group_json_roundtrip():

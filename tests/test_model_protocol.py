@@ -1,7 +1,8 @@
 """`spectrum.py` asks the model, never its class.
 
-Each model kind answers `signatures()` and `predicates(r)` itself, so a
-new strategy is one method on one class.  This guard fails if
+Each model kind answers `predicates(r)` itself, and a free model lists
+its signatures as its integer-valued ghost columns, so a new strategy
+is one method on one class.  This guard fails if
 `spectrum.py` imports a concrete model class or tests an object's type
 against one; it reads the source, the way `test_dead_surface.py` does.
 Likewise a model's roots are read through its root spec: neither

@@ -118,7 +118,7 @@ def test_connectedness_of_admissible_local_models(name):
     # admissible, zero divisors inside I: exactly the two trivial
     # idempotents survive
     model = bundled_model(name)
-    assert is_admissible(model).admissible
+    assert is_admissible(model)
     T = table_for_model(model)
     records = exhaustive_predicates(T)
     ideal = fundamental_ideal_elements(model)
