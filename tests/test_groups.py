@@ -7,9 +7,11 @@ import pytest
 
 from aprings.errors import CheckFailed, OrderBoundExceeded
 from aprings.config import Limits
+from aprings.cyclotomic import CyclotomicInteger
 from aprings import groups
 from aprings.groups import (
     A5_LABEL_ALIASES,
+    FiniteAbelianGroup,
     a5_reference_difference,
     a5_reference_table,
     close_group,
@@ -22,6 +24,7 @@ from aprings.groups import (
     named_group_names,
     table_of_marks,
 )
+from aprings.rings import GroupRingModel
 
 PERFBENCH_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
@@ -413,6 +416,40 @@ def test_table_invariants_on_corpus(name):
 def test_equal_order_classes_get_letter_suffixes():
     table = table_of_marks(named_group("V4"))
     assert table.labels() == ["1", "2a", "2b", "2c", "4"]
+
+
+# -- characters: the ghost columns of Z[G] -----------------------------------------
+#
+# The column of chi sends the basis element g to chi(g); one column is
+# kept per Galois orbit of characters.
+
+
+def test_characters_c2():
+    ghost = GroupRingModel(FiniteAbelianGroup((2,))).ghost  # basis 1, g
+    assert [(col.label, col.values, col.kernel) for col in ghost] == [
+        ("sigma(+,+)", (1, 1), ("signature", "ker sigma(+,+)")),
+        ("sigma(+,-)", (1, -1), ("signature", "ker sigma(+,-)")),
+    ]
+
+
+def test_characters_c2xc2():
+    ghost = GroupRingModel(FiniteAbelianGroup((2, 2))).ghost  # basis 1, g1, g0, g0*g1
+    assert sorted(col.values for col in ghost) == sorted(
+        (1, a, b, a * b) for a in (1, -1) for b in (1, -1)
+    )
+    assert {col.kernel[0] for col in ghost} == {"signature"}
+
+
+def test_characters_c4():
+    ghost = GroupRingModel(FiniteAbelianGroup((4,))).ghost  # basis 1, g, g^2, g^3
+    i = CyclotomicInteger.zeta(4)
+    assert [col.label for col in ghost] == ["chi(0)", "chi(1)", "chi(2)"]
+    assert [col.kernel[0] for col in ghost] == ["character"] * 3
+    assert [col.values[1] for col in ghost] == [1 + 0 * i, i, -1 + 0 * i]
+    for col in ghost:
+        assert col.values[1] ** 4 == 1
+        # multiplicativity on the generator relation g^4 = 1
+        assert col.values[1] * col.values[3] == col.values[0]
 
 
 def test_group_json_roundtrip():

@@ -779,30 +779,6 @@ def test_group_ring_ghost_has_one_column_per_cyclic_subgroup(orders):
     assert rational_kernel(stacked, group.order) == []
 
 
-def test_group_ring_ghost_columns_are_the_character_values():
-    """The column of chi sends the basis element g to chi(g): signs on an
-    exponent-2 group, where the column is a signature, and 1, i, -1 at
-    the generator of C4 for chi(0), chi(1), chi(2), each with
-    chi(g)^4 = 1 and chi(g) chi(g^3) = chi(1)."""
-    c2 = bundled_model("Z[C2]")
-    assert [(col.label, col.values, col.kernel) for col in c2.ghost] == [
-        ("sigma(+,+)", (1, 1), ("signature", "ker sigma(+,+)")),
-        ("sigma(+,-)", (1, -1), ("signature", "ker sigma(+,-)")),
-    ]
-    c2xc2 = bundled_model("Z[C2xC2]")  # basis 1, g1, g0, g0*g1
-    assert sorted(col.values for col in c2xc2.ghost) == sorted(
-        (1, a, b, a * b) for a in (1, -1) for b in (1, -1)
-    )
-    c4 = bundled_model("Z[C4]")  # basis 1, g, g^2, g^3
-    i = CyclotomicInteger.zeta(4)
-    assert [col.label for col in c4.ghost] == ["chi(0)", "chi(1)", "chi(2)"]
-    assert [col.kernel[0] for col in c4.ghost] == ["character"] * 3
-    assert [col.values[1] for col in c4.ghost] == [1 + 0 * i, i, -1 + 0 * i]
-    for col in c4.ghost:
-        assert col.values[1] ** 4 == 1
-        assert col.values[1] * col.values[3] == col.values[0]
-
-
 @pytest.mark.parametrize("name", FREE_PRESETS)
 def test_ghost_map_is_a_ring_homomorphism(name):
     model = bundled_model(name)
