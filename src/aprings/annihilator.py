@@ -346,6 +346,24 @@ def exact_degree(n: int, k: int) -> int:
 # -- presets ------------------------------------------------------------------
 
 
+# the largest K of the presets x2k-1:K and pfister:K, checked before 2^K is built
+MAX_PRESET_K = 1024
+
+
+def _preset_k(text: str) -> int:
+    """The K of a preset, in ASCII digits; a K above MAX_PRESET_K raises
+    BoundExceeded."""
+    if not (text.isascii() and text.isdecimal()):
+        raise ExpressionError(f"k must be a nonnegative integer, got {text!r}")
+    try:
+        k = int(text)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ExpressionError(f"a k of {len(text)} digits is too long to read") from None
+    if k > MAX_PRESET_K:
+        raise BoundExceeded(f"k = {k} exceeds the limit max_preset_k = {MAX_PRESET_K}")
+    return k
+
+
 def root_spec_preset(name: str) -> tuple[RootSpec, SignMode]:
     """Named root specs for the bundled generating polynomials.
 
@@ -361,9 +379,7 @@ def root_spec_preset(name: str) -> tuple[RootSpec, SignMode]:
     if key == "x4-1" and len(parts) == 1:
         return RootSpec.unity(4), "signed"
     if key in ("x2k-1", "pfister") and len(parts) == 2:
-        if not parts[1].isdecimal():
-            raise ExpressionError(f"k must be a nonnegative integer, got {parts[1]!r}")
-        k = int(parts[1])
+        k = _preset_k(parts[1])
         if key == "x2k-1":
             return RootSpec.unity(2**k), "signed"
         return RootSpec.integers(0, 2**k), "unsigned"

@@ -17,7 +17,7 @@ from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import CheckFailed, NonIntegerCoefficient, UnsupportedOrder
-from .intpoly import IntPolynomial, format_terms, packed_product, repeated_doubling
+from .intpoly import IntPolynomial, decimal_str, format_terms, packed_product, repeated_doubling
 
 
 # -- elementary number theory ------------------------------------------------
@@ -51,15 +51,24 @@ def euler_phi(n: int) -> int:
 
 # the largest supported deg Phi_m = phi(m)
 MAX_CYCLOTOMIC_DEGREE = 64
+# phi(m) >= sqrt(m/2), so every order above this has deg Phi_m above the cap
+MAX_CYCLOTOMIC_ORDER = 2 * MAX_CYCLOTOMIC_DEGREE**2
 
 
 def cyclotomic_polynomial(m: int) -> IntPolynomial:
     """The m-th cyclotomic polynomial Phi_m, computed by exact division
     of X^m - 1 by the product of Phi_d over proper divisors d of m.
     Raises UnsupportedOrder when its degree exceeds
-    MAX_CYCLOTOMIC_DEGREE."""
+    MAX_CYCLOTOMIC_DEGREE, for an m above MAX_CYCLOTOMIC_ORDER before m
+    is factored."""
     if m < 1:
         raise ValueError("order must be positive")
+    if m > MAX_CYCLOTOMIC_ORDER:
+        raise UnsupportedOrder(
+            f"deg Phi_m exceeds the limit max_cyclotomic_degree = {MAX_CYCLOTOMIC_DEGREE}: "
+            f"the order m = {decimal_str(m)} is above {MAX_CYCLOTOMIC_ORDER}, "
+            f"and phi(m) >= sqrt(m/2)"
+        )
     if euler_phi(m) > MAX_CYCLOTOMIC_DEGREE:
         raise UnsupportedOrder(
             f"deg Phi_{m} = {euler_phi(m)} exceeds the limit "

@@ -28,7 +28,7 @@ from itertools import product
 from math import lcm, prod
 from typing import Callable, Iterable, Optional, Sequence
 
-from .config import Limits, default_limits
+from .config import default_limits
 from .errors import CheckFailed, ExpressionError, OrderBoundExceeded, exact_ints
 
 Perm = tuple[int, ...]
@@ -75,18 +75,15 @@ class PermGroup:
         return len(self.elements)
 
 
-def close_group(
-    degree: int, generators: Iterable[Sequence[int]], limits: Optional[Limits] = None
-) -> PermGroup:
+def close_group(degree: int, generators: Iterable[Sequence[int]]) -> PermGroup:
     """Close the generators under composition (breadth first).  A
     generator that is not a permutation of `degree` points raises
     ExpressionError."""
-    limits = limits or default_limits()
     gens = tuple(check_perm(g) for g in generators)
     for g in gens:
         if len(g) != degree:
             raise ExpressionError("generator degree mismatch")
-    elements = closure(compose, identity_perm(degree), gens, limits.check_group_order)
+    elements = closure(compose, identity_perm(degree), gens, default_limits().check_group_order)
     return PermGroup(degree=degree, generators=gens, elements=tuple(sorted(elements)))
 
 
@@ -260,13 +257,10 @@ class _Lattice:
     orbits: tuple[tuple[int, ...], ...]
 
 
-def _lattice(G: PermGroup, limits: Optional[Limits]) -> _Lattice:
-    limits = limits or default_limits()
-    if G.order > limits.max_subgroup_order:
-        raise OrderBoundExceeded(
-            f"|G| = {G.order} exceeds the limit max_subgroup_order = "
-            f"{limits.max_subgroup_order}"
-        )
+def _lattice(G: PermGroup) -> _Lattice:
+    cap = default_limits().max_subgroup_order
+    if G.order > cap:
+        raise OrderBoundExceeded(f"|G| = {G.order} exceeds the limit max_subgroup_order = {cap}")
     return _subgroup_classes_cached(G)
 
 
@@ -405,12 +399,12 @@ class TableOfMarks:
         }
 
 
-def table_of_marks(G: PermGroup, limits: Optional[Limits] = None) -> TableOfMarks:
+def table_of_marks(G: PermGroup) -> TableOfMarks:
     """The marks counted on the stored orbits: H2^g is each conjugate K of
     H2 for |N(H2)| = |G| / size(H2) elements g, so #{g : H2^g <= H1} is
     that many times #{K : K <= H1}.  A K of order not dividing |H1| is
     in no H1, so those marks are 0 without a count."""
-    lattice = _lattice(G, limits)
+    lattice = _lattice(G)
     marks = []
     for c1, orbit1 in zip(lattice.classes, lattice.orbits):
         H1 = orbit1[0]
@@ -432,7 +426,7 @@ def p_residual_classes(G: PermGroup, p: int) -> tuple[int, ...]:
     (T. tom Dieck, Transformation Groups and Representation Theory, LNM
     766, ch. 1).  Found on the Cayley table and the stored orbits; no
     mark is read."""
-    lattice = _lattice(G, None)
+    lattice = _lattice(G)
     mul = _cayley_table(G).mul
     coprime = 0  # the mask of the elements of order prime to p
     for h in range(G.order):
@@ -536,7 +530,7 @@ def named_group(name: str) -> PermGroup:
     raise ExpressionError(f"unknown named group: {name!r}")
 
 
-def group_from_json(data: dict, limits: Optional[Limits] = None) -> PermGroup:
+def group_from_json(data: dict) -> PermGroup:
     """The group of {"degree": d, "generators": [[images], ...]}; a
     malformed description raises ExpressionError."""
     if not isinstance(data, dict) or "degree" not in data or "generators" not in data:
@@ -546,7 +540,7 @@ def group_from_json(data: dict, limits: Optional[Limits] = None) -> PermGroup:
     generators = data["generators"]
     if not isinstance(generators, list):
         raise ExpressionError(f"'generators' must be a list of permutations, got {generators!r}")
-    return close_group(degree, generators, limits)
+    return close_group(degree, generators)
 
 
 # -- bundled A5 reference data ------------------------------------------------------

@@ -136,10 +136,10 @@ class IntPolynomial:
         return IntPolynomial((0, 1))
 
     @staticmethod
-    def monomial(degree: int, coeff: int = 1) -> "IntPolynomial":
+    def monomial(degree: int) -> "IntPolynomial":
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        return IntPolynomial((0,) * degree + (coeff,))
+        return IntPolynomial((0,) * degree + (1,))
 
     @staticmethod
     def from_roots(roots: Iterable[int]) -> "IntPolynomial":

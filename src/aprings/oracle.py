@@ -31,9 +31,8 @@ one at a time from 0 passes only through ideals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .config import Limits, default_limits
+from .config import default_limits
 from .errors import CheckFailed
 from .groups import cayley_walk
 
@@ -65,13 +64,12 @@ class FiniteRingTable:
                     raise ValueError("tables are not commutative")
 
 
-def table_for_model(model, limits: Optional[Limits] = None) -> FiniteRingTable:
+def table_for_model(model) -> FiniteRingTable:
     """Materialize the operation tables of a finite model from the rows
-    of its additive generators."""
-    limits = limits or default_limits()
+    of its additive generators.  The model's `carrier` checks the carrier
+    cap in force before it lists the elements."""
     carrier = model.carrier()
     n = len(carrier)
-    limits.check_carrier(n)
     index = {r: i for i, r in enumerate(carrier)}
     shift = {}  # generator index s -> [index(s + c) for c in carrier]
     times = {}  # generator index s -> [index(s c) for c in carrier]
@@ -120,7 +118,7 @@ def ideal_sum(T: FiniteRingTable, I, J) -> frozenset:
     return frozenset(total)
 
 
-def all_ideals(T: FiniteRingTable, limits: Optional[Limits] = None) -> list[frozenset]:
+def all_ideals(T: FiniteRingTable) -> list[frozenset]:
     """Every ideal, found by saturation: extend each known ideal I by
     each distinct principal ideal P not inside it, as I + P, until no
     new ideals appear.
@@ -128,7 +126,7 @@ def all_ideals(T: FiniteRingTable, limits: Optional[Limits] = None) -> list[froz
     Every ideal J is the sum of the principal ideals Rx for x in J, so
     adding them one at a time from 0 walks through known ideals to J.
     """
-    (limits or default_limits()).check_oracle_spectrum(T.size)
+    default_limits().check_oracle_spectrum(T.size)
     principal = list(dict.fromkeys(map(frozenset, T.mul)))
     zero_ideal = frozenset({T.zero})
     known = {zero_ideal}
@@ -147,14 +145,14 @@ def all_ideals(T: FiniteRingTable, limits: Optional[Limits] = None) -> list[froz
     return sorted(known, key=lambda s: (len(s), sorted(s)))
 
 
-def prime_ideals(T: FiniteRingTable, limits: Optional[Limits] = None) -> list[frozenset]:
+def prime_ideals(T: FiniteRingTable) -> list[frozenset]:
     """Proper ideals P with x y not in P for all x, y not in P.
 
     x y mod P depends only on the cosets of x and y, so the products are
     read for one representative per coset outside P.
     """
     primes = []
-    for ideal in all_ideals(T, limits):
+    for ideal in all_ideals(T):
         if len(ideal) == T.size:
             continue
         covered = set(ideal)

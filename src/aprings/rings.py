@@ -361,7 +361,7 @@ class GroupRingModel(FreeRing):
     OrderBoundExceeded before anything is built.
     """
 
-    def __init__(self, group: FiniteAbelianGroup, name: Optional[str] = None):
+    def __init__(self, group: FiniteAbelianGroup):
         if group.order > MAX_GROUP_RING_ORDER:
             raise OrderBoundExceeded(
                 f"|G| = {group.order} exceeds the limit MAX_GROUP_RING_ORDER = "
@@ -374,7 +374,7 @@ class GroupRingModel(FreeRing):
             [((index[group.add(a, b)], 1),) for b in self.basis] for a in self.basis
         ]
         super().__init__(
-            name or f"Z[{group.describe()}]",
+            f"Z[{group.describe()}]",
             [self._basis_label(g) for g in self.basis],
             structure,
             [int(i == 0) for i in range(len(self.basis))],
@@ -536,13 +536,11 @@ class FiniteQuotientRing(RingModel):
         group: FiniteAbelianGroup,
         ideal_generators: Iterable[Sequence[int]] = (),
         name: Optional[str] = None,
-        limits: Optional[Limits] = None,
     ):
         if modulus < 2:
             raise ExpressionError("modulus must be at least 2")
         self.modulus = modulus
         self.group = group
-        self._limits = limits or default_limits()
         self.cover = GroupRingModel(group)
         dim = len(self.cover.labels)
         gens = [self._normalize(v) for v in ideal_generators]
@@ -578,7 +576,7 @@ class FiniteQuotientRing(RingModel):
     @cached_property
     def _kernel(self) -> list[tuple[int, ...]]:
         n = self.modulus
-        self._limits.check_carrier(_span_size(self._rows, n))
+        default_limits().check_carrier(_span_size(self._rows, n))
         kernel = [self.zero()]
         for _, h, row in self._rows:
             kernel = [
@@ -622,7 +620,7 @@ class FiniteQuotientRing(RingModel):
         heights = [self.modulus] * len(self.cover.labels)
         for j, h, _ in self._rows:
             heights[j] = h
-        self._limits.check_carrier(prod(heights))
+        default_limits().check_carrier(prod(heights))
         return list(product(*map(range, heights)))
 
     def length(self, r):
@@ -636,11 +634,12 @@ class FiniteQuotientRing(RingModel):
         0 appears and a unit when 1 appears.  In a finite commutative ring
         every element is a unit or a zero divisor, never both, and every
         element is torsion.  At most max_carrier powers are kept."""
+        check = default_limits().check_carrier
         seen = set()
         power = r
         while power not in seen:
             seen.add(power)
-            self._limits.check_carrier(len(seen))
+            check(len(seen))
             power = self.mul(power, r)
         unit = self.one() in seen
         # positive characteristic: no signatures, so r lies in all of them
@@ -667,18 +666,11 @@ class ProductRing(RingModel):
     than that union: Z[C2] x Z[C3] has the roots mu_6 and 0.
     """
 
-    def __init__(
-        self,
-        left: RingModel,
-        right: RingModel,
-        name: Optional[str] = None,
-        limits: Optional[Limits] = None,
-    ):
+    def __init__(self, left: RingModel, right: RingModel):
         self.left = left
         self.right = right
-        self._limits = limits or default_limits()
         spec = left.root_spec().union_with_zero(right.root_spec())
-        super().__init__(name or f"{left.name}x{right.name}", spec)
+        super().__init__(f"{left.name}x{right.name}", spec)
         self._check_r2()
 
     def zero(self):
@@ -722,7 +714,7 @@ class ProductRing(RingModel):
 
     def carrier(self) -> list:
         left, right = self.left.carrier(), self.right.carrier()
-        self._limits.check_carrier(len(left) * len(right))  # before any pair is built
+        default_limits().check_carrier(len(left) * len(right))  # before any pair is built
         return [(a, b) for a in left for b in right]
 
     def is_root(self, p, r):
@@ -849,7 +841,7 @@ def _group(orders) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(exact_ints(orders, f"'factor_orders' must list integers, got {orders!r}"))
 
 
-def construct_model(spec: dict, limits: Optional[Limits] = None) -> RingModel:
+def construct_model(spec: dict) -> RingModel:
     """Build a model from its JSON description.  A malformed description
     (unknown kind, missing key, non-integer or out-of-range field) raises
     ExpressionError; any other error is a fault of the construction."""
@@ -865,7 +857,7 @@ def construct_model(spec: dict, limits: Optional[Limits] = None) -> RingModel:
     if kind == "burnside":
         name = _field(spec, "group")
         G = named_group(str(name))
-        return BurnsideModel(table_of_marks(G, limits), name=f"Burnside({name})")
+        return BurnsideModel(table_of_marks(G), name=f"Burnside({name})")
     if kind == "finite_quotient":
         ideal = spec.get("ideal", ())
         if not isinstance(ideal, (list, tuple)):
@@ -874,13 +866,10 @@ def construct_model(spec: dict, limits: Optional[Limits] = None) -> RingModel:
             _int_field(spec, "modulus"),
             _group(spec.get("factor_orders", ())),
             ideal,
-            limits=limits,
         )
     if kind == "product":
         return ProductRing(
-            construct_model(_field(spec, "left"), limits),
-            construct_model(_field(spec, "right"), limits),
-            limits=limits,
+            construct_model(_field(spec, "left")), construct_model(_field(spec, "right"))
         )
     raise ExpressionError(f"unknown model kind: {kind!r}")
 

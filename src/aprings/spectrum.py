@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
-from .config import Limits, default_limits
+from .config import default_limits
 from .errors import BoundExceeded, CheckFailed, UnsupportedModel
 from .groups import closure
 from .rings import BurnsideModel, GhostColumn, RingModel
@@ -77,23 +77,22 @@ def is_admissible(model: RingModel) -> bool:
     return model.characteristic() % 2 == 0
 
 
-def fundamental_ideal_elements(model: RingModel, limits: Optional[Limits] = None) -> frozenset:
+def fundamental_ideal_elements(model: RingModel) -> frozenset:
     """The ideal generated by 1 -+ s over generators s, materialized up to
     max_carrier elements.
 
     b(1-a) = (1-ba) - (1-b), so the ideal equals the additive span of
     its generators; closure is a plain subgroup computation.
     """
-    limits = limits or default_limits()
     one = model.one()
     seeds = set()
     for _, s in model.generators():
         seeds.add(model.sub(one, s))
         seeds.add(model.add(one, s))
-    return closure(model.add, model.zero(), seeds, limits.check_carrier)
+    return closure(model.add, model.zero(), seeds, default_limits().check_carrier)
 
 
-def ap_condition_check(model: RingModel, k: int, limits: Optional[Limits] = None) -> bool:
+def ap_condition_check(model: RingModel, k: int) -> bool:
     """Arason-Pfister condition AP(k): every sum of fewer than 2^k
     signed generators lying in I^k is zero.  Decided exhaustively, so
     the model must be finite and I^j, j <= k, within max_carrier."""
@@ -101,12 +100,11 @@ def ap_condition_check(model: RingModel, k: int, limits: Optional[Limits] = None
         raise UnsupportedModel("AP(k) is decided exhaustively; model must be finite")
     if k < 1:
         raise ValueError("k must be positive")
-    limits = limits or default_limits()
-    ideal = fundamental_ideal_elements(model, limits)
+    ideal = fundamental_ideal_elements(model)
     power = ideal
     for _ in range(k - 1):
         products = {model.mul(x, y) for x in power for y in ideal}
-        power = closure(model.add, model.zero(), products, limits.check_carrier)
+        power = closure(model.add, model.zero(), products, default_limits().check_carrier)
     zero = model.zero()
     return all(r == zero for r in power if model.length(r) < 2**k)
 
@@ -157,7 +155,6 @@ class DressMember(NamedTuple):
 
 @dataclass
 class DressRelations:
-    model_name: str
     members: list[DressMember]
     subset: dict  # (member, member) -> bool, semantic containment
     minimal: dict  # member -> bool, from the containment graph
@@ -206,7 +203,6 @@ def dress_relations(model: BurnsideModel, primes: list[int]) -> DressRelations:
         m: not any(strictly_below(m, other) for other in members) for m in members
     }
     return DressRelations(
-        model_name=model.name,
         members=members,
         subset=subset,
         minimal=minimal,
@@ -289,11 +285,7 @@ def _primes_up_to(bound: int) -> list[int]:
     return [n for n, is_prime in enumerate(sieve) if is_prime]
 
 
-def spectrum_report(
-    model: RingModel,
-    prime_bound: int = LISTED_PRIME_BOUND,
-    limits: Optional[Limits] = None,
-) -> SpectrumReport:
+def spectrum_report(model: RingModel, prime_bound: int = LISTED_PRIME_BOUND) -> SpectrumReport:
     """Min/Max classification of the prime spectrum.
 
     For finite models the report lists the oracle's exhaustive prime
@@ -301,11 +293,10 @@ def spectrum_report(
     and no signatures, the list is checked to be exactly the
     fundamental ideal.  Otherwise the model must be free.
     """
-    limits = limits or default_limits()
     primes = _primes_up_to(prime_bound)
 
     if model.is_finite():
-        return _finite_spectrum_report(model, limits)
+        return _finite_spectrum_report(model)
     ghost = model.ghost  # only a free model has one, and with it `integral`
     if not model.integral:
         raise UnsupportedModel(
@@ -328,14 +319,14 @@ def spectrum_report(
     )
 
 
-def _finite_spectrum_report(model: RingModel, limits: Limits) -> SpectrumReport:
+def _finite_spectrum_report(model: RingModel) -> SpectrumReport:
     from . import oracle
 
     # refused before the oracle builds its tables
-    limits.check_oracle_spectrum(len(model.carrier()))
-    table = oracle.table_for_model(model, limits)
-    primes = oracle.prime_ideals(table, limits)
-    ideal_elements = fundamental_ideal_elements(model, limits)
+    default_limits().check_oracle_spectrum(len(model.carrier()))
+    table = oracle.table_for_model(model)
+    primes = oracle.prime_ideals(table)
+    ideal_elements = fundamental_ideal_elements(model)
     infos = []
     for P in sorted(primes, key=sorted):
         members = frozenset(table.elements[i] for i in P)

@@ -231,7 +231,7 @@ def check_local_structure() -> str:
     for name in ("Z4[C2]", "Z8[C2]"):
         model = bundled_model(name)
         table = _oracle_table(name)
-        primes = oracle.prime_ideals(table, SUITE_LIMITS)
+        primes = oracle.prime_ideals(table)
         ideal = fundamental_ideal_elements(model)
         _require(len(primes) == 1, f"{name}: {len(primes)} primes")
         prime_set = frozenset(table.elements[i] for i in primes[0])
@@ -377,7 +377,7 @@ def check_oracle_agreement() -> str:
 
 @lru_cache(maxsize=None)
 def _oracle_table(name: str) -> oracle.FiniteRingTable:
-    return oracle.table_for_model(bundled_model(name), SUITE_LIMITS)
+    return oracle.table_for_model(bundled_model(name))
 
 
 CHECKS: tuple[tuple[int, str, Callable[[], str]], ...] = (

@@ -477,6 +477,39 @@ def test_malformed_input_is_a_usage_error(capsys, argv):
     assert err.startswith("usage error: ")
 
 
+@pytest.mark.parametrize("k, code, message", [
+    ("\u0661", 2, "usage error: k must be a nonnegative integer, got '\u0661'"),
+    ("9" * 5000, 2, "usage error: a k of 5000 digits is too long to read"),
+    ("1025", 3, "resource bound exceeded: k = 1025 exceeds the limit max_preset_k = 1024"),
+], ids=["non-ascii", "too-long", "past-the-bound"])
+@pytest.mark.parametrize("preset", ["x2k-1", "pfister"])
+def test_preset_k_is_read_from_ascii_digits_and_bounded(capsys, preset, k, code, message):
+    """K is checked before 2^K is built: a K past max_preset_k is
+    refused from its digits."""
+    assert run_cli(capsys, "annihilator", "--q", f"preset:{preset}:{k}", "--n", "1") == (
+        code, "", message + "\n"
+    )
+
+
+def test_root_of_unity_order_past_the_cap_is_refused_before_it_is_factored():
+    """phi(m) >= sqrt(m/2), so an order above 2 * 64^2 = 8192 is refused
+    at once, not after trial division up to sqrt(m).  Run in a child with
+    a timeout, so that a regression fails instead of hanging."""
+    spec = '{"atoms":[{"kind":"roots_of_unity","order":100000000000000003}]}'
+    proc = subprocess.run(
+        [sys.executable, "-m", "aprings.cli", "annihilator", "--q", spec, "--n", "1"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        "resource bound exceeded: deg Phi_m exceeds the limit max_cyclotomic_degree = 64: "
+        "the order m = 100000000000000003 is above 8192, and phi(m) >= sqrt(m/2)\n"
+    )
+
+
 @pytest.mark.parametrize("ring, order", [
     ('{"kind":"group_ring","factor_orders":[3000]}', 3000),
     ('{"kind":"finite_quotient","modulus":2,"factor_orders":[2,2,2,2,2,2,2,2,2,2]}', 1024),

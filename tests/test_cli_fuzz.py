@@ -1,13 +1,18 @@
-"""An in-process fuzz of `spectrum` and `analyze`.
+"""An in-process fuzz of `spectrum`, `analyze` and `annihilator`.
 
 Hypothesis draws JSON ring descriptions of every kind (products nested
 to depth 2, moduli and factor orders invalid ones included, `ideal`
 rows of the right and of the wrong length, named and unknown Burnside
 groups) and element strings made of the model's own labels and of junk
-tokens.  Every call must end the way the command line promises: exit 0,
-2 (usage error) or 3 (resource bound), or 1 with an `error:` line for a
-package error such as "no spectrum classification"; never an internal
-error or an uncaught exception, and within the deadline.
+tokens; and root specs: presets with junk, non-ASCII, long and large K,
+and JSON specs of `integers` and `roots_of_unity` atoms, orders past
+the cap and malformed atoms included, with `--n`, `--mode` and
+`--closed-form`.  Every call must end the way the command line
+promises: exit 0, 2 (usage error) or 3 (resource bound), or 1 with an
+`error:` line for a package error such as "no spectrum classification";
+never an internal error or an uncaught exception, and within the
+deadline.  An accepted root spec is kept small (n <= 3, at most 3
+integer roots, orders up to 12), so that no p_n takes long to expand.
 """
 
 import contextlib
@@ -69,7 +74,10 @@ def labels_of(spec) -> list[str]:
 def run(argv) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused an option value
+            code = exc.code
     return code, err.getvalue()
 
 
@@ -89,3 +97,67 @@ def test_spectrum_and_analyze_end_cleanly_on_random_input(spec, data):
     terms = st.lists(st.tuples(st.sampled_from(["", "-", "2*", "-3*"]), tokens), min_size=1, max_size=3)
     element = " + ".join(sign + token for sign, token in data.draw(terms))
     assert_clean_exit(*run(["analyze", "--ring", ring, "--element", element]))
+
+
+PRESET_K = st.one_of(
+    st.integers(0, 3).map(str),
+    st.integers(8, 20).map(str),  # x2k-1 past the degree or the order cap
+    st.integers(1020, 1030).map(str),  # around max_preset_k
+    st.integers(10**20, 10**60).map(str),
+    st.sampled_from(["9" * 5000, "0" * 5000 + "2", "", "x", "-1", "+2", "1.0", " 2", "2:3",
+                     "\u0661", "\uff13", "\U0001d7d9"]),
+    st.text(max_size=3),
+)
+PRESETS = st.one_of(
+    st.builds("preset:{}:{}".format, st.sampled_from(["x2k-1", "pfister"]), PRESET_K),
+    st.sampled_from(["preset:x2-1", "preset:x4-1", "x4-1", "preset:x2-1:1", "preset:nope"]),
+)
+ORDERS_OF_UNITY = st.one_of(
+    st.integers(1, 12),
+    # past the order cap, refused before it is factored; a prime is the slowest to factor
+    st.integers(8193, 10**20),
+    st.sampled_from([8209, 2**61 - 1, 100000000000000003]),
+    st.sampled_from([0, -1, 101, 8192, 2.5, "3", True, None]),
+)
+INTEGER_ROOTS = st.sampled_from([-4, -3, -2, -1, 0, 1, 2, 3, 4, 10**30, -(2**70)])
+MALFORMED_ATOMS = st.sampled_from([
+    {"kind": "roots_of_unity"},
+    {"kind": "integers"},
+    {"kind": "integers", "values": "x"},
+    {"kind": "integers", "values": [1.5]},
+    {"kind": "nope"},
+    "atom",
+])
+
+
+@st.composite
+def root_specs(draw):
+    """A JSON root spec: at most one roots_of_unity atom and at most 3
+    integer roots in up to two atoms, or a malformed atom or spec."""
+    atoms = []
+    if draw(st.booleans()):
+        atoms.append({"kind": "roots_of_unity", "order": draw(ORDERS_OF_UNITY)})
+    values = draw(st.lists(INTEGER_ROOTS, max_size=3, unique=True))
+    cut = draw(st.integers(0, len(values)))
+    atoms += [{"kind": "integers", "values": part} for part in (values[:cut], values[cut:]) if part]
+    if draw(st.integers(0, 4)) == 0:
+        atoms.insert(draw(st.integers(0, len(atoms))), draw(MALFORMED_ATOMS))
+    spec = draw(st.sampled_from([{"atoms": atoms}] * 8 + [{"atoms": "x"}, atoms, {}]))
+    return json.dumps(spec)
+
+
+@settings(max_examples=300, deadline=2000)
+@given(
+    st.one_of(PRESETS, root_specs()),
+    st.sampled_from([1, 2, 3] * 3 + [0, -1, 9]),
+    st.sampled_from([None] * 4 + ["signed", "unsigned", "both"]),
+    st.sampled_from([False] * 3 + [True]),
+    st.sampled_from(["text", "json"]),
+)
+def test_annihilator_ends_cleanly_on_random_input(q, n, mode, closed_form, fmt):
+    argv = ["annihilator", "--q", q, "--n", str(n), "--format", fmt]
+    if mode is not None:
+        argv += ["--mode", mode]
+    if closed_form:
+        argv.append("--closed-form")
+    assert_clean_exit(*run(argv))

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from aprings.annihilator import IntegerRoots, RootSpec, RootsOfUnity, _sums, root_sum_set
 from aprings.cyclotomic import (
+    MAX_CYCLOTOMIC_ORDER,
     CyclotomicInteger,
     _galois_action,
     _rotation,
@@ -41,6 +42,18 @@ def test_degree_cap():
         UnsupportedOrder, match=r"deg Phi_101 = 100 exceeds the limit max_cyclotomic_degree = 64"
     ):
         cyclotomic_polynomial(101)
+
+
+def test_order_cap_is_checked_before_the_order_is_factored():
+    # phi(m) >= sqrt(m/2), so no order above 2 * 64^2 has a degree within the cap
+    assert all(2 * euler_phi(m) ** 2 >= m for m in range(1, MAX_CYCLOTOMIC_ORDER + 1))
+    assert MAX_CYCLOTOMIC_ORDER == 8192
+    with pytest.raises(UnsupportedOrder, match=r"^deg Phi_8192 = 4096 exceeds the limit "):
+        cyclotomic_polynomial(8192)
+    message = (r"^deg Phi_m exceeds the limit max_cyclotomic_degree = 64: the order m = "
+               r"8193 is above 8192, and phi\(m\) >= sqrt\(m/2\)$")
+    with pytest.raises(UnsupportedOrder, match=message):
+        cyclotomic_polynomial(8193)
 
 
 def test_roots_of_unity():

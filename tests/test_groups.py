@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from aprings.errors import CheckFailed, OrderBoundExceeded
-from aprings.config import Limits
 from aprings.cyclotomic import CyclotomicInteger
 from aprings import groups
 from aprings.groups import (
@@ -116,10 +115,11 @@ def test_close_group_examples():
     assert named_group("A5").order == 60
 
 
-def test_close_group_bound():
+def test_close_group_bound(monkeypatch):
+    monkeypatch.setenv("APRINGS_MAX_GROUP_ORDER", "30")
     limit = r"^group closure exceeds the limit max_group_order = 30: reached \d+ elements$"
     with pytest.raises(OrderBoundExceeded, match=limit):
-        close_group(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], Limits(max_group_order=30))
+        close_group(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
 
 
 def test_subgroup_classes_a5():
@@ -142,9 +142,10 @@ def test_cyclic_subgroup_count_is_divisor_count(n):
 
 
 def test_subgroup_bound():
-    limit = r"^\|G\| = 60 exceeds the limit max_subgroup_order = 30$"
+    # C721 is just past the default cap, and within max_group_order
+    limit = r"^\|G\| = 721 exceeds the limit max_subgroup_order = 720$"
     with pytest.raises(OrderBoundExceeded, match=limit):
-        table_of_marks(named_group("A5"), Limits(max_subgroup_order=30))
+        table_of_marks(named_group("C721"))
 
 
 def test_named_group_applies_the_order_cap_in_force_at_each_call(monkeypatch):

@@ -6,7 +6,6 @@ from math import prod
 
 import pytest
 
-from aprings.config import Limits
 from aprings.errors import CarrierBoundExceeded, CheckFailed
 from aprings.groups import FiniteAbelianGroup
 from aprings.oracle import (
@@ -92,17 +91,18 @@ def test_all_ideals_of_z12_match_divisors():
 
 
 def test_oracle_bound():
-    model = bundled_model("Z8[C2]")
-    T = table_for_model(model)
-    limit = r"^ideal enumeration exceeds the limit max_oracle_spectrum = 32: reached a carrier of 64 elements$"
+    # (Z/17)[C2] has 289 elements, just past the default cap of 256
+    T = table_for_model(bundled_model("Z17[C2]"))
+    limit = r"^ideal enumeration exceeds the limit max_oracle_spectrum = 256: reached a carrier of 289 elements$"
     with pytest.raises(CarrierBoundExceeded, match=limit):
-        all_ideals(T, Limits(max_oracle_spectrum=32))
+        all_ideals(T)
 
 
-def test_table_carrier_bound():
+def test_table_carrier_bound(monkeypatch):
+    monkeypatch.setenv("APRINGS_MAX_CARRIER", "16")
     limit = r"^carrier exceeds the limit max_carrier = 16: reached 64 elements$"
     with pytest.raises(CarrierBoundExceeded, match=limit):
-        table_for_model(bundled_model("Z8[C2]"), Limits(max_carrier=16))
+        table_for_model(bundled_model("Z8[C2]"))
 
 
 def test_nilpotents_are_torsion_everywhere():

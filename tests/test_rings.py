@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 import aprings
 from aprings.annihilator import IntegerRoots, RootSpec, RootsOfUnity, annihilating_polynomial
-from aprings.config import Limits
 from aprings.cyclotomic import CyclotomicInteger, _galois_action, poly_from_roots
 from aprings.errors import (
     CarrierBoundExceeded,
@@ -235,17 +234,18 @@ def test_closed_form_length_agrees_with_bfs(name):
         assert model.length(element) == distance
 
 
-def test_carrier_bound():
+def test_carrier_bound(monkeypatch):
     """The cap holds for what is enumerated, the carrier and J, not for
     the cover: a quotient builds and computes above it."""
+    monkeypatch.setenv("APRINGS_MAX_CARRIER", "10")
     limit = r"^carrier exceeds the limit max_carrier = 10: reached 16 elements$"
-    group, limits = FiniteAbelianGroup((2, 2)), Limits(max_carrier=10)
-    model = FiniteQuotientRing(2, group, limits=limits)
+    group = FiniteAbelianGroup((2, 2))
+    model = FiniteQuotientRing(2, group)
     assert model.length(model.one()) == 1
     with pytest.raises(CarrierBoundExceeded, match=limit):
         model.carrier()
     # J is all of (Z/2)[C2xC2], so the carrier is {0} and J has 16 elements
-    model = FiniteQuotientRing(2, group, [(1, 0, 0, 0)], limits=limits)
+    model = FiniteQuotientRing(2, group, [(1, 0, 0, 0)])
     assert model.carrier() == [(0, 0, 0, 0)]
     with pytest.raises(CarrierBoundExceeded, match=limit):
         model.length(model.one())
@@ -477,13 +477,23 @@ def test_product_carrier_above_the_cap_builds_no_pair(monkeypatch):
 
 
 @pytest.mark.parametrize("left, right", [("Z2", "Z4"), ("Z4[C2]", "Z3"), ("Z2[C2xC2]", "Z9[C2]")])
-def test_product_carrier_within_the_cap_pairs_every_element(left, right):
+def test_product_carrier_within_the_cap_pairs_every_element(left, right, monkeypatch):
     product = ProductRing(bundled_model(left), bundled_model(right))
     pairs = [(a, b) for a in product.left.carrier() for b in product.right.carrier()]
     assert product.carrier() == pairs
-    assert ProductRing(product.left, product.right, limits=Limits(max_carrier=len(pairs))).carrier() == pairs
+    monkeypatch.setenv("APRINGS_MAX_CARRIER", str(len(pairs)))
+    assert product.carrier() == pairs
+    monkeypatch.setenv("APRINGS_MAX_CARRIER", str(len(pairs) - 1))
     with pytest.raises(CarrierBoundExceeded):
-        ProductRing(product.left, product.right, limits=Limits(max_carrier=len(pairs) - 1)).carrier()
+        product.carrier()
+
+
+def test_a_cached_model_applies_the_carrier_cap_in_force_when_it_checks(monkeypatch):
+    assert len(bundled_model("Z8[C2]").carrier()) == 64
+    monkeypatch.setenv("APRINGS_MAX_CARRIER", "10")
+    limit = r"^carrier exceeds the limit max_carrier = 10: reached 64 elements$"
+    with pytest.raises(CarrierBoundExceeded, match=limit):
+        bundled_model("Z8[C2]").carrier()
 
 
 def test_product_of_factor_polynomials_annihilates_diagonal_generators():

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from aprings import oracle
-from aprings.config import Limits
 from aprings.errors import CarrierBoundExceeded, UnsupportedModel
 from aprings.groups import FiniteAbelianGroup, named_group_names
 from aprings.rings import FINITE_BUNDLED, GroupRingModel, bundled_model, parse_element
@@ -252,10 +251,11 @@ def test_spectrum_refuses_a_finite_ring_past_the_cap_before_building_its_tables(
         raise AssertionError("the oracle tables were built")
 
     monkeypatch.setattr(oracle, "table_for_model", table_for_model)
-    limit = (r"^ideal enumeration exceeds the limit max_oracle_spectrum = 8: "
-             r"reached a carrier of 16 elements$")
+    # (Z/17)[C2] has 289 elements, just past the default cap of 256
+    limit = (r"^ideal enumeration exceeds the limit max_oracle_spectrum = 256: "
+             r"reached a carrier of 289 elements$")
     with pytest.raises(CarrierBoundExceeded, match=limit):
-        spectrum_report(bundled_model("Z4[C2]"), limits=Limits(max_oracle_spectrum=8))
+        spectrum_report(bundled_model("Z17[C2]"))
 
 
 def test_spectrum_z6_not_local():
@@ -322,17 +322,18 @@ def test_ap_condition_examples():
         ap_condition_check(bundled_model("Z[C2]"), 1)
 
 
-def test_ideal_closures_stop_at_the_carrier_cap():
-    # I of (Z/8)[C2] has 32 of its 64 elements
-    model, limits = bundled_model("Z8[C2]"), Limits(max_carrier=16)
-    assert len(fundamental_ideal_elements(model)) == 32
-    with pytest.raises(CarrierBoundExceeded, match="max_carrier = 16: reached"):
-        fundamental_ideal_elements(model, limits)
-    with pytest.raises(CarrierBoundExceeded, match="max_carrier = 16: reached"):
-        ap_condition_check(model, 2, limits)
+def test_ideal_closures_stop_at_the_carrier_cap(monkeypatch):
     # I of (Z/16)[C2xC2] has 32768 elements, far above the default cap
     with pytest.raises(CarrierBoundExceeded, match="max_carrier = 4096: reached"):
         ap_condition_check(bundled_model("Z16[C2xC2]"), 2)
+    # I of (Z/8)[C2] has 32 of its 64 elements
+    model = bundled_model("Z8[C2]")
+    assert len(fundamental_ideal_elements(model)) == 32
+    monkeypatch.setenv("APRINGS_MAX_CARRIER", "16")
+    with pytest.raises(CarrierBoundExceeded, match="max_carrier = 16: reached"):
+        fundamental_ideal_elements(model)
+    with pytest.raises(CarrierBoundExceeded, match="max_carrier = 16: reached"):
+        ap_condition_check(model, 2)
 
 
 def test_ap2_on_z8_c2():
