@@ -19,7 +19,7 @@ from typing import Literal, Optional, Union
 
 from .config import Limits, default_limits
 from .cyclotomic import CyclotomicInteger, poly_from_roots
-from .errors import BoundExceeded, ExpressionError, exact_ints
+from .errors import BoundExceeded, ExpressionError, exact_ints, known_keys
 from .intpoly import IntPolynomial, decimal_str, packed_product
 
 SignMode = Literal["signed", "unsigned"]
@@ -143,10 +143,12 @@ class RootSpec:
         raw_atoms = data.get("atoms") if isinstance(data, dict) else None
         if not isinstance(raw_atoms, list):
             raise ExpressionError(f"a root spec needs a list 'atoms', got {data!r}")
+        known_keys(data, ("atoms",), "a root spec")
         atoms: list[Atom] = []
         for raw in raw_atoms:
             kind = raw.get("kind") if isinstance(raw, dict) else None
             if kind == "integers":
+                known_keys(raw, ("kind", "values"), "root atom 'integers'")
                 values = raw.get("values")
                 if not isinstance(values, list) or not values:
                     raise ExpressionError(
@@ -154,6 +156,7 @@ class RootSpec:
                     )
                 atoms.append(IntegerRoots(tuple(_json_int("values", v) for v in values)))
             elif kind == "roots_of_unity":
+                known_keys(raw, ("kind", "order"), "root atom 'roots_of_unity'")
                 atoms.append(RootsOfUnity(_json_int("order", raw.get("order"))))
             else:
                 raise ExpressionError(f"unknown root atom kind: {kind!r}")

@@ -1,4 +1,4 @@
-"""Exception hierarchy for the aprings package, and the check on integer input."""
+"""Exception hierarchy for the aprings package, and the checks on JSON input."""
 
 
 class ApringsError(Exception):
@@ -56,3 +56,11 @@ def exact_ints(values, message: str) -> tuple[int, ...]:
     if any(type(x) is not int for x in out):
         raise ExpressionError(message)
     return out
+
+
+def known_keys(obj: dict, allowed, what: str) -> None:
+    """ExpressionError naming the first key of obj outside `allowed`: a
+    misspelled key is refused, not read as an absent one."""
+    for key in obj:
+        if key not in allowed:
+            raise ExpressionError(f"{what} has an unknown key {key!r}")

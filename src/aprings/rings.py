@@ -29,6 +29,7 @@ from .errors import (
     R2Violation,
     UnsupportedModel,
     exact_ints,
+    known_keys,
 )
 from .groups import FiniteAbelianGroup, TableOfMarks, named_group, table_of_marks
 from .intpoly import IntPolynomial, format_terms, repeated_doubling
@@ -481,17 +482,19 @@ class BurnsideModel(FreeRing):
 # -- finite quotients ---------------------------------------------------------------
 
 
-def _howell_rows(vectors, n: int, dim: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    """The Howell form of the Z/n-span of `vectors`, whose coordinates lie
-    in range(n) (J. A. Howell, Linear Multilinear Algebra 19, 1986): one
-    (j, h, row) per pivot column j, with h | n, row[j] = h and row zero
-    before j, such that every element of the span that vanishes before
-    column j is a combination of the rows from j on."""
+def _hermite_rows(vectors, n: int, dim: int) -> list[tuple[int, ...]]:
+    """A triangular Z-basis of the lattice L = span(vectors) + n*Z^dim, for
+    vectors with coordinates in range(n) (its Hermite normal form; H. Cohen,
+    A Course in Computational Algebraic Number Theory, GTM 138, 1993, 2.4):
+    row j is zero before column j, its pivot d_j = row[j] divides n, and
+    its later entries lie in range(n).  The box 0 <= v_j < d_j holds one
+    vector of each coset of L."""
     pool, rows = list(vectors), []
     for j in range(dim):
-        # Euclid's algorithm on column j, carrying whole rows, leaves the
-        # gcd of the column in the pivot and zeros in the rest
-        pivot, rest = (0,) * dim, []
+        # Euclid's algorithm on column j from n*e_j, which lies in L,
+        # carrying whole rows mod n*Z^dim, leaves gcd(n, column) in the
+        # pivot and zeros in the rest
+        pivot, rest = tuple(n * (i == j) for i in range(dim)), []
         for v in pool:
             while v[j]:
                 q = pivot[j] // v[j]
@@ -499,35 +502,28 @@ def _howell_rows(vectors, n: int, dim: int) -> list[tuple[int, int, tuple[int, .
             if any(v):
                 rest.append(v)
         pool = rest
-        if pivot[j]:
-            h = gcd(pivot[j], n)
-            scale = pow(pivot[j] // h, -1, n // h)
-            rows.append((j, h, tuple(scale * x % n for x in pivot)))
-            # the pivot's multiples that vanish at j are those of this one;
-            # with the scaled row it spans the pivot, as gcd(scale, n/h) = 1
-            pool.append(tuple(n // h * x % n for x in pivot))
+        rows.append(pivot)
     return rows
-
-
-def _span_size(rows, n: int) -> int:
-    """The number of elements of the Z/n-span of Howell rows."""
-    return prod(n // h for _, h, _ in rows)
 
 
 class FiniteQuotientRing(RingModel):
     """(Z/N)[G] modulo the ideal J generated by the given elements.
 
-    J is kept as the Howell rows of its generators' group translates.  An
-    element is the least vector of its coset, reached by reducing each
-    pivot coordinate j below h_j, left to right; the carrier is the product
-    of range(h_j) at the pivots and range(N) elsewhere, in order, and J is
-    the sums sum_j c_j row_j with 0 <= c_j < N/h_j, each met once.  Labels,
-    structure constants, S and the root spec come from the cover Z[G].  S
-    is the image of the unit vectors e_g, so a vector v of (Z/N)[G] is a
-    sum of sum_g min(v_g, N - v_g) signed generators and no fewer, and the
-    length of r is the least of these over the lifts r + k, k in J.  The
-    carrier and J are sized before they are enumerated; they and the powers
-    `predicates` walks stay within max_carrier, and the build enumerates none.
+    In the cover, J + N Z^|G| is a lattice L, kept as the Hermite rows of
+    the generators' group translates, with pivots d_j | N.  An element is
+    the vector of its coset in the box 0 <= v_j < d_j, reached by reducing
+    at each row with d_j < N (the other rows are N e_j), left to right.
+    The carrier is the box, in order, so |R| = prod d_j and |J| =
+    N^|G| / |R|; J is the sums sum_j c_j row_j with 0 <= c_j < N/d_j, each
+    met once.  Labels, structure constants, S and the root spec come from
+    the cover Z[G]; the name shows N, G and the generators of J.  S is the
+    image of the unit vectors e_g, so a vector v of (Z/N)[G] is a sum of
+    sum_g min(v_g, N - v_g) signed generators and no fewer: `length` takes
+    the least of these over the lifts r + k, k in J, or, when R is the
+    smaller, walks R breadth first from 0 by the signed generators until
+    it meets r.  The set walked and the carrier are sized against
+    max_carrier before they are enumerated, the powers `predicates` walks
+    as they grow; the build enumerates none.
     """
 
     def __init__(
@@ -535,24 +531,27 @@ class FiniteQuotientRing(RingModel):
         modulus: int,
         group: FiniteAbelianGroup,
         ideal_generators: Iterable[Sequence[int]] = (),
-        name: Optional[str] = None,
     ):
         if modulus < 2:
             raise ExpressionError("modulus must be at least 2")
         self.modulus = modulus
         self.group = group
         self.cover = GroupRingModel(group)
-        dim = len(self.cover.labels)
         gens = [self._normalize(v) for v in ideal_generators]
-        # J is the Z/N-span of all group translates of the generators
+        # L is spanned by N Z^|G| and the group translates of the generators
         seeds = {self.cover.mul(g, e) for g in gens for _, e in self.cover.generators()}
-        self._rows = _howell_rows(sorted(seeds), modulus, dim)
+        rows = _hermite_rows(sorted(seeds), modulus, len(self.cover.labels))
+        self._pivots = tuple(row[j] for j, row in enumerate(rows))
+        self._rows = [(j, row[j], row) for j, row in enumerate(rows) if row[j] < modulus]
+        self._size, self._kernel_size = prod(self._pivots), prod(modulus // d for d in self._pivots)
         # the trivial group is left out of the name: Z6, not Z6[C1]
         over = f"[{group.describe()}]" if group.order > 1 else ""
+        shown = [self.cover.format_element(g) for g in dict.fromkeys(gens) if any(g)]
+        ideal = f"/({', '.join(shown)})" if shown else ""
         # No R2 walk of its own: Z[G] -> (Z/N)[G]/J is a ring homomorphism
         # and the generators here are the images of the cover's, so q(s)
         # is the image of the q(e_g) = 0 that the cover has checked.
-        super().__init__(name or f"Z{modulus}{over}", self.cover.root_spec())
+        super().__init__(f"Z{modulus}{over}{ideal}", self.cover.root_spec())
 
     def _normalize(self, vec) -> tuple[int, ...]:
         coords = exact_ints(vec, f"ideal generator {vec!r} is not a list of integers")
@@ -560,15 +559,12 @@ class FiniteQuotientRing(RingModel):
             raise ExpressionError("ideal generator has the wrong number of coordinates")
         return tuple(x % self.modulus for x in coords)
 
-    def _vec_add(self, a, b):
-        return tuple((x + y) % self.modulus for x, y in zip(a, b))
-
     def _rep(self, vec) -> tuple[int, ...]:
-        """The least vector of the coset of vec."""
+        """The vector of the coset of vec in the box."""
         n = self.modulus
         v = tuple([x % n for x in vec])
-        for j, h, row in self._rows:
-            q = v[j] // h
+        for j, d, row in self._rows:
+            q = v[j] // d
             if q:
                 v = tuple([(x - q * y) % n for x, y in zip(v, row)])
         return v
@@ -576,14 +572,11 @@ class FiniteQuotientRing(RingModel):
     @cached_property
     def _kernel(self) -> list[tuple[int, ...]]:
         n = self.modulus
-        default_limits().check_carrier(_span_size(self._rows, n))
+        default_limits().check_carrier(self._kernel_size)
         kernel = [self.zero()]
-        for _, h, row in self._rows:
-            kernel = [
-                tuple([(x + c * y) % n for x, y in zip(k, row)])
-                for k in kernel
-                for c in range(n // h)
-            ]
+        for _, d, row in self._rows:
+            kernel = [tuple([(x + c * y) % n for x, y in zip(k, row)])
+                      for k in kernel for c in range(n // d)]
         return kernel
 
     def zero(self):
@@ -608,26 +601,31 @@ class FiniteQuotientRing(RingModel):
         return tuple((label, self._rep(e)) for label, e in self.cover.generators())
 
     def characteristic(self) -> int:
-        # the additive order of 1 is |J + Z 1| / |J|, read off Howell rows
-        n, dim = self.modulus, len(self.cover.labels)
-        spanned = _howell_rows([row for _, _, row in self._rows] + [self.cover.one()], n, dim)
-        return _span_size(spanned, n) // _span_size(self._rows, n)
+        # the additive order of 1 is |(L + Z 1) / L|, read off both pivots
+        rows = [row for _, _, row in self._rows] + [self.one()]
+        spanned = _hermite_rows(rows, self.modulus, len(self._pivots))
+        return self._size // prod(row[j] for j, row in enumerate(spanned))
 
     def is_finite(self) -> bool:
         return True
 
     def carrier(self) -> list:
-        heights = [self.modulus] * len(self.cover.labels)
-        for j, h, _ in self._rows:
-            heights[j] = h
-        default_limits().check_carrier(prod(heights))
-        return list(product(*map(range, heights)))
+        default_limits().check_carrier(self._size)
+        return list(product(*map(range, self._pivots)))
 
     def length(self, r):
         n = self.modulus
-        return min(
-            sum(min(x, n - x) for x in self._vec_add(r, k)) for k in self._kernel
-        )
+        if self._kernel_size <= self._size:
+            return min(sum(min((x + y) % n, (-x - y) % n) for x, y in zip(r, k))
+                       for k in self._kernel)
+        default_limits().check_carrier(self._size)
+        moves = [m for _, s in self.generators() for m in (s, self.neg(s))]
+        seen, frontier, level = {self.zero()}, {self.zero()}, 0
+        while r not in seen:
+            frontier = {w for v in frontier for m in moves if (w := self.add(v, m)) not in seen}
+            seen |= frontier
+            level += 1
+        return level
 
     def predicates(self, r):
         """Walk the powers r, r^2, ... until one repeats: r is nilpotent when
@@ -841,13 +839,27 @@ def _group(orders) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(exact_ints(orders, f"'factor_orders' must list integers, got {orders!r}"))
 
 
+# The keys a model description of each kind may hold besides "kind".
+_MODEL_KEYS = {
+    "Z": (),
+    "product_z": ("copies",),
+    "group_ring": ("factor_orders",),
+    "burnside": ("group",),
+    "finite_quotient": ("modulus", "factor_orders", "ideal"),
+    "product": ("left", "right"),
+}
+
+
 def construct_model(spec: dict) -> RingModel:
     """Build a model from its JSON description.  A malformed description
-    (unknown kind, missing key, non-integer or out-of-range field) raises
-    ExpressionError; any other error is a fault of the construction."""
+    (unknown kind, missing or unknown key, non-integer or out-of-range
+    field) raises ExpressionError; any other error is a fault of the
+    construction."""
     if not isinstance(spec, dict):
         raise ExpressionError(f"a model description must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
+    if isinstance(kind, str) and kind in _MODEL_KEYS:
+        known_keys(spec, ("kind", *_MODEL_KEYS[kind]), f"model description {kind!r}")
     if kind == "Z":
         return ZRing()
     if kind == "product_z":
@@ -898,7 +910,7 @@ def bundled_model(name: str) -> RingModel:
             orders = tuple(int(part[1:]) for part in m.group(2).split("x")) if m.group(2) else ()
         except ValueError:  # past sys.get_int_max_str_digits()
             raise ExpressionError("a number in the model name is too long to read") from None
-        return FiniteQuotientRing(modulus, FiniteAbelianGroup(orders), name=name)
+        return FiniteQuotientRing(modulus, FiniteAbelianGroup(orders))
     raise ExpressionError(f"unknown bundled model: {name!r}")
 
 

@@ -409,6 +409,17 @@ def test_analyze_element_starting_with_minus(capsys, element):
     assert spaced == joined
 
 
+UNKNOWN_KEY_RINGS = (
+    '{"kind":"finite_quotient","modulus":4,"factor_orders":[2],"idael":[[2,2]]}',
+    '{"kind":"group_ring","factor_orders":[2],"modulus":5}',
+    '{"kind":"product","left":{"kind":"Z"},"right":{"kind":"Z","x":1}}',
+)
+UNKNOWN_KEY_SPECS = (
+    '{"atoms":[{"kind":"roots_of_unity","order":4,"oder":8}]}',
+    '{"atoms":[{"kind":"roots_of_unity","order":4}],"ordr":8}',
+)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -469,12 +480,41 @@ def test_analyze_element_starting_with_minus(capsys, element):
         ["spectrum", "--ring", "Z4[C\u0662]"],
         ["spectrum", "--ring", "Z" + "9" * 5000],
         ["spectrum", "--ring", "Z2[C" + "9" * 5000 + "]"],
+        # a misspelled key is refused, not read as an absent one
+        ["spectrum", "--ring", UNKNOWN_KEY_RINGS[0]],
+        ["spectrum", "--ring", UNKNOWN_KEY_RINGS[1]],
+        ["annihilator", "--q", UNKNOWN_KEY_SPECS[0], "--n", "1"],
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [(["spectrum", "--ring", ring], key)
+     for ring, key in zip(UNKNOWN_KEY_RINGS, ("idael", "modulus", "x"))]
+    + [(["annihilator", "--q", spec, "--n", "1"], key)
+       for spec, key in zip(UNKNOWN_KEY_SPECS, ("oder", "ordr"))],
+)
+def test_unknown_key_is_a_usage_error_naming_it(capsys, argv, key):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("usage error: ") and err.rstrip().endswith(f"has an unknown key {key!r}")
+
+
+def test_analyze_answers_on_a_small_ring_with_a_large_j(capsys):
+    # J has 2^21 elements and R 8: `length` walks R
+    ring = (
+        '{"kind":"finite_quotient","modulus":8,"factor_orders":[2,2,2],'
+        '"ideal":[[1,1,0,0,0,0,0,0],[1,0,1,0,0,0,0,0],[1,0,0,0,1,0,0,0]]}'
+    )
+    code, out, err = run_cli(capsys, "analyze", "--ring", ring, "--element", "g0")
+    assert (code, err) == (0, "")
+    assert "model: Z8[C2xC2xC2]/(1 + g2, 1 + g1, 1 + g0)\n" in out
+    assert "length: 1\n" in out
 
 
 @pytest.mark.parametrize("k, code, message", [
@@ -557,7 +597,7 @@ def test_fault_while_building_a_model_is_internal(capsys, monkeypatch, ring):
     def broken(*args):
         raise KeyError("missing coset representative")
 
-    monkeypatch.setattr("aprings.rings._howell_rows", broken)
+    monkeypatch.setattr("aprings.rings._hermite_rows", broken)
     bundled_model.cache_clear()  # so that the named ring is built again
     code, _, err = run_cli(capsys, "spectrum", "--ring", ring)
     assert code == 1

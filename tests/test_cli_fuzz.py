@@ -3,10 +3,11 @@
 Hypothesis draws JSON ring descriptions of every kind (products nested
 to depth 2, moduli and factor orders invalid ones included, `ideal`
 rows of the right and of the wrong length, named and unknown Burnside
-groups) and element strings made of the model's own labels and of junk
-tokens; and root specs: presets with junk, non-ASCII, long and large K,
-and JSON specs of `integers` and `roots_of_unity` atoms, orders past
-the cap and malformed atoms included, with `--n`, `--mode` and
+groups, now and then a misspelled key) and element strings made of the
+model's own labels and of junk tokens; and root specs: presets with
+junk, non-ASCII, long and large K, and JSON specs of `integers` and
+`roots_of_unity` atoms, orders past the cap and malformed atoms
+(misspelled keys too) included, with `--n`, `--mode` and
 `--closed-form`.  Every call must end the way the command line
 promises: exit 0, 2 (usage error) or 3 (resource bound), or 1 with an
 `error:` line for a package error such as "no spectrum classification";
@@ -29,6 +30,7 @@ from aprings.rings import construct_model
 
 ORDERS = st.lists(st.integers(-1, 6), max_size=2)
 BURNSIDE_GROUPS = st.sampled_from(named_group_names() + ["C12", "C0", "c4", "C", "nope"])
+MISSPELLED = st.sampled_from(["idael", "modulo", "factor_order", "copy", "lefts", "Kind"])
 
 
 @st.composite
@@ -42,17 +44,24 @@ def quotients(draw):
     spec = {"kind": "finite_quotient", "modulus": draw(st.integers(-1, 9)), "factor_orders": orders}
     if draw(st.booleans()):
         spec["ideal"] = draw(rows)
+    if draw(st.integers(0, 4)) == 0:
+        spec[draw(MISSPELLED)] = draw(rows)
     return spec
 
 
-ATOMS = st.one_of(
+def sometimes_misspelled(specs):
+    typo = st.builds(lambda spec, key: {**spec, key: 1}, specs, MISSPELLED)
+    return st.one_of(specs, specs, specs, typo)
+
+
+ATOMS = sometimes_misspelled(st.one_of(
     st.just({"kind": "Z"}),
     st.builds(lambda k: {"kind": "product_z", "copies": k}, st.integers(-1, 4)),
     st.builds(lambda o: {"kind": "group_ring", "factor_orders": o}, ORDERS),
     st.builds(lambda g: {"kind": "burnside", "group": g}, BURNSIDE_GROUPS),
     quotients(),
     st.just({"kind": "nope"}),
-)
+))
 
 
 def products(factors):
@@ -125,6 +134,8 @@ MALFORMED_ATOMS = st.sampled_from([
     {"kind": "integers"},
     {"kind": "integers", "values": "x"},
     {"kind": "integers", "values": [1.5]},
+    {"kind": "roots_of_unity", "order": 4, "oder": 8},
+    {"kind": "integers", "values": [1], "value": [2]},
     {"kind": "nope"},
     "atom",
 ])

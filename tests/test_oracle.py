@@ -211,8 +211,9 @@ def random_generator(rng, modulus, dim):
     return [d * x for x in vec]
 
 
-# quotients whose Howell rows need the saturation (N/h)*pivot row; about
-# one seeded quotient in 5000 with J != 0 needs it
+# quotients whose J, over Z/N, is not spanned by its gcd pivots, so that
+# the (N/d_j)*pivot that N e_j supplies is needed; about one seeded
+# quotient in 5000 with J != 0 is such
 SATURATED = ((8, (2, 2), [4, 0, 7, 3]), (6, (2, 2), [3, 5, 2, 0]), (6, (2, 2), [5, 5, 0, -10]))
 
 
@@ -249,7 +250,7 @@ NAMED = tuple(dict.fromkeys(FINITE_BUNDLED + STRUCTURE_CARRIERS))
 
 
 def zero_ring():
-    return FiniteQuotientRing(2, FiniteAbelianGroup((2,)), [(1, 0)], name="Z2[C2]/(1)")
+    return FiniteQuotientRing(2, FiniteAbelianGroup((2,)), [(1, 0)])
 
 
 def two_quotient_product():
@@ -350,8 +351,8 @@ class OneGenerator(FiniteQuotientRing):
 
 
 def test_generators_that_do_not_span_are_rejected():
-    model = OneGenerator(4, FiniteAbelianGroup((2,)), name="Z4[C2] on S = {1}")
-    message = r"^the generators of Z4\[C2\] on S = \{1\} do not span its carrier: their sums reach 4 of 16 elements$"
+    model = OneGenerator(4, FiniteAbelianGroup((2,)))
+    message = r"^the generators of Z4\[C2\] do not span its carrier: their sums reach 4 of 16 elements$"
     with pytest.raises(CheckFailed, match=message):
         table_for_model(model)
 

@@ -35,7 +35,7 @@ from aprings.rings import (
     ProductZRing,
     RingModel,
     ZRing,
-    _howell_rows,
+    _hermite_rows,
     bundled_model,
     construct_model,
     parse_element,
@@ -46,6 +46,13 @@ from aprings.rings import (
 from test_oracle import NAMED, random_generator, random_quotient_cases, random_quotients, zero_ring
 
 MODEL_NAMES = ["Z", "Z^3", "Z[C2]", "Z[C2xC2]", "Z[C4]", "burnside-C2", "Z4[C2]"]
+
+# a ring of 8 elements whose J has 8^8 / 8 = 2^21
+LARGE_J = FiniteQuotientRing(
+    8,
+    FiniteAbelianGroup((2, 2, 2)),
+    [(1, 1, 0, 0, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 1, 0, 0, 0)],
+)
 
 
 def random_elements(model, count, seed=11, max_length=4):
@@ -166,6 +173,7 @@ def test_quotient_length_bfs():
         pytest.param(FiniteQuotientRing(2, FiniteAbelianGroup((2, 2, 2))), id="Z2[C2xC2xC2]"),
         pytest.param(FiniteQuotientRing(16, FiniteAbelianGroup(())), id="Z16"),
         pytest.param(FiniteQuotientRing(64, FiniteAbelianGroup((2,))), id="Z64[C2]"),
+        pytest.param(LARGE_J, id="large-J"),
     ],
 )
 def test_quotient_length_matches_the_signed_ball(model):
@@ -197,7 +205,7 @@ def test_quotient_characteristic_is_the_additive_order_of_one(model):
 
 
 def test_quotient_characteristic_enumerates_no_multiple_of_one():
-    # read off Howell rows, so a modulus far above max_carrier costs nothing
+    # read off Hermite pivots, so a modulus far above max_carrier costs nothing
     trivial = FiniteAbelianGroup(())
     assert FiniteQuotientRing(10**30, trivial).characteristic() == 10**30
     assert FiniteQuotientRing(2**40, trivial, [(2**20,)]).characteristic() == 2**20
@@ -235,8 +243,9 @@ def test_closed_form_length_agrees_with_bfs(name):
 
 
 def test_carrier_bound(monkeypatch):
-    """The cap holds for what is enumerated, the carrier and J, not for
-    the cover: a quotient builds and computes above it."""
+    """The cap holds for what is enumerated, the carrier and the smaller
+    of J and R that `length` walks, not for the cover: a quotient builds
+    and computes above it."""
     monkeypatch.setenv("APRINGS_MAX_CARRIER", "10")
     limit = r"^carrier exceeds the limit max_carrier = 10: reached 16 elements$"
     group = FiniteAbelianGroup((2, 2))
@@ -244,11 +253,20 @@ def test_carrier_bound(monkeypatch):
     assert model.length(model.one()) == 1
     with pytest.raises(CarrierBoundExceeded, match=limit):
         model.carrier()
-    # J is all of (Z/2)[C2xC2], so the carrier is {0} and J has 16 elements
+    # J is all of (Z/2)[C2xC2], so the carrier is {0} and J has 16
+    # elements: R is walked
     model = FiniteQuotientRing(2, group, [(1, 0, 0, 0)])
     assert model.carrier() == [(0, 0, 0, 0)]
+    assert model.length(model.one()) == 0
+    # 2^21 elements of J, 8 of R
+    model = LARGE_J
+    assert model.length(parse_element(model, "g0")) == 1
+    # J = 2 (Z/4)[C2xC2]: R and J have 16 elements each
+    model = FiniteQuotientRing(4, group, [(2, 0, 0, 0)])
     with pytest.raises(CarrierBoundExceeded, match=limit):
         model.length(model.one())
+    monkeypatch.setenv("APRINGS_MAX_CARRIER", "16")
+    assert model.length(model.one()) == 1
 
 
 def reference_coset_reps(modulus, group, gens):
@@ -290,7 +308,8 @@ def assert_matches_reference(model, gens):
     [pytest.param(bundled_model(name), (), id=name) for name in NAMED]
     + [pytest.param(m, gens, id=f"random{i}") for i, (m, gens) in enumerate(random_quotient_cases())]
     + [pytest.param(zero_ring(), [(1, 0)], id="zero-ring")]
-    # the Howell rows of these two need the saturation (N/h) pivot
+    # J's Z/N-span is not the span of its gcd pivots here; N e_j puts back
+    # the missing (N/d_j) * pivot
     + [
         pytest.param(FiniteQuotientRing(n, FiniteAbelianGroup((2, 2)), [g]), [g], id=f"saturated{n}")
         for n, g in ((8, (4, 0, 7, 3)), (6, (0, 2, 5, 1)))
@@ -326,34 +345,31 @@ def test_howell_quotient_matches_the_coset_walk_on_seeded_quotients(seed):
 
 
 @st.composite
-def howell_inputs(draw):
+def lattice_inputs(draw):
     n = draw(st.integers(min_value=1, max_value=12))
     dim = draw(st.integers(min_value=1, max_value=4))
     vector = st.tuples(*[st.integers(min_value=0, max_value=n - 1)] * dim)
     return n, dim, draw(st.lists(vector, max_size=3))
 
 
-@given(howell_inputs())
-def test_howell_rows_span_the_input_and_have_the_howell_property(inputs):
+@given(lattice_inputs())
+def test_hermite_rows_are_a_triangular_basis_of_the_input_plus_n_z(inputs):
     n, dim, vectors = inputs
-    rows = _howell_rows(vectors, n, dim)
+    rows = _hermite_rows(vectors, n, dim)
 
     def vec_add(a, b):
         return tuple((x + y) % n for x, y in zip(a, b))
 
+    # mod n, the rows span what the input spans
     span = closure(vec_add, (0,) * dim, vectors)
-    assert closure(vec_add, (0,) * dim, [row for _, _, row in rows]) == span
-    heights = [n] * dim
-    pivots = [j for j, _, _ in rows]
-    assert pivots == sorted(set(pivots))
-    for j, h, row in rows:
-        assert n % h == 0 and h < n
-        assert row[j] == h and not any(row[:j])
-        heights[j] = h
-    for x in span:
-        lead = next((j for j, c in enumerate(x) if c), None)
-        if lead is not None:
-            assert x[lead] % heights[lead] == 0, (x, rows)
+    assert closure(vec_add, (0,) * dim, [tuple(x % n for x in row) for row in rows]) == span
+    assert len(rows) == dim
+    for j, row in enumerate(rows):
+        assert not any(row[:j]) and n % row[j] == 0
+        assert all(0 <= x < n for x in row[j + 1:])
+    # so the rows lie in L = span + n Z^dim; triangular, they span a
+    # lattice of index prod d_j, which is [Z^dim : L], so they span L
+    assert prod(row[j] for j, row in enumerate(rows)) == n**dim // len(span)
 
 
 def test_quotient_construction_walks_no_cover_vectors(monkeypatch):
@@ -524,6 +540,24 @@ def test_construct_model_kinds():
     assert m.one() == ((1,), (1,))
     with pytest.raises(ExpressionError, match="^unknown model kind: 'nope'$"):
         construct_model({"kind": "nope"})
+
+
+def test_quotient_name_shows_n_g_and_j():
+    def name(modulus, orders, ideal=()):
+        return FiniteQuotientRing(modulus, FiniteAbelianGroup(orders), ideal).name
+
+    assert name(4, (2,), [(2, 2)]) == "Z4[C2]/(2 + 2*g)"
+    # generators are read mod N; zero and repeated ones are left out
+    assert name(4, (2,), [(6, -2), (4, 0), (2, 2)]) == "Z4[C2]/(2 + 2*g)"
+    assert name(4, (2,), [(4, 8)]) == "Z4[C2]"
+    assert name(6, (), [(2,), (3,)]) == "Z6/(2, 3)"
+    assert zero_ring().name == "Z2[C2]/(1)"
+    # a bundled name is N and G, spelled canonically
+    assert [bundled_model(n).name for n in ("Z6", "Z06", "Z6[C1]", "Z4[C02xC2]")] == [
+        "Z6", "Z6", "Z6", "Z4[C2xC2]"
+    ]
+    for n in FINITE_BUNDLED:
+        assert bundled_model(n).name == n
 
 
 def test_parse_element_errors():
