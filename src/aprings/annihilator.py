@@ -13,12 +13,12 @@ q = X^(2^k) - 1 (degree and parity data) and q = X^2 - 2^k X
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, lcm, prod
 from typing import Literal, Optional, Union
 
 from .config import Limits, default_limits
-from .cyclotomic import CyclotomicInteger, poly_from_roots
+from .cyclotomic import CyclotomicInteger, cyclotomic_polynomial, poly_from_roots
 from .errors import BoundExceeded, ExpressionError, exact_ints, known_keys
 from .intpoly import IntPolynomial, decimal_str, packed_product
 
@@ -105,10 +105,16 @@ class RootSpec:
 
     def polynomial(self) -> IntPolynomial:
         """q: the product of X^m - 1 over the roots-of-unity atoms and of
-        X - v over the integer roots.  Overlapping atoms raise the error
-        of `roots`, which checks them."""
-        self.roots()
+        X - v over the integer roots.  The common order is checked against
+        the cyclotomic degree cap, as `roots` checks it.  Two atoms overlap
+        exactly when they share a rational root: mu_a and mu_b share 1, an
+        integer atom meets mu_m only in 1 and, for an even m, -1.  So an
+        overlap raises the error of `roots` with no root built."""
+        cyclotomic_polynomial(self.common_order())
         orders, ints = self._split()
+        rational = ints + [v for m in orders for v in ((1, -1) if m % 2 == 0 else (1,))]
+        if len(set(rational)) != len(rational):
+            raise ExpressionError("atoms overlap: the union of root sets must be duplicate-free")
         factors = [IntPolynomial.monomial(m) - 1 for m in orders]
         return packed_product(factors + [IntPolynomial((-v, 1)) for v in ints])
 
@@ -177,6 +183,12 @@ class SumSet:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def members(self) -> frozenset:
+        """The elements as a set, built once: a rational element equals and
+        hashes like its int, so an int ghost value is looked up as it is."""
+        return frozenset(self.elements)
 
     def to_json(self) -> dict:
         return {
@@ -265,13 +277,37 @@ def _sum_set_cached(spec: RootSpec, n: int, mode: SignMode, limits: Limits) -> S
     return SumSet(order=spec.common_order(), n=n, elements=elements)
 
 
+# The largest predicted size of p_n, in coefficient bits, that
+# `annihilating_polynomial` expands.  The prediction is Mignotte's bound
+# |a_k| <= C(d, k) prod max(1, |t|) over T_n, with |t| <= n rho (rho the
+# largest root modulus), in exact integers: (d + 1) coefficients of at
+# most d + 1 + d * (n rho).bit_length() bits each, d = |T_n|.  Measured on
+# a shared 2-CPU VM: the package's own uses predict at most 2.8e6 (mu_8,
+# n = 6; Burnside(A5)'s p_5 2.3e6).  Expansion time follows the actual
+# bits, 1-10% of the prediction: mu_10 and {0, 2, 3} at n = 5 predict
+# 3.1e7 and expand in 0.3 s, mu_15 and {0, 2} at n = 3 predict 8.6e7 and
+# take 2 s, and mu_15 and {0, 2, 3, 4, 6, 12} at n = 3 predict 4.6e8 and
+# took 15-20 s.
+MAX_POLY_BITS = 2**26
+
+
 def annihilating_polynomial(
     spec: RootSpec, n: int, mode: SignMode = "signed", limits: Optional[Limits] = None
 ) -> IntPolynomial:
     """p_n for the given root spec: the monic squarefree polynomial
-    vanishing exactly on root_sum_set(spec, n, mode)."""
+    vanishing exactly on root_sum_set(spec, n, mode).  A p_n predicted to
+    hold more than MAX_POLY_BITS coefficient bits raises BoundExceeded
+    before it is expanded."""
     limits = limits or default_limits()
-    root_sum_set(spec, n, mode, limits)
+    d = len(root_sum_set(spec, n, mode, limits))
+    orders, ints = spec._split()
+    rho = max([1] * bool(orders) + [abs(v) for v in ints], default=0)
+    bits = (d + 1) * (d + 1 + d * (n * rho).bit_length())
+    if bits > MAX_POLY_BITS:
+        raise BoundExceeded(
+            f"p_{n} exceeds the limit MAX_POLY_BITS = {MAX_POLY_BITS}: its {d + 1} "
+            f"coefficients are predicted to hold up to {bits} bits"
+        )
     return _poly_of_sumset(spec, n, mode, limits)
 
 

@@ -40,7 +40,7 @@ from .groups import (
     table_of_marks,
 )
 from .intpoly import decimal_str
-from .rings import bundled_model, construct_model, parse_element, verify_annihilated
+from .rings import annihilated_on_sum_set, bundled_model, construct_model, parse_element
 from .spectrum import LISTED_PRIME_BOUND, element_predicates, spectrum_report
 from .verification import paper_checks
 
@@ -208,27 +208,25 @@ def cmd_spectrum(args) -> int:
 def cmd_analyze(args) -> int:
     model = _load(args.ring, bundled_model, construct_model)
     element = parse_element(model, args.element)
-    report = verify_annihilated(model, element)
+    length = model.length(element)
+    degree, annihilated = annihilated_on_sum_set(model, length, element)
     preds = element_predicates(model, element)
     if args.format == "json":
         _emit_json(
             {
                 "model": model.name,
                 "element": model.element_to_json(element),
-                "length": report.length,
-                "annihilator_degree": report.degree,
-                "annihilated": report.annihilated,
+                "length": length,
+                "annihilator_degree": degree,
+                "annihilated": annihilated,
                 "predicates": preds.to_json(),
             }
         )
     else:
         print(f"model: {model.name}")
         print(f"element: {model.format_element(element)}")
-        print(f"length: {report.length}")
-        print(
-            f"annihilated by p_{report.length} (degree {report.degree}): "
-            f"{report.annihilated}"
-        )
+        print(f"length: {length}")
+        print(f"annihilated by p_{length} (degree {degree}): {annihilated}")
         for name, value in preds.to_json().items():
             shown = "unsupported" if value is None else value
             print(f"{name}: {shown}")

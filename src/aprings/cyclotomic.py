@@ -185,6 +185,16 @@ class CyclotomicInteger:
         j %= m
         return CyclotomicInteger(m, (0,) * j + (1,))
 
+    def at_order(self, m: int) -> "CyclotomicInteger":
+        """The same value at order m, a multiple of its own order:
+        zeta_order = zeta_m^(m / order)."""
+        if m % self.order:
+            raise ValueError(f"order {self.order} does not divide {m}")
+        step = m // self.order
+        coords = [0] * (step * (len(self.coords) - 1) + 1)
+        coords[::step] = self.coords
+        return CyclotomicInteger(m, coords)
+
     # -- queries ------------------------------------------------------
 
     @property

@@ -29,7 +29,7 @@ from math import lcm, prod
 from typing import Callable, Iterable, Optional, Sequence
 
 from .config import default_limits
-from .errors import CheckFailed, ExpressionError, OrderBoundExceeded, exact_ints
+from .errors import CheckFailed, ExpressionError, OrderBoundExceeded, exact_ints, known_keys
 
 Perm = tuple[int, ...]
 
@@ -535,6 +535,7 @@ def group_from_json(data: dict) -> PermGroup:
     malformed description raises ExpressionError."""
     if not isinstance(data, dict) or "degree" not in data or "generators" not in data:
         raise ExpressionError(f"a group description needs 'degree' and 'generators', got {data!r}")
+    known_keys(data, ("degree", "generators"), "a group description")
     degree = data["degree"]
     degree = exact_ints((degree,), f"'degree' must be an integer, got {degree!r}")[0]
     generators = data["generators"]

@@ -53,15 +53,15 @@ class FiniteRingTable:
         return len(self.elements)
 
     def __post_init__(self):
-        n = self.size
-        for i in range(n):
-            if self.add[self.zero][i] != i or self.mul[self.one][i] != i:
-                raise ValueError("zero/one do not act as identities")
-            if self.add[i][self.neg[i]] != self.zero:
-                raise ValueError("negation table is inconsistent")
-            for j in range(i + 1, n):
-                if self.add[i][j] != self.add[j][i] or self.mul[i][j] != self.mul[j][i]:
-                    raise ValueError("tables are not commutative")
+        # whole rows at a time: a table is commutative when its columns,
+        # zip(*table), are its rows
+        identity = list(range(self.size))
+        if self.add[self.zero] != identity or self.mul[self.one] != identity:
+            raise ValueError("zero/one do not act as identities")
+        if any(row[k] != self.zero for row, k in zip(self.add, self.neg)):
+            raise ValueError("negation table is inconsistent")
+        if any(list(col) != row for table in (self.add, self.mul) for col, row in zip(zip(*table), table)):
+            raise ValueError("tables are not commutative")
 
 
 def table_for_model(model) -> FiniteRingTable:

@@ -19,7 +19,7 @@ from math import gcd, lcm, prod
 from random import Random
 from typing import Iterable, Optional, Sequence
 
-from .annihilator import RootSpec, annihilating_polynomial
+from .annihilator import RootSpec, annihilating_polynomial, root_sum_set
 from .config import Limits, default_limits
 from .cyclotomic import CyclotomicInteger
 from .errors import (
@@ -97,6 +97,14 @@ class RingModel:
         """Whether p(r) = 0 in the ring, by Horner evaluation in it."""
         return poly_eval_in_ring(p, r, self) == self.zero()
 
+    def lift_ghost(self, r) -> tuple:
+        """The ghost values, at the root spec's common order, of a lift of
+        r to a free model that is a sum of length(r) signed generators:
+        each value is a sum of length(r) signed roots of q.  An integer
+        polynomial p kills r when it vanishes at all of them, and for a
+        free model only then."""
+        raise NotImplementedError
+
     # structure theory --------------------------------------------------
 
     @property
@@ -143,13 +151,20 @@ class RingModel:
 def poly_eval_in_ring(p: IntPolynomial, r, model: RingModel):
     """Horner evaluation of p at r over its nonzero coefficients, stepping
     between two of them by r^gap, each gap's power found once by repeated
-    doubling; integer coefficients act through embed_int."""
-    power = lru_cache(None)(lambda k: repeated_doubling(r, k, model.one(), model.mul))
+    doubling and kept in a dict; integer coefficients act through
+    embed_int.  The constant term 0 closes the walk down to X^0."""
+    powers: dict = {}
     result, above = model.zero(), p.degree
-    for i, c in reversed([(i, c) for i, c in enumerate(p.coeffs) if c]):
-        result = model.add(model.mul(result, power(above - i)), model.embed_int(c))
+    for i, c in reversed([(0, 0)] + [(i, c) for i, c in enumerate(p.coeffs) if c]):
+        gap = above - i
+        if gap > 0:
+            if gap not in powers:
+                powers[gap] = repeated_doubling(r, gap, model.one(), model.mul)
+            result = model.mul(result, powers[gap])
+        if c:
+            result = model.add(result, model.embed_int(c))
         above = i
-    return model.mul(result, power(above)) if above > 0 else result
+    return result
 
 
 # -- rings free as Z-modules ------------------------------------------------------
@@ -211,6 +226,10 @@ class FreeRing(RingModel):
 
     def ghost_map(self, r) -> tuple:
         return tuple(col(r) for col in self.ghost)
+
+    def lift_ghost(self, r):
+        # r is its own least lift, its length the L1 norm
+        return self.ghost_map(r)
 
     @cached_property
     def integral(self) -> bool:
@@ -544,6 +563,7 @@ class FiniteQuotientRing(RingModel):
         self._pivots = tuple(row[j] for j, row in enumerate(rows))
         self._rows = [(j, row[j], row) for j, row in enumerate(rows) if row[j] < modulus]
         self._size, self._kernel_size = prod(self._pivots), prod(modulus // d for d in self._pivots)
+        self._lifts: dict = {}  # r -> (length(r), a least lift), see `_least_lift`
         # the trivial group is left out of the name: Z6, not Z6[C1]
         over = f"[{group.describe()}]" if group.order > 1 else ""
         shown = [self.cover.format_element(g) for g in dict.fromkeys(gens) if any(g)]
@@ -614,18 +634,40 @@ class FiniteQuotientRing(RingModel):
         return list(product(*map(range, self._pivots)))
 
     def length(self, r):
+        return self._least_lift(r)[0]
+
+    def lift_ghost(self, r):
+        return self.cover.ghost_map(self._least_lift(r)[1])
+
+    def _least_lift(self, r) -> tuple[int, tuple[int, ...]]:
+        """(length(r), a lift of r to the cover with that L1 norm), from one
+        walk, kept per r: the least of the vectors r + k, k in J, with
+        each coordinate lifted into (-N/2, N/2], or the path by which the
+        walk over R first meets r."""
+        if r in self._lifts:
+            return self._lifts[r]
         n = self.modulus
         if self._kernel_size <= self._size:
-            return min(sum(min((x + y) % n, (-x - y) % n) for x, y in zip(r, k))
-                       for k in self._kernel)
-        default_limits().check_carrier(self._size)
-        moves = [m for _, s in self.generators() for m in (s, self.neg(s))]
-        seen, frontier, level = {self.zero()}, {self.zero()}, 0
-        while r not in seen:
-            frontier = {w for v in frontier for m in moves if (w := self.add(v, m)) not in seen}
-            seen |= frontier
-            level += 1
-        return level
+            lift = min((tuple(v if 2 * v <= n else v - n for v in ((x + y) % n for x, y in zip(r, k)))
+                        for k in self._kernel), key=lambda v: sum(map(abs, v)))
+            found = sum(map(abs, lift)), lift
+        else:
+            default_limits().check_carrier(self._size)
+            cover = self.cover
+            moves = [(self._rep(e), e) for _, s in cover.generators() for e in (s, cover.neg(s))]
+            lifts, frontier, level = {self.zero(): cover.zero()}, [self.zero()], 0
+            while r not in lifts:
+                step = []
+                for v in frontier:
+                    for m, e in moves:
+                        w = self.add(v, m)
+                        if w not in lifts:
+                            lifts[w] = cover.add(lifts[v], e)
+                            step.append(w)
+                frontier, level = step, level + 1
+            found = level, lifts[r]
+        self._lifts[r] = found
+        return found
 
     def predicates(self, r):
         """Walk the powers r, r^2, ... until one repeats: r is nilpotent when
@@ -718,6 +760,14 @@ class ProductRing(RingModel):
     def is_root(self, p, r):
         return self.left.is_root(p, r[0]) and self.right.is_root(p, r[1])
 
+    def lift_ghost(self, r):
+        # lengths add, and 0 is a root: a factor's value pads with zeros
+        order = self._spec.common_order()
+        return tuple(
+            v.at_order(order) if isinstance(v, CyclotomicInteger) else v
+            for v in self.left.lift_ghost(r[0]) + self.right.lift_ghost(r[1])
+        )
+
     def predicates(self, r):
         # nilpotent, torsion, a unit or in every signature ideal when both
         # coordinates are, a zero divisor when either is, and undecided
@@ -765,6 +815,18 @@ def verify_annihilated(
         annihilated=model.is_root(p, r),
         polynomial=p,
     )
+
+
+def annihilated_on_sum_set(model: RingModel, n: int, r) -> tuple[int, bool]:
+    """(deg p_n, whether p_n(r) = 0), read off T_n with no p_n expanded.
+    p_n is the product of X - t over t in T_n (p_0 = X, T_0 = {0}), so
+    its degree is |T_n|, and it kills r when every value of the model's
+    `lift_ghost(r)` lies in T_n; for a free model, whose ghost is jointly
+    injective into domains, exactly then.  At n = length(r) every value
+    is a sum of n signed roots, so the answer is True.
+    `verify_annihilated` is the reference, from p_n's coefficients."""
+    members = root_sum_set(model.root_spec(), n).members if n else {0}
+    return len(members), all(v in members for v in model.lift_ghost(r))
 
 
 # -- expressions -------------------------------------------------------------------------

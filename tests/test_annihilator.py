@@ -388,6 +388,50 @@ def test_polynomial_is_the_product_over_the_roots(spec):
     assert spec.polynomial() == poly_from_roots(spec.roots())
 
 
+def _refusal(build):
+    """None when build() succeeds, else the message of its ExpressionError."""
+    try:
+        build()
+    except ExpressionError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(
+    st.one_of(
+        st.integers(1, 8).map(RootsOfUnity),
+        st.sets(st.integers(-3, 3), min_size=1, max_size=3).map(lambda v: IntegerRoots(tuple(v))),
+    ),
+    min_size=1, max_size=3,
+))
+def test_polynomial_finds_an_overlap_exactly_when_the_roots_repeat(atoms):
+    # `polynomial` decides on the rational roots, `roots` on the built ones
+    spec = RootSpec(tuple(atoms))
+    assert _refusal(spec.polynomial) == _refusal(spec.roots)
+
+
+def test_polynomial_keeps_the_cyclotomic_order_cap():
+    spec = RootSpec((RootsOfUnity(67), IntegerRoots((0,))))
+    for build in (spec.roots, spec.polynomial):
+        with pytest.raises(BoundExceeded, match="^deg Phi_67 = 66 exceeds the limit"):
+            build()
+
+
+@settings(max_examples=60, deadline=None)
+@given(packing_specs(largest=50), st.integers(1, 3))
+def test_the_predicted_size_bounds_the_coefficient_bits(spec, n):
+    """annihilating_polynomial refuses p_n when its prediction exceeds
+    MAX_POLY_BITS; with the cap one below p_n's actual size it must refuse,
+    so the prediction is at least the actual size."""
+    p = annihilating_polynomial(spec, n)
+    actual = sum(abs(c).bit_length() for c in p.coeffs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(annihilator, "MAX_POLY_BITS", actual - 1)
+        with pytest.raises(BoundExceeded, match=f"limit MAX_POLY_BITS = {actual - 1}: "):
+            annihilating_polynomial(spec, n)
+
+
 @pytest.mark.parametrize(
     "a, b, union",
     [

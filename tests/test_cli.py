@@ -497,7 +497,9 @@ def test_malformed_input_is_a_usage_error(capsys, argv):
     [(["spectrum", "--ring", ring], key)
      for ring, key in zip(UNKNOWN_KEY_RINGS, ("idael", "modulus", "x"))]
     + [(["annihilator", "--q", spec, "--n", "1"], key)
-       for spec, key in zip(UNKNOWN_KEY_SPECS, ("oder", "ordr"))],
+       for spec, key in zip(UNKNOWN_KEY_SPECS, ("oder", "ordr"))]
+    + [(["marks", "--group", '{"degree":2,"generators":[[1,0]],"generator":[[0,1]]}'],
+        "generator")],
 )
 def test_unknown_key_is_a_usage_error_naming_it(capsys, argv, key):
     code, _, err = run_cli(capsys, *argv)
@@ -505,13 +507,88 @@ def test_unknown_key_is_a_usage_error_naming_it(capsys, argv, key):
     assert err.startswith("usage error: ") and err.rstrip().endswith(f"has an unknown key {key!r}")
 
 
+LARGE_J_RING = (
+    '{"kind":"finite_quotient","modulus":8,"factor_orders":[2,2,2],'
+    '"ideal":[[1,1,0,0,0,0,0,0],[1,0,1,0,0,0,0,0],[1,0,0,0,1,0,0,0]]}'
+)
+
+
+@pytest.mark.parametrize("ring, element, head", [
+    pytest.param("Z[C2xC2]", "1 + g0 - g1", "model: Z[C2xC2]\nelement: 1 - g1 + g0\n"
+                 "length: 3\nannihilated by p_3 (degree 4): True\n", id="Z[C2xC2]"),
+    pytest.param("Z8[C2]", "3 - 2*g", "model: Z8[C2]\nelement: 3 + 6*g\nlength: 5\n"
+                 "annihilated by p_5 (degree 6): True\n", id="Z8[C2]"),
+    pytest.param(LARGE_J_RING, "g0 + 2*g1", "model: Z8[C2xC2xC2]/(1 + g2, 1 + g1, 1 + g0)\n"
+                 "element: 3*g0*g1*g2\nlength: 3\nannihilated by p_3 (degree 4): True\n",
+                 id="large-J"),
+    pytest.param('{"kind":"product","left":{"kind":"group_ring","factor_orders":[4]},'
+                 '"right":{"kind":"group_ring","factor_orders":[3]}}', "L.g - 2*R.g^2 + L.1",
+                 "model: Z[C4]xZ[C3]\nelement: (1 + g | -2*g^2)\nlength: 4\n"
+                 "annihilated by p_4 (degree 661): True\n", id="Z[C4]xZ[C3]"),
+])
+def test_analyze_expands_no_polynomial(capsys, monkeypatch, ring, element, head):
+    """`analyze` decides p_n(r) = 0 on T_n: with every cached p_n dropped
+    and the expansion refused, it prints the lines it printed when it
+    expanded p_n."""
+    from aprings import annihilator, cyclotomic
+
+    def refused(roots):
+        raise AssertionError("poly_from_roots was called")
+
+    annihilator._poly_of_sumset.cache_clear()
+    monkeypatch.setattr(cyclotomic, "poly_from_roots", refused)
+    monkeypatch.setattr(annihilator, "poly_from_roots", refused)
+    code, out, err = run_cli(capsys, "analyze", "--ring", ring, "--element", element)
+    assert (code, err) == (0, "")
+    assert out.startswith(head)
+
+
+# roots mu_15 and {0, 2, 3, 4, 6, 12}: |T_3| = 8103, and p_3 holds about 4e7 bits
+SLOW_PRODUCT = (
+    '{"kind":"product","left":{"kind":"group_ring","factor_orders":[5,3]},'
+    '"right":{"kind":"burnside","group":"C12"}}'
+)
+
+
+def test_analyze_answers_at_once_where_p_n_is_large():
+    """Expanding this p_3 took 15-20 s; deciding on T_3 takes well under a
+    second.  Run in a child with a timeout, so that a regression fails
+    instead of hanging."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "aprings.cli", "analyze", "--ring", SLOW_PRODUCT,
+         "--element=-3*L.g0"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=5,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(
+        "model: Z[C5xC3]xBurnside(C12)\nelement: (-3*g0 | 0)\nlength: 3\n"
+        "annihilated by p_3 (degree 8103): True\n"
+    )
+
+
+def test_annihilator_refuses_a_large_p_n_before_expanding_it(capsys, monkeypatch):
+    from aprings import annihilator
+
+    def refused(*args):
+        raise AssertionError("p_n was expanded")
+
+    monkeypatch.setattr(annihilator, "_poly_of_sumset", refused)
+    spec = json.dumps({"atoms": [{"kind": "roots_of_unity", "order": 15},
+                                 {"kind": "integers", "values": [0, 2, 3, 4, 6, 12]}]})
+    code, out, err = run_cli(capsys, "annihilator", "--q", spec, "--n", "3")
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource bound exceeded: p_3 exceeds the limit MAX_POLY_BITS = 67108864: "
+        "its 8104 coefficients are predicted to hold up to 459675088 bits\n"
+    )
+
+
 def test_analyze_answers_on_a_small_ring_with_a_large_j(capsys):
     # J has 2^21 elements and R 8: `length` walks R
-    ring = (
-        '{"kind":"finite_quotient","modulus":8,"factor_orders":[2,2,2],'
-        '"ideal":[[1,1,0,0,0,0,0,0],[1,0,1,0,0,0,0,0],[1,0,0,0,1,0,0,0]]}'
-    )
-    code, out, err = run_cli(capsys, "analyze", "--ring", ring, "--element", "g0")
+    code, out, err = run_cli(capsys, "analyze", "--ring", LARGE_J_RING, "--element", "g0")
     assert (code, err) == (0, "")
     assert "model: Z8[C2xC2xC2]/(1 + g2, 1 + g1, 1 + g0)\n" in out
     assert "length: 1\n" in out

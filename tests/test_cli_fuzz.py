@@ -1,4 +1,4 @@
-"""An in-process fuzz of `spectrum`, `analyze` and `annihilator`.
+"""An in-process fuzz of `spectrum`, `analyze`, `annihilator` and `marks`.
 
 Hypothesis draws JSON ring descriptions of every kind (products nested
 to depth 2, moduli and factor orders invalid ones included, `ideal`
@@ -8,7 +8,9 @@ model's own labels and of junk tokens; and root specs: presets with
 junk, non-ASCII, long and large K, and JSON specs of `integers` and
 `roots_of_unity` atoms, orders past the cap and malformed atoms
 (misspelled keys too) included, with `--n`, `--mode` and
-`--closed-form`.  Every call must end the way the command line
+`--closed-form`; and JSON groups of degree up to 5 with valid,
+malformed and repeated permutations, bad degrees and misspelled keys.
+Every call must end the way the command line
 promises: exit 0, 2 (usage error) or 3 (resource bound), or 1 with an
 `error:` line for a package error such as "no spectrum classification";
 never an internal error or an uncaught exception, and within the
@@ -172,3 +174,33 @@ def test_annihilator_ends_cleanly_on_random_input(q, n, mode, closed_form, fmt):
     if closed_form:
         argv.append("--closed-form")
     assert_clean_exit(*run(argv))
+
+
+GROUP_KEYS = st.sampled_from(["generator", "degre", "gens", "Degree"])
+MALFORMED_PERMUTATIONS = st.sampled_from([[], [0, 0], [1, 2, 3, 4, 5, 6], [-1, 0], [0.0, 1], ["0"], "p", None])
+
+
+@st.composite
+def json_groups(draw):
+    """A JSON group: a degree (now and then a bad one), up to three
+    generators, each a permutation of range(degree) or a malformed list,
+    and now and then a misspelled, an extra or a missing key."""
+    degree = draw(st.one_of(st.integers(0, 5), st.integers(0, 5), st.sampled_from([-1, 2.0, "3", True])))
+    size = degree if type(degree) is int and degree >= 0 else 3
+    permutation = st.permutations(range(size)).map(list)
+    generators = draw(st.lists(st.one_of(permutation, permutation, MALFORMED_PERMUTATIONS), max_size=3))
+    spec = {"degree": degree, "generators": draw(st.sampled_from([generators] * 6 + ["x", {}]))}
+    if draw(st.integers(0, 4)) == 0:
+        spec[draw(GROUP_KEYS)] = generators
+    if draw(st.integers(0, 9)) == 0:
+        del spec[draw(st.sampled_from(["degree", "generators"]))]
+    return json.dumps(spec)
+
+
+@settings(max_examples=200, deadline=2000)
+@given(json_groups(), st.sampled_from(["text", "json"]))
+def test_marks_ends_cleanly_on_random_groups(group, fmt):
+    code, err = run(["marks", "--group", group, "--format", fmt])
+    assert_clean_exit(code, err)
+    if set(json.loads(group)) - {"degree", "generators"}:
+        assert code == 2, err  # a misspelled key is refused

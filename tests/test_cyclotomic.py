@@ -519,6 +519,16 @@ def at_order(x: CyclotomicInteger, target: int) -> CyclotomicInteger:
     return CyclotomicInteger(target, spread(x, target))
 
 
+@settings(max_examples=100, deadline=None)
+@given(wide_cyclotomics(1), st.integers(1, 4))
+def test_at_order_matches_the_spread_coordinates(values, k):
+    (x,) = values
+    assert same(x.at_order(k * x.order), at_order(x, k * x.order))
+    if x.order > 1:
+        with pytest.raises(ValueError, match="does not divide"):
+            x.at_order(k * x.order + 1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(wide_cyclotomics(2))
 def test_every_operation_gives_what_the_validating_constructor_gives(values):

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import aprings
-from aprings.annihilator import IntegerRoots, RootSpec, RootsOfUnity, annihilating_polynomial
+from aprings.annihilator import (
+    IntegerRoots,
+    RootSpec,
+    RootsOfUnity,
+    annihilating_polynomial,
+    root_sum_set,
+)
 from aprings.cyclotomic import CyclotomicInteger, _galois_action, poly_from_roots
 from aprings.errors import (
     CarrierBoundExceeded,
@@ -36,12 +42,15 @@ from aprings.rings import (
     RingModel,
     ZRing,
     _hermite_rows,
+    annihilated_on_sum_set,
     bundled_model,
     construct_model,
     parse_element,
     poly_eval_in_ring,
     verify_annihilated,
 )
+
+from aprings.verification import ANNIHILATION_MODELS
 
 from test_oracle import NAMED, random_generator, random_quotient_cases, random_quotients, zero_ring
 
@@ -682,6 +691,69 @@ def test_generating_polynomial_has_the_roots_of_the_spec(model):
     """q, built from the root spec atom by atom, is the monic polynomial
     with exactly the spec's roots."""
     assert model.generating_polynomial() == poly_from_roots(model.root_spec().roots())
+
+
+Z_C4_X_Z_C3 = {"kind": "product", "left": _group_ring(4), "right": _group_ring(3)}
+
+
+def _free(model) -> bool:
+    """Whether the model is free, or a product of free models: then its
+    ghost is jointly injective into domains."""
+    if isinstance(model, ProductRing):
+        return _free(model.left) and _free(model.right)
+    return isinstance(model, FreeRing)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [pytest.param(bundled_model(name), id=name)
+     for name in dict.fromkeys(ANNIHILATION_MODELS + FINITE_BUNDLED)]
+    + [pytest.param(m, id=f"random{i}") for i, m in enumerate(random_quotients())]
+    + [pytest.param(_product_pair(name), id=name) for name in PRODUCT_PAIRS]
+    + [pytest.param(construct_model(Z_C4_X_Z_C3), id="Z[C4]xZ[C3]")],
+)
+def test_annihilation_on_the_sum_set_matches_the_expansion(model):
+    """At n = length(r) the decision on T_n gives verify_annihilated's
+    degree and answer.  At n - 1 it gives the expanded p_(n-1)'s answer
+    on a free model (or a product of free ones); on a finite quotient
+    membership is sufficient only: p_(n-1) may vanish mod N or J at r
+    while a least lift's ghost misses T_(n-1)."""
+    spec, negatives = model.root_spec(), 0
+    for r in random_elements(model, 16, seed=5):
+        report = verify_annihilated(model, r)
+        n = report.length
+        assert annihilated_on_sum_set(model, n, r) == (report.degree, report.annihilated) == (
+            report.degree, True)
+        if n == 0:
+            continue
+        p = annihilating_polynomial(spec, n - 1) if n > 1 else IntPolynomial.x()
+        expected = model.is_root(p, r)
+        degree, annihilated = annihilated_on_sum_set(model, n - 1, r)
+        assert degree == p.degree
+        if _free(model):
+            assert annihilated == expected
+        else:
+            assert expected or not annihilated
+        negatives += not expected
+    assert negatives > 0
+
+
+def test_annihilation_on_the_sum_set_is_only_sufficient_on_a_quotient():
+    # in Z3, p_2 = X^3 - 4X kills 1 = -2, though the least lift 1 is not in T_2 = {-2, 0, 2}
+    z3 = bundled_model("Z3")
+    assert z3.is_root(annihilating_polynomial(z3.root_spec(), 2), z3.one())
+    assert annihilated_on_sum_set(z3, 2, z3.one()) == (3, False)
+
+
+def test_a_product_embeds_its_factors_values_at_the_common_order():
+    model = construct_model(Z_C4_X_Z_C3)
+    r = parse_element(model, "L.g + R.g")
+    values = model.lift_ghost(r)
+    assert model.root_spec().common_order() == 12
+    assert {v.order for v in values} == {12}
+    i, w = CyclotomicInteger.zeta(12, 3), CyclotomicInteger.zeta(12, 4)
+    assert set(values) >= {i, w, CyclotomicInteger.from_int(1, 12)}
+    assert annihilated_on_sum_set(model, 2, r) == (len(root_sum_set(model.root_spec(), 2)), True)
 
 
 def _preset(name):
