@@ -194,7 +194,7 @@ class SumSet:
         return {
             "order": self.order,
             "n": self.n,
-            "elements": [[decimal_str(c) for c in e.coords] for e in self.elements],
+            "elements": [list(map(decimal_str, e.coords)) for e in self.elements],
         }
 
 

@@ -70,6 +70,11 @@ def _json_parts(value, indent: str, parts: list[str]) -> None:
         inner = indent + "  "
         items = (",\n" + inner).join(map(encode_basestring_ascii, value))
         parts.append(f"[\n{inner}{items}\n{indent}]")
+    elif (
+        type(value) is list and type(value[0]) is list and value[0] and type(value[0][0]) is str
+        and (text := _str_rows(value, indent))
+    ):
+        parts.append(text)
     else:
         inner = indent + "  "
         is_dict = isinstance(value, dict)
@@ -81,6 +86,22 @@ def _json_parts(value, indent: str, parts: list[str]) -> None:
                 item = value[item]
             _json_parts(item, inner, parts)
         parts.append("\n" + indent + ("}" if is_dict else "]"))
+
+
+def _str_rows(rows: list, indent: str) -> Optional[str]:
+    """`rows` as `_json_parts` writes it when every row is a non-empty
+    list of str, written in one pass; None when some row is not."""
+    inner = indent + "  "
+    sep = ",\n" + inner + "  "
+    out = []
+    try:
+        for row in rows:
+            if type(row) is not list or not row:
+                return None
+            out.append(f"[\n{inner}  {sep.join(map(encode_basestring_ascii, row))}\n{inner}]")
+    except TypeError:  # an item that is not a str
+        return None
+    return f"[\n{inner}" + (",\n" + inner).join(out) + f"\n{indent}]"
 
 
 def _emit_json(payload) -> None:

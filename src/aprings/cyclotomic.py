@@ -12,6 +12,7 @@ hashes as its coordinate tuple.
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import accumulate, repeat
 from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Optional, Sequence
@@ -24,8 +25,7 @@ from .intpoly import IntPolynomial, decimal_str, format_terms, packed_product, r
 
 
 def divisors(n: int) -> list[int]:
-    ds = [d for d in range(1, n + 1) if n % d == 0]
-    return ds
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 @lru_cache(maxsize=None)
@@ -146,9 +146,9 @@ class CyclotomicInteger:
     a fault that `+`, `-`, `*` and `==` report with ValueError.  p_n
     never builds a set of these objects: `annihilator._sums` enumerates
     T_n on packed integers, and `poly_from_roots` keys the roots by
-    coordinate tuple and rotates them and takes their powers with
-    `_times` on those tuples.  Only the orbit polynomials of irrational
-    roots are expanded in this class's arithmetic.
+    coordinate tuple and rotates, powers and traces them with `_times`
+    on those tuples.  Its one use of this class's arithmetic is the
+    Horner check that each orbit factor vanishes at its root.
     """
 
     __slots__ = ("order", "coords")
@@ -317,26 +317,32 @@ def _galois_action(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     )
 
 
-def _orbit_polynomial(m: int, orbit: list[tuple[int, ...]]) -> IntPolynomial:
-    """prod (X - sigma) over one Galois orbit, expanded in Z[zeta_m] and
-    descended to Z."""
-    coeffs = [CyclotomicInteger.from_int(1, m)]
-    for key in orbit:
-        minus = CyclotomicInteger._reduced(m, tuple(-c for c in key))
-        coeffs = (
-            [minus * coeffs[0]]
-            + [lo + minus * hi for lo, hi in zip(coeffs, coeffs[1:])]
-            + [coeffs[-1]]
-        )
-    out = []
-    for k, c in enumerate(coeffs):
-        n = c.as_int()
-        if n is None:
-            raise NonIntegerCoefficient(
-                f"coefficient of X^{k} is not a rational integer: {c}"
-            )
-        out.append(n)
-    return IntPolynomial(out)
+@lru_cache(maxsize=None)
+def _trace_vector(m: int) -> tuple[int, ...]:
+    """Tr(zeta^j), j < phi(m): the constant coordinates of the conjugates
+    of zeta^j, summed.  Tr(x) is its dot product with x's coordinates."""
+    return tuple(map(sum, zip(*(rows[0] for rows in _galois_action(m)))))
+
+
+def _orbit_factor(m: int, u: tuple[int, ...], s: int) -> IntPolynomial:
+    """prod (Y - sigma(u)) over the s distinct conjugates of u.  The trace
+    counts each conjugate phi(m)/s times, so the power sums are
+    P_j = s Tr(u^j) / phi(m), and by Newton's identities the coefficient
+    c_j of Y^(s-j) is -(c_(j-1) P_1 + ... + c_0 P_j) / j.  Every division
+    must be exact, and the factor must vanish at u by Horner's rule."""
+    trace = _trace_vector(m)
+    sums, coeffs = [], [1]
+    for j, power in enumerate(accumulate(repeat(u, s), partial(_times, m)), 1):
+        p, r = divmod(s * sum(map(mul, trace, power)), len(trace))
+        sums.append(p)
+        c, r2 = divmod(-sum(map(mul, reversed(coeffs), sums)), j)
+        if r or r2:
+            raise CheckFailed(f"the power sums of {s} conjugates give no integer coefficient of Y^{s - j}")
+        coeffs.append(c)
+    factor = IntPolynomial(reversed(coeffs))
+    if factor(CyclotomicInteger._reduced(m, u)) != 0:
+        raise CheckFailed(f"the orbit factor {factor} does not vanish at {CyclotomicInteger(m, u)}")
+    return factor
 
 
 def _rotation(m: int, nonzero: set[tuple[int, ...]]):
@@ -364,27 +370,6 @@ def _rotation(m: int, nonzero: set[tuple[int, ...]]):
             return k, step
 
 
-def _galois_orbits(m: int, keys: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
-    """The distinct roots split into orbits under zeta -> zeta^a, each
-    sorted; raises NonIntegerCoefficient naming a missing conjugate."""
-    remaining = set(keys)
-    action = _galois_action(m)
-    orbits = []
-    for key in sorted(keys):
-        if key not in remaining:
-            continue
-        orbit = {tuple(sum(map(mul, key, row)) for row in rows) for rows in action}
-        missing = orbit - remaining
-        if missing:
-            raise NonIntegerCoefficient(
-                f"the conjugate {CyclotomicInteger(m, min(missing))} of the root "
-                f"{CyclotomicInteger(m, key)} is missing"
-            )
-        remaining -= orbit
-        orbits.append(sorted(orbit))
-    return orbits
-
-
 def poly_from_roots(roots: Iterable[CyclotomicInteger]) -> IntPolynomial:
     """Monic integer polynomial with the given distinct cyclotomic roots.
 
@@ -392,15 +377,16 @@ def poly_from_roots(roots: Iterable[CyclotomicInteger]) -> IntPolynomial:
     maps the nonzero roots onto themselves (`_rotation` finds the largest
     such k | lcm(2, m)), they fall into classes t*mu_k with distinct k-th
     powers, and the product is X^[0 is a root] * G(X^k),
-    G = prod (Y - t^k) over the classes, with t the least member.
-    The powers are split into orbits under zeta -> zeta^a, gcd(a, m) = 1.
-    A one-element orbit is a rational root a, whose factor Y - a is taken
-    as it stands; each other orbit's minimal polynomial (degree at most
-    phi(m)) is expanded exactly in Z[zeta_m] and descended to Z, and
-    `packed_product` multiplies the factors into one packed integer.
+    G = prod (Y - t^k) over the classes, with t the least member.  Each
+    conjugate of t under zeta -> zeta^a, gcd(a, m) = 1, is mapped to its
+    class, so the classes split into Galois orbits, and a conjugate that
+    is no root is named with t.  An orbit of s classes holds the s
+    conjugates of u = t^k: its factor is Y - u when s = 1, else
+    `_orbit_factor`'s.  `packed_product` multiplies the factors.
     Raises NonIntegerCoefficient when a conjugate of a root is missing
-    (then some coefficient is irrational), and ValueError on a repeated
-    root or on roots of two orders.
+    (then some coefficient is irrational), ValueError on a repeated root
+    or on roots of two orders, and CheckFailed when a factor or the
+    degree fails its check.
     """
     rs = list(roots)
     if not rs:
@@ -413,24 +399,37 @@ def poly_from_roots(roots: Iterable[CyclotomicInteger]) -> IntPolynomial:
         raise ValueError("duplicate roots")
     nonzero = set(keys) - {(0,) * len(keys[0])}
     k, step = _rotation(m, nonzero)
-    powers = []
-    for key in sorted(nonzero):
-        if key in step:
-            powers.append(repeated_doubling(key, k, None, partial(_times, m)))
+    cls, reps = {}, []  # the least member of each root's class; those members, ascending
+    for t in sorted(nonzero):
+        if t not in cls:
+            reps.append(t)
             for _ in range(k):
-                key = step.pop(key)
-    try:
-        orbits = _galois_orbits(m, powers)
-    except NonIntegerCoefficient:
-        # the k-th powers are Galois-closed exactly when the roots are, so
-        # the roots themselves name a missing conjugate
-        _galois_orbits(m, keys)
-        raise
-    g = packed_product(
-        IntPolynomial((-orbit[0][0], 1)) if len(orbit) == 1 else _orbit_polynomial(m, orbit)
-        for orbit in orbits
-    )
+                cls[t] = reps[-1]
+                t = step[t]
+    done, factors = set(), []
+    for t in reps:
+        if t in done:
+            continue
+        images = [tuple(sum(map(mul, t, row)) for row in rows) for rows in _galois_action(m)]
+        if missing := [image for image in images if image not in cls]:
+            raise NonIntegerCoefficient(
+                f"the conjugate {CyclotomicInteger(m, min(missing))} of the root "
+                f"{CyclotomicInteger(m, t)} is missing"
+            )
+        orbit = {cls[image] for image in images}
+        done |= orbit
+        u = repeated_doubling(t, k, None, partial(_times, m))
+        if len(orbit) > 1:
+            factors.append(_orbit_factor(m, u, len(orbit)))
+        elif any(u[1:]):
+            raise CheckFailed(f"the Galois-fixed power {CyclotomicInteger(m, u)} is irrational")
+        else:
+            factors.append(IntPolynomial((-u[0], 1)))
+    g = packed_product(factors)
     has_zero = len(nonzero) < len(keys)
-    coeffs = [0] * (k * g.degree + 1 + has_zero)
+    degree = k * g.degree + has_zero
+    if degree != len(keys):
+        raise CheckFailed(f"the product of the orbit factors has degree {degree}, not {len(keys)}")
+    coeffs = [0] * (degree + 1)
     coeffs[has_zero::k] = g.coeffs
     return IntPolynomial(coeffs)

@@ -220,11 +220,25 @@ class IntPolynomial:
         return IntPolynomial(quot), IntPolynomial(rem)
 
     def __call__(self, value):
-        """Horner evaluation; works for ints and any ring-like value."""
+        """Horner evaluation; works for ints and any ring-like value.
+
+        Writing the polynomial as X^e G(X^k), with k the largest power of
+        2 that divides every exponent past e, Horner runs over the
+        coefficients of G at value^k, reached by log2 k squarings; then
+        one power of value multiplies in X^e."""
+        cs = self.coeffs
+        e = 0
+        while e < len(cs) and not cs[e]:
+            e += 1
+        cs = cs[e:]
+        x = value
+        while len(cs) > 1 and not any(cs[1::2]):
+            cs = cs[::2]
+            x = x * x
         result = 0
-        for c in reversed(self.coeffs):
-            result = result * value + c
-        return result
+        for c in reversed(cs):
+            result = result * x + c
+        return result * repeated_doubling(value, e, None, mul) if e else result
 
     # -- identity -----------------------------------------------------
 

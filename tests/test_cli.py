@@ -1007,7 +1007,29 @@ def test_json_writer_matches_the_stdlib_on_random_trees(payload):
     assert written(payload) == stdlib_json(payload)
 
 
-@pytest.mark.parametrize("payload", [1.5, {"a": [0.0]}, {1: "one"}, {"a": {2, 3}}])
+# lists of string lists, the shape of a sum set's elements, next to
+# empty rows, tuples, non-string items and non-list rows
+row_items = st.one_of(st.text(), st.integers(), st.none())
+string_rows = st.lists(
+    st.one_of(
+        st.lists(st.text(), min_size=1, max_size=3),
+        st.lists(st.text(), max_size=3),
+        st.lists(row_items, min_size=1, max_size=3),
+        st.tuples(st.text()),
+        st.text(),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(string_rows, st.text(max_size=2))
+def test_json_writer_matches_the_stdlib_on_string_rows(rows, key):
+    assert written(rows) == stdlib_json(rows)
+    assert written({key: [rows]}) == stdlib_json({key: [rows]})
+
+
+@pytest.mark.parametrize("payload", [1.5, {"a": [0.0]}, {1: "one"}, {"a": {2, 3}}, [["x", 0.5]]])
 def test_json_writer_refuses_what_no_payload_holds(payload):
     with pytest.raises(TypeError):
         written(payload)

@@ -6,17 +6,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from aprings.annihilator import IntegerRoots, RootSpec, RootsOfUnity, _sums, root_sum_set
+from aprings import cyclotomic
 from aprings.cyclotomic import (
     MAX_CYCLOTOMIC_ORDER,
     CyclotomicInteger,
     _galois_action,
+    _orbit_factor,
     _rotation,
     _times,
     cyclotomic_polynomial,
     euler_phi,
     poly_from_roots,
 )
-from aprings.errors import NonIntegerCoefficient, UnsupportedOrder
+from aprings.errors import CheckFailed, NonIntegerCoefficient, UnsupportedOrder
 from aprings.intpoly import IntPolynomial
 from aprings.rings import bundled_model
 
@@ -222,7 +224,9 @@ def root_specs(draw):
     kind = draw(st.sampled_from(["unity", "integers", "mixed"]))
     if kind == "integers":
         return RootSpec.integers(*draw(st.sets(st.integers(-4, 4), min_size=1, max_size=4)))
-    m = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12, 16]))
+    # 7 and 9 have cyclic unit groups of order 6, and 8, 12, 15, 20 and 24
+    # non-cyclic ones; their sum sets hold orbits in several subfields
+    m = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 20, 24]))
     if kind == "unity":
         return RootSpec.unity(m)
     in_mu = {1, -1} if m % 2 == 0 else {1}
@@ -230,7 +234,7 @@ def root_specs(draw):
     return RootSpec((RootsOfUnity(m), IntegerRoots(tuple(values))))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     root_specs(),
     st.integers(1, 3),
@@ -243,6 +247,72 @@ def test_poly_from_roots_matches_reference_expansion(spec, n, mode, rnd):
     assume(len(roots) * euler_phi(order) <= 600)
     rnd.shuffle(roots)
     assert poly_from_roots(roots) == reference_poly_from_roots(roots)
+
+
+@pytest.mark.parametrize("m", [7, 9, 15, 20, 24])
+@pytest.mark.parametrize("mode", ["signed", "unsigned"])
+def test_poly_from_roots_on_orders_with_subfield_orbits(m, mode):
+    """T_1 and T_2 of mu_m.  T_1 holds an orbit of primitive d-th roots
+    of unity for every d | m, and T_2 the sums zeta^a + zeta^b, many of
+    whose orbits lie in proper subfields, down to the rationals 0 and
+    +-2."""
+    for n in (1, 2):
+        roots = list(_sums(RootSpec.unity(m), n, mode, 20000))
+        if len(roots) * euler_phi(m) <= 1000:
+            assert poly_from_roots(roots) == reference_poly_from_roots(roots)
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 8, 9, 12, 15, 16, 20, 24])
+def test_the_orbit_factor_of_zeta_is_phi_m(m):
+    zeta = CyclotomicInteger.zeta(m).coords
+    assert _orbit_factor(m, zeta, euler_phi(m)) == cyclotomic_polynomial(m)
+    # zeta + zeta^-1 generates the real subfield, of degree phi(m)/2
+    real = (CyclotomicInteger.zeta(m) + CyclotomicInteger.zeta(m, -1)).coords
+    expected = reference_poly_from_roots(
+        {CyclotomicInteger.zeta(m, a) + CyclotomicInteger.zeta(m, -a)
+         for a in range(1, m) if math.gcd(a, m) == 1}
+    )
+    assert _orbit_factor(m, real, euler_phi(m) // 2) == expected
+
+
+FAULT_CASES = [(RootSpec.unity(m), n) for m, n in ((5, 2), (8, 2), (9, 2), (12, 3), (16, 2))]
+
+
+@pytest.mark.parametrize("spec, n", FAULT_CASES)
+@pytest.mark.parametrize("corrupt", [1, -1, "doubled"])
+def test_a_corrupted_trace_vector_raises_check_failed(monkeypatch, spec, n, corrupt):
+    """Tr(1) moved by +-1, or every Tr(zeta^j) doubled.  (A change to
+    Tr(zeta) alone can be harmless: in Q(zeta_5) every real value has a
+    zero zeta coordinate.)"""
+    roots = root_sum_set(spec, n).elements
+    expected = poly_from_roots(roots)
+    real = cyclotomic._trace_vector
+
+    def corrupted(m):
+        trace = real(m)
+        if corrupt == "doubled":
+            return tuple(2 * t for t in trace)
+        return (trace[0] + corrupt,) + trace[1:]
+
+    monkeypatch.setattr(cyclotomic, "_trace_vector", corrupted)
+    with pytest.raises(CheckFailed):
+        poly_from_roots(roots)
+    monkeypatch.undo()
+    assert poly_from_roots(roots) == expected
+
+
+@pytest.mark.parametrize("spec, n", FAULT_CASES)
+@pytest.mark.parametrize(
+    "wrong", [lambda s: s - 1, lambda s: s + 1, lambda s: 2 * s], ids=["s-1", "s+1", "2s"]
+)
+def test_a_wrong_orbit_size_raises_check_failed(monkeypatch, spec, n, wrong):
+    """s - 1 and s + 1 power sums give no factor that vanishes at u;
+    2s give its square, which does, and the degree check refuses it."""
+    roots = root_sum_set(spec, n).elements
+    real = cyclotomic._orbit_factor
+    monkeypatch.setattr(cyclotomic, "_orbit_factor", lambda m, u, s: real(m, u, wrong(s)))
+    with pytest.raises(CheckFailed):
+        poly_from_roots(roots)
 
 
 def stabiliser_order(roots):

@@ -3,7 +3,7 @@ from functools import reduce
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from aprings.annihilator import annihilating_polynomial, root_sum_set
 from aprings.cyclotomic import CyclotomicInteger
@@ -144,6 +144,72 @@ def test_str_rendering():
 def test_eval_at_int():
     p = IntPolynomial((9, 0, -10, 0, 1))
     assert p(3) == 0 and p(1) == 0 and p(0) == 9
+
+
+def dense_horner(coeffs, value):
+    """Horner's rule over every coefficient, zeros included: the reference."""
+    result = 0
+    for c in reversed(coeffs):
+        result = result * value + c
+    return result
+
+
+@st.composite
+def decimated_polynomials(draw):
+    """X^e G(X^(2^j)): the zero polynomial, constants and pure X^e among
+    them, with G drawn sparse or dense."""
+    e = draw(st.integers(0, 6))
+    spread = 2 ** draw(st.integers(0, 3))
+    g = draw(st.lists(st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**70), 2**70)), max_size=5))
+    coeffs = [0] * (e + spread * max(len(g) - 1, 0) + 1)
+    coeffs[e::spread] = g or [0]
+    return coeffs
+
+
+cyclotomic_values = st.builds(
+    lambda m, cs: CyclotomicInteger(m, cs),
+    st.sampled_from([1, 4, 5, 8, 12]),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=8),
+)
+
+
+@given(
+    st.one_of(decimated_polynomials(), st.lists(st.integers(-9, 9), max_size=9)),
+    st.one_of(st.integers(-5, 5), st.integers(-(2**40), 2**40), cyclotomic_values),
+)
+@example([], 3)
+@example([], CyclotomicInteger.zeta(8))
+@example([-7], 3)
+@example([-7], CyclotomicInteger.zeta(8))
+@example([0, 0, 0, 0, 0, 1], -2)
+@example([0, 0, 0, 0, 0, 1], CyclotomicInteger.zeta(8))
+@example([0, 0, 0, 0, 0, 0, 0, 0, 1], CyclotomicInteger.zeta(12))
+def test_decimated_horner_matches_dense_horner(coeffs, value):
+    assert IntPolynomial(coeffs)(value) == dense_horner(coeffs, value)
+
+
+def test_decimated_horner_steps_over_the_vanishing_coefficients(monkeypatch):
+    """X^3 (X^8 - 2) = X^3 G(X^8) with G = Y - 2 takes three squarings to
+    reach value^8, two Horner steps, two products for value^3 and one to
+    join them: 8 products where dense Horner takes 12."""
+    calls = []
+    real = CyclotomicInteger.__mul__
+
+    def spy(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(CyclotomicInteger, "__mul__", spy)
+    monkeypatch.setattr(CyclotomicInteger, "__rmul__", spy)
+    coeffs = [0, 0, 0, -2] + [0] * 7 + [1]
+    z = CyclotomicInteger.zeta(16)
+    assert IntPolynomial(coeffs)(z) == z**11 - 2 * z**3
+    calls.clear()
+    IntPolynomial(coeffs)(z)
+    assert len(calls) == 8
+    calls.clear()
+    dense_horner(coeffs, z)
+    assert len(calls) == 12
 
 
 def test_divmod_exact_monic():
