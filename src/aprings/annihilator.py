@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, lcm, prod
-from typing import Literal, Optional, Union
+from typing import Literal, Optional
 
 from .config import Limits, default_limits
 from .cyclotomic import CyclotomicInteger, cyclotomic_polynomial, poly_from_roots
@@ -27,146 +27,113 @@ SignMode = Literal["signed", "unsigned"]
 _MODES = ("signed", "unsigned")
 
 
-@dataclass(frozen=True)
-class IntegerRoots:
-    """A finite set of pairwise distinct integer roots."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        values = tuple(int(v) for v in self.values)
-        if len(set(values)) != len(values):
-            raise ExpressionError("integer roots must be pairwise distinct")
-        object.__setattr__(self, "values", tuple(sorted(values)))
-
-    def to_json(self) -> dict:
-        return {"kind": "integers", "values": list(self.values)}
+_OVERLAP = "atoms overlap: the union of root sets must be duplicate-free"
 
 
-@dataclass(frozen=True)
-class RootsOfUnity:
-    """All m-th roots of unity (not only the primitive ones)."""
-
-    order: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ExpressionError("order must be positive")
-
-    def to_json(self) -> dict:
-        return {"kind": "roots_of_unity", "order": self.order}
-
-
-Atom = Union[IntegerRoots, RootsOfUnity]
+def _rational_units(m: Optional[int]) -> set[int]:
+    """The integers among the m-th roots of unity; none without mu_m."""
+    return set() if m is None else {1, -1} if m % 2 == 0 else {1}
 
 
 @dataclass(frozen=True)
 class RootSpec:
-    """Union of root atoms describing the complex roots of q(X)."""
+    """The complex roots of q(X): all m-th roots of unity mu_m when
+    `mu` = m is given, and the integer roots `ints`, kept sorted.  Any
+    two sets of roots of unity share 1, so one mu_m is all a spec can
+    hold.  A spec is checked once, when it is built: the integers are
+    pairwise distinct, there is at least one root, and no integer lies
+    in mu_m."""
 
-    atoms: tuple[Atom, ...]
+    mu: Optional[int]
+    ints: tuple[int, ...] = ()
 
     def __post_init__(self):
-        atoms = tuple(self.atoms)
-        if not atoms:
+        if self.mu is not None and self.mu < 1:
+            raise ExpressionError("order must be positive")
+        ints = tuple(sorted(int(v) for v in self.ints))
+        if len(set(ints)) != len(ints):
+            raise ExpressionError("integer roots must be pairwise distinct")
+        if self.mu is None and not ints:
             raise ExpressionError("a root spec needs at least one atom")
-        object.__setattr__(self, "atoms", atoms)
+        if _rational_units(self.mu) & set(ints):
+            raise ExpressionError(_OVERLAP)
+        object.__setattr__(self, "ints", ints)
 
     @staticmethod
     def integers(*values: int) -> "RootSpec":
-        return RootSpec((IntegerRoots(tuple(values)),))
+        return RootSpec(None, values)
 
     @staticmethod
     def unity(order: int) -> "RootSpec":
-        return RootSpec((RootsOfUnity(order),))
+        return RootSpec(order)
 
     def common_order(self) -> int:
-        return lcm(*(atom.order for atom in self.atoms if isinstance(atom, RootsOfUnity)))
+        return self.mu or 1
 
     def roots(self) -> tuple[CyclotomicInteger, ...]:
-        """All roots, at the common order; duplicates are an error."""
+        """All roots, at the common order, sorted."""
         order = self.common_order()
-        out: list[CyclotomicInteger] = []
-        for atom in self.atoms:
-            if isinstance(atom, IntegerRoots):
-                out.extend(CyclotomicInteger.from_int(v, order) for v in atom.values)
-            else:
-                step = order // atom.order
-                out.extend(CyclotomicInteger.zeta(order, j * step) for j in range(atom.order))
-        if len({r.coords for r in out}) != len(out):
-            raise ExpressionError("atoms overlap: the union of root sets must be duplicate-free")
+        out = [CyclotomicInteger.from_int(v, order) for v in self.ints]
+        out.extend(CyclotomicInteger.zeta(order, j) for j in range(self.mu or 0))
         return tuple(sorted(out, key=lambda r: r.sort_key()))
 
-    def _split(self) -> tuple[list[int], list[int]]:
-        """(roots-of-unity orders, integer roots) over all atoms."""
-        orders = [atom.order for atom in self.atoms if isinstance(atom, RootsOfUnity)]
-        ints = [v for atom in self.atoms if isinstance(atom, IntegerRoots) for v in atom.values]
-        return orders, ints
-
     def polynomial(self) -> IntPolynomial:
-        """q: the product of X^m - 1 over the roots-of-unity atoms and of
-        X - v over the integer roots.  The common order is checked against
-        the cyclotomic degree cap, as `roots` checks it.  Two atoms overlap
-        exactly when they share a rational root: mu_a and mu_b share 1, an
-        integer atom meets mu_m only in 1 and, for an even m, -1.  So an
-        overlap raises the error of `roots` with no root built."""
+        """q: X^m - 1 for mu_m times X - v for each integer root v.  The
+        order is checked against the cyclotomic degree cap, as `roots`
+        checks it."""
         cyclotomic_polynomial(self.common_order())
-        orders, ints = self._split()
-        rational = ints + [v for m in orders for v in ((1, -1) if m % 2 == 0 else (1,))]
-        if len(set(rational)) != len(rational):
-            raise ExpressionError("atoms overlap: the union of root sets must be duplicate-free")
-        factors = [IntPolynomial.monomial(m) - 1 for m in orders]
-        return packed_product(factors + [IntPolynomial((-v, 1)) for v in ints])
+        factors = [IntPolynomial.monomial(self.mu) - 1] if self.mu else []
+        return packed_product(factors + [IntPolynomial((-v, 1)) for v in self.ints])
 
     def union_with_zero(self, other: "RootSpec") -> "RootSpec":
         """The roots of both specs and 0.  Roots of unity merge into
         mu_lcm of their orders, which may strictly enlarge the root set
         (mu_2 and mu_3 give mu_6); the result still holds every root of
-        both and stays duplicate-free."""
-        orders, ints = self._split()
-        more_orders, more_ints = other._split()
-        ints = {0, *ints, *more_ints}
-        atoms: list[Atom] = []
-        if orders or more_orders:
-            m = lcm(*orders, *more_orders)
-            ints -= {1, -1} if m % 2 == 0 else {1}
-            atoms.append(RootsOfUnity(m))
-        return RootSpec((*atoms, IntegerRoots(tuple(ints))))
+        both."""
+        mu = lcm(self.mu or 1, other.mu or 1) if self.mu or other.mu else None
+        return RootSpec(mu, tuple({0, *self.ints, *other.ints} - _rational_units(mu)))
 
     def unity_order(self) -> Optional[int]:
-        """m when the spec is the single atom mu_m, else None."""
-        atom = self.atoms[0]
-        return atom.order if len(self.atoms) == 1 and isinstance(atom, RootsOfUnity) else None
+        """m when the spec is mu_m alone, else None."""
+        return None if self.ints else self.mu
 
     def to_json(self) -> dict:
-        return {"atoms": [atom.to_json() for atom in self.atoms]}
+        atoms = [{"kind": "roots_of_unity", "order": self.mu}] if self.mu else []
+        if self.ints:
+            atoms.append({"kind": "integers", "values": list(self.ints)})
+        return {"atoms": atoms}
 
     @staticmethod
     def from_json(data: dict) -> "RootSpec":
-        """The spec that `to_json` writes; a malformed one raises
-        ExpressionError, and so does one with an atom without roots, as
-        one without atoms does."""
+        """The spec of a list of atoms with disjoint root sets, such as
+        `to_json` writes; a malformed list raises ExpressionError, and so
+        does one whose atoms overlap (two roots_of_unity atoms always do),
+        as one without atoms does."""
         raw_atoms = data.get("atoms") if isinstance(data, dict) else None
         if not isinstance(raw_atoms, list):
             raise ExpressionError(f"a root spec needs a list 'atoms', got {data!r}")
         known_keys(data, ("atoms",), "a root spec")
-        atoms: list[Atom] = []
-        for raw in raw_atoms:
-            kind = raw.get("kind") if isinstance(raw, dict) else None
-            if kind == "integers":
-                known_keys(raw, ("kind", "values"), "root atom 'integers'")
-                values = raw.get("values")
-                if not isinstance(values, list) or not values:
-                    raise ExpressionError(
-                        f"'values' must be a nonempty list of integers, got {values!r}"
-                    )
-                atoms.append(IntegerRoots(tuple(_json_int("values", v) for v in values)))
-            elif kind == "roots_of_unity":
-                known_keys(raw, ("kind", "order"), "root atom 'roots_of_unity'")
-                atoms.append(RootsOfUnity(_json_int("order", raw.get("order"))))
-            else:
-                raise ExpressionError(f"unknown root atom kind: {kind!r}")
-        return RootSpec(tuple(atoms))
+        atoms = [_atom_from_json(raw) for raw in raw_atoms]
+        orders = [atom.mu for atom in atoms if atom.mu]
+        ints = [v for atom in atoms for v in atom.ints]
+        if len(orders) > 1 or len(set(ints)) != len(ints):
+            raise ExpressionError(_OVERLAP)
+        return RootSpec(orders[0] if orders else None, tuple(ints))
+
+
+def _atom_from_json(raw) -> RootSpec:
+    """One atom of a JSON root spec, as the spec of its roots alone."""
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if kind == "integers":
+        known_keys(raw, ("kind", "values"), "root atom 'integers'")
+        values = raw.get("values")
+        if not isinstance(values, list) or not values:
+            raise ExpressionError(f"'values' must be a nonempty list of integers, got {values!r}")
+        return RootSpec(None, tuple(_json_int("values", v) for v in values))
+    if kind == "roots_of_unity":
+        known_keys(raw, ("kind", "order"), "root atom 'roots_of_unity'")
+        return RootSpec(_json_int("order", raw.get("order")))
+    raise ExpressionError(f"unknown root atom kind: {kind!r}")
 
 
 def _json_int(key: str, value) -> int:
@@ -300,8 +267,7 @@ def annihilating_polynomial(
     before it is expanded."""
     limits = limits or default_limits()
     d = len(root_sum_set(spec, n, mode, limits))
-    orders, ints = spec._split()
-    rho = max([1] * bool(orders) + [abs(v) for v in ints], default=0)
+    rho = max([1] * bool(spec.mu) + [abs(v) for v in spec.ints])
     bits = (d + 1) * (d + 1 + d * (n * rho).bit_length())
     if bits > MAX_POLY_BITS:
         raise BoundExceeded(

@@ -143,7 +143,7 @@ class CyclotomicInteger:
     A value keeps its order: the roots of one q all sit at the common
     order of its root spec, so every sum set, orbit product and ghost
     value is computed at one order, and an operand of another order is
-    a fault that `+`, `-`, `*` and `==` report with ValueError.  p_n
+    a fault that `+`, `*` and `==` report with ValueError.  p_n
     never builds a set of these objects: `annihilator._sums` enumerates
     T_n on packed integers, and `poly_from_roots` keys the roots by
     coordinate tuple and rotates, powers and traces them with `_times`
@@ -225,18 +225,6 @@ class CyclotomicInteger:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "CyclotomicInteger":
-        other = _coerce(other, self.order)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "CyclotomicInteger":
-        other = _coerce(other, self.order)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __neg__(self) -> "CyclotomicInteger":
         return CyclotomicInteger._reduced(self.order, tuple(-c for c in self.coords))
 
@@ -249,11 +237,6 @@ class CyclotomicInteger:
         return CyclotomicInteger._reduced(self.order, _times(self.order, self.coords, other.coords))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "CyclotomicInteger":
-        if n < 0:
-            raise ValueError("negative exponent")
-        return repeated_doubling(self, n, CyclotomicInteger.from_int(1, self.order), mul)
 
     # -- identity -----------------------------------------------------
 

@@ -22,7 +22,6 @@ at any length).
 
 from __future__ import annotations
 
-from decimal import Decimal
 from itertools import zip_longest
 from math import prod
 from operator import mul
@@ -44,10 +43,12 @@ def repeated_doubling(x, n: int, identity, op: Callable):
 def decimal_str(n: int) -> str:
     """n in decimal at any length, also past sys.get_int_max_str_digits():
     `str` where the limit allows it, else the C `decimal` module, which
-    has no such limit."""
+    has no such limit (imported only then, as no other code needs it)."""
     try:
         return str(n)
     except ValueError:
+        from decimal import Decimal
+
         return str(Decimal(n))
 
 
@@ -187,11 +188,6 @@ class IntPolynomial:
         return packed_product((self, other))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "IntPolynomial":
-        if n < 0:
-            raise ValueError("negative exponent")
-        return repeated_doubling(self, n, IntPolynomial.constant(1), mul)
 
     def __divmod__(self, other: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Exact long division over the integers.

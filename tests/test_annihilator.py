@@ -1,6 +1,7 @@
 """Sum-set enumeration against a naive brute force, plus the closed forms."""
 
 import re
+from math import lcm
 from operator import add, sub
 
 import pytest
@@ -8,9 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from aprings import annihilator
 from aprings.annihilator import (
-    IntegerRoots,
     RootSpec,
-    RootsOfUnity,
     _sums,
     annihilating_polynomial,
     degree_bound,
@@ -62,7 +61,7 @@ def brute_sum_set(spec: RootSpec, n: int, mode: str) -> set:
         RootSpec.unity(8),
         RootSpec.unity(12),
         RootSpec.unity(5),
-        RootSpec((RootsOfUnity(3), IntegerRoots((0, 2)))),
+        RootSpec(3, (0, 2)),
     ],
     ids=["pm1", "pfister", "lopsided", "mu4", "mu8", "mu12", "mu5", "mu3+0,2"],
 )
@@ -112,8 +111,7 @@ HUGE = 10**300
 
 @st.composite
 def packing_specs(draw, largest=HUGE):
-    """One root spec: mu_m, an integer atom (possibly empty, with roots up
-    to +-largest), or both."""
+    """One root spec: mu_m, integer roots up to +-largest, or both."""
     kind = draw(st.sampled_from(["unity", "integers", "mixed"]))
     values = st.one_of(
         st.integers(-10, 10), st.integers(-largest, largest), st.sampled_from([-largest, largest])
@@ -122,8 +120,8 @@ def packing_specs(draw, largest=HUGE):
     if kind == "unity":
         return RootSpec.unity(m)
     in_mu = {1, -1} if kind == "mixed" else set()
-    ints = IntegerRoots(tuple(draw(st.sets(values.filter(lambda v: v not in in_mu), max_size=3))))
-    return RootSpec((ints,)) if kind == "integers" else RootSpec((RootsOfUnity(m), ints))
+    ints = draw(st.sets(values.filter(lambda v: v not in in_mu), min_size=kind == "integers", max_size=3))
+    return RootSpec(m if kind == "mixed" else None, tuple(ints))
 
 
 modes = st.sampled_from(["signed", "unsigned"])
@@ -164,10 +162,10 @@ def test_annihilator_matches_tuple_sums(spec, n, mode):
     assert annihilating_polynomial(spec, n, mode, limits) == poly_from_roots(roots)
 
 
-def test_empty_integer_atom_has_no_sums():
-    empty = RootSpec.integers()
-    assert _sums(empty, 3, "signed", 10) == ()
-    assert annihilating_polynomial(empty, 2) == IntPolynomial.constant(1)
+def test_a_spec_without_roots_is_refused():
+    for build in (RootSpec.integers, lambda: RootSpec(None)):
+        with pytest.raises(ExpressionError, match="^a root spec needs at least one atom$"):
+            build()
 
 
 def test_p_n_hashes_no_cyclotomic_integer(monkeypatch):
@@ -194,7 +192,7 @@ def test_sum_set_spec_examples():
         2,
     }
     i = CyclotomicInteger.zeta(4)
-    expected = {0 * i, 2 + 0 * i, -2 + 0 * i, 2 * i, -2 * i, 1 + i, 1 - i, -1 + i, -1 - i}
+    expected = {0 * i, 2 + 0 * i, -2 + 0 * i, 2 * i, -2 * i, 1 + i, 1 + -i, -1 + i, -1 + -i}
     assert set(root_sum_set(RootSpec.unity(4), 2).elements) == expected
     unsigned = root_sum_set(RootSpec.integers(0, 2), 2, "unsigned")
     assert {e.as_int() for e in unsigned.elements} == {0, 2, 4}
@@ -353,33 +351,42 @@ def test_degree_is_the_exact_lattice_count(k, n):
     assert annihilating_polynomial(spec, n).degree == len(root_sum_set(spec, n)) == exact_degree(n, k)
 
 
+def _unity(m):
+    return {"kind": "roots_of_unity", "order": m}
+
+
+def _integers(*values):
+    return {"kind": "integers", "values": list(values)}
+
+
 def test_root_spec_rejects_overlap():
     with pytest.raises(ExpressionError, match="^atoms overlap"):
-        RootSpec(
-            (RootSpec.integers(1, 2).atoms[0], RootSpec.unity(2).atoms[0])
-        ).roots()
+        RootSpec(2, (1, 2))
+    with pytest.raises(ExpressionError, match="^atoms overlap"):
+        RootSpec.from_json({"atoms": [_integers(1, 2), _unity(2)]})
 
 
 @pytest.mark.parametrize(
     "atoms, overlap",
     [
-        ((RootsOfUnity(2), IntegerRoots((1, 2))), True),
-        ((RootsOfUnity(4), IntegerRoots((-1,))), True),
-        ((RootsOfUnity(3), IntegerRoots((-1, 0))), False),
-        ((RootsOfUnity(1), IntegerRoots((-1, 2))), False),
-        ((RootsOfUnity(2), RootsOfUnity(3)), True),
-        ((IntegerRoots((1, 2)), IntegerRoots((2, 5))), True),
-        ((IntegerRoots((1, 2)), IntegerRoots((-3,))), False),
+        ([_unity(2), _integers(1, 2)], True),
+        ([_unity(4), _integers(-1)], True),
+        ([_unity(3), _integers(-1, 0)], False),
+        ([_unity(1), _integers(-1, 2)], False),
+        ([_unity(2), _unity(3)], True),
+        ([_integers(1, 2), _integers(2, 5)], True),
+        ([_integers(1, 2), _integers(-3)], False),
     ],
 )
 def test_polynomial_rejects_overlap_like_roots(atoms, overlap):
-    spec = RootSpec(atoms)
-    if not overlap:
-        assert spec.polynomial() == poly_from_roots(spec.roots())
-        return
-    for build in (spec.roots, spec.polynomial):
+    """An overlap is refused when the spec is built, so `polynomial` and
+    `roots` see only disjoint atoms, and agree on them."""
+    if overlap:
         with pytest.raises(ExpressionError, match="^atoms overlap"):
-            build()
+            RootSpec.from_json({"atoms": atoms})
+        return
+    spec = RootSpec.from_json({"atoms": atoms})
+    assert spec.polynomial() == poly_from_roots(spec.roots())
 
 
 @settings(max_examples=60, deadline=None)
@@ -397,22 +404,42 @@ def _refusal(build):
     return None
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(
+# lists of JSON atoms; the orders divide 120, so that every list has a
+# common order within the cyclotomic degree cap
+atom_lists = st.lists(
     st.one_of(
-        st.integers(1, 8).map(RootsOfUnity),
-        st.sets(st.integers(-3, 3), min_size=1, max_size=3).map(lambda v: IntegerRoots(tuple(v))),
+        st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]).map(_unity),
+        st.sets(st.integers(-3, 3), min_size=1, max_size=3).map(lambda v: _integers(*v)),
     ),
     min_size=1, max_size=3,
-))
-def test_polynomial_finds_an_overlap_exactly_when_the_roots_repeat(atoms):
-    # `polynomial` decides on the rational roots, `roots` on the built ones
-    spec = RootSpec(tuple(atoms))
-    assert _refusal(spec.polynomial) == _refusal(spec.roots)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(atom_lists)
+def test_from_json_refuses_exactly_when_the_roots_repeat(atoms):
+    """The roots of each atom, built from that atom alone and lifted to
+    the common order of all of them, repeat exactly when `from_json`
+    refuses the list as overlapping."""
+    specs = [RootSpec.from_json({"atoms": [atom]}) for atom in atoms]
+    order = lcm(*(spec.common_order() for spec in specs))
+    roots = [r.at_order(order).coords for spec in specs for r in spec.roots()]
+    repeated = len(set(roots)) != len(roots)
+    assert _refusal(lambda: RootSpec.from_json({"atoms": atoms})) == (
+        "atoms overlap: the union of root sets must be duplicate-free" if repeated else None
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(atom_lists.flatmap(lambda atoms: st.tuples(st.just(atoms), st.permutations(atoms))))
+def test_from_json_reads_the_atoms_in_any_order(lists):
+    atoms, permuted = lists
+    read = lambda data: _refusal(lambda: RootSpec.from_json(data)) or RootSpec.from_json(data)
+    assert read({"atoms": atoms}) == read({"atoms": permuted})
 
 
 def test_polynomial_keeps_the_cyclotomic_order_cap():
-    spec = RootSpec((RootsOfUnity(67), IntegerRoots((0,))))
+    spec = RootSpec(67, (0,))
     for build in (spec.roots, spec.polynomial):
         with pytest.raises(BoundExceeded, match="^deg Phi_67 = 66 exceeds the limit"):
             build()
@@ -435,14 +462,14 @@ def test_the_predicted_size_bounds_the_coefficient_bits(spec, n):
 @pytest.mark.parametrize(
     "a, b, union",
     [
-        (RootSpec.unity(2), RootSpec.unity(3), RootSpec((RootsOfUnity(6), IntegerRoots((0,))))),
-        (RootSpec.unity(4), RootSpec.unity(2), RootSpec((RootsOfUnity(4), IntegerRoots((0,))))),
-        (RootSpec.unity(3), RootSpec.integers(-1, 0, 1), RootSpec((RootsOfUnity(3), IntegerRoots((-1, 0))))),
+        (RootSpec.unity(2), RootSpec.unity(3), RootSpec(6, (0,))),
+        (RootSpec.unity(4), RootSpec.unity(2), RootSpec(4, (0,))),
+        (RootSpec.unity(3), RootSpec.integers(-1, 0, 1), RootSpec(3, (-1, 0))),
         (RootSpec.integers(-1, 1), RootSpec.integers(1, 2), RootSpec.integers(-1, 0, 1, 2)),
         (
-            RootSpec((RootsOfUnity(2), IntegerRoots((3,)))),
-            RootSpec((RootsOfUnity(5), IntegerRoots((-1, 7)))),
-            RootSpec((RootsOfUnity(10), IntegerRoots((0, 3, 7)))),
+            RootSpec(2, (3,)),
+            RootSpec(5, (-1, 7)),
+            RootSpec(10, (0, 3, 7)),
         ),
     ],
 )
@@ -451,11 +478,17 @@ def test_union_with_zero(a, b, union):
 
 
 def test_root_spec_json_roundtrip():
-    spec = RootSpec(
-        (RootSpec.integers(0, 2).atoms[0], RootSpec.unity(4).atoms[0])
-    )
-    again = RootSpec.from_json(spec.to_json())
-    assert again == spec
+    spec = RootSpec(4, (0, 2))
+    assert spec.to_json() == {"atoms": [_unity(4), _integers(0, 2)]}
+    assert RootSpec.from_json(spec.to_json()) == spec
+    # several atoms, in any order, are written back in the normal form
+    assert RootSpec.from_json({"atoms": [_integers(2), _unity(4), _integers(0)]}) == spec
+
+
+@settings(max_examples=100, deadline=None)
+@given(packing_specs(largest=50))
+def test_to_json_and_from_json_round_trip(spec):
+    assert RootSpec.from_json(spec.to_json()) == spec
 
 
 def test_presets():

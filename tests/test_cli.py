@@ -59,6 +59,52 @@ def test_annihilator_inline_json_unsigned(capsys):
     assert "roots: 0, 2, 4" in out
 
 
+MU = {"kind": "roots_of_unity", "order": 4}
+INTS = {"kind": "integers", "values": [0, 2]}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"atoms": [{"kind": "integers", "values": [2, 2]}]}, "integer roots must be pairwise distinct"),
+    ({"atoms": []}, "a root spec needs at least one atom"),
+    ({"atoms": [{"kind": "roots_of_unity", "order": 0}]}, "order must be positive"),
+    ({"atoms": [{"kind": "integers", "values": []}]},
+     "'values' must be a nonempty list of integers, got []"),
+    ({"atoms": [{"kind": "mu", "order": 2}]}, "unknown root atom kind: 'mu'"),
+    ({"atoms": [MU, {"kind": "roots_of_unity", "order": 3}]},
+     "atoms overlap: the union of root sets must be duplicate-free"),
+    ({"atoms": [{"kind": "integers", "values": [-1, 3]}, MU]},
+     "atoms overlap: the union of root sets must be duplicate-free"),
+    ({"atoms": [INTS, {"kind": "integers", "values": [2, 5]}]},
+     "atoms overlap: the union of root sets must be duplicate-free"),
+])
+def test_a_malformed_root_spec_names_its_fault(capsys, spec, message):
+    assert run_cli(capsys, "annihilator", "--q", json.dumps(spec), "--n", "1") == (
+        2, "", f"usage error: {message}\n"
+    )
+
+
+def test_a_spec_invalid_two_ways_is_refused_for_its_overlap_first(capsys):
+    """The overlap is found when the spec is built, before any root of
+    the order past the cyclotomic cap is."""
+    spec = {"atoms": [{"kind": "roots_of_unity", "order": 2}, {"kind": "roots_of_unity", "order": 67}]}
+    assert run_cli(capsys, "annihilator", "--q", json.dumps(spec), "--n", "1") == (
+        2, "", "usage error: atoms overlap: the union of root sets must be duplicate-free\n"
+    )
+
+
+def test_a_json_spec_is_echoed_in_its_normal_form(capsys):
+    """mu_m first, then one sorted integer atom, however the atoms were
+    listed; the roots and p_n do not depend on the listing."""
+    outputs = []
+    for atoms in ([MU, INTS], [{"kind": "integers", "values": [2]}, MU, {"kind": "integers", "values": [0]}]):
+        code, out, _ = run_cli(capsys, "annihilator", "--q", json.dumps({"atoms": atoms}), "--n", "2",
+                               "--format", "json")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["spec"] == {"atoms": [MU, INTS]}
+
+
 def test_annihilator_closed_form_flag(capsys):
     code, out, _ = run_cli(
         capsys, "annihilator", "--q", "preset:pfister:1", "--n", "2", "--closed-form"
@@ -929,8 +975,9 @@ def test_a_well_formed_call_imports_no_argparse():
 
 def test_the_package_loads_only_the_modules_it_is_asked_for():
     """`import aprings` loads no submodule, as the package re-exports
-    nothing, and `import aprings.groups` loads none of the ring,
-    polynomial or command modules, nor `decimal`."""
+    nothing; `import aprings.groups` loads none of the ring, polynomial
+    or command modules, nor `decimal`; and `import aprings.cli` loads no
+    `decimal`, which only printing past the int-to-str limit needs."""
     code = (
         "import sys\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.startswith('aprings.') or m == 'decimal')\n"
@@ -938,16 +985,20 @@ def test_the_package_loads_only_the_modules_it_is_asked_for():
         "print(*loaded())\n"
         "import aprings.groups\n"
         "print(*loaded())\n"
+        "import aprings.cli\n"
+        "print(*loaded())\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    package, groups = proc.stdout.split("\n")[:2]
+    package, groups, cli_loaded = proc.stdout.split("\n")[:3]
     assert package == ""
     heavy = {f"aprings.{name}" for name in
              ("annihilator", "rings", "spectrum", "oracle", "verification", "cli",
               "cyclotomic", "intpoly")} | {"decimal"}
     assert "aprings.groups" in groups.split()
     assert heavy.isdisjoint(groups.split())
+    assert "aprings.cli" in cli_loaded.split()
+    assert "decimal" not in cli_loaded.split()
 
 
 def written(payload) -> str:

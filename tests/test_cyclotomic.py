@@ -1,11 +1,11 @@
 import math
 import re
-from operator import add, eq, mul, sub
+from operator import add, eq, mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from aprings.annihilator import IntegerRoots, RootSpec, RootsOfUnity, _sums, root_sum_set
+from aprings.annihilator import RootSpec, _sums, root_sum_set
 from aprings import cyclotomic
 from aprings.cyclotomic import (
     MAX_CYCLOTOMIC_ORDER,
@@ -64,7 +64,7 @@ def test_roots_of_unity():
     assert CyclotomicInteger.zeta(1, 0) == 1
     for m in (1, 2, 3, 4, 6, 8, 12):
         z = CyclotomicInteger.zeta(m)
-        assert z**m == 1
+        assert math.prod([z] * m) == 1
 
 
 def test_i_squared():
@@ -74,19 +74,19 @@ def test_i_squared():
 
 def test_gaussian_product():
     i = CyclotomicInteger.zeta(4)
-    assert (1 + i) * (1 - i) == 2
+    assert (1 + i) * (1 + -i) == 2
 
 
 def test_additive_inverse():
     z = CyclotomicInteger.zeta(8)
-    assert (1 + z) + (-1 - z) == 0
+    assert (1 + z) + -(1 + z) == 0
 
 
 def test_as_rational_integer():
     assert CyclotomicInteger.from_int(5).as_int() == 5
     assert CyclotomicInteger.zeta(4).as_int() is None
     i = CyclotomicInteger.zeta(4)
-    assert ((1 + i) + (1 - i)).as_int() == 2
+    assert ((1 + i) + (1 + -i)).as_int() == 2
 
 
 def test_cross_order_equality_and_hash():
@@ -94,9 +94,9 @@ def test_cross_order_equality_and_hash():
     fault, never a silent False, even where the two are equal as complex
     numbers; a rational value still equals and hashes like its int."""
     i4 = CyclotomicInteger.zeta(4)
-    i8 = CyclotomicInteger.zeta(8) ** 2
+    i8 = CyclotomicInteger.zeta(8, 2)
     two_at_8 = CyclotomicInteger.from_int(2, 8)
-    for operation in (add, sub, mul, eq):
+    for operation in (add, mul, eq):
         for a, b in ((i4, i8), (two_at_8, CyclotomicInteger.from_int(2, 4))):
             with pytest.raises(ValueError, match=rf"orders {a.order} and {b.order}\b"):
                 operation(a, b)
@@ -145,7 +145,7 @@ def test_poly_from_roots_simple():
 
 def test_poly_from_roots_gaussian():
     i = CyclotomicInteger.zeta(4)
-    roots = [1 + i, 1 - i, -1 + i, -1 - i]
+    roots = [CyclotomicInteger(4, pair) for pair in GAUSSIAN_PAIRS]
     roots += [CyclotomicInteger.from_int(v, 4) for v in (-2, 2, 0)]
     roots += [2 * i, -2 * i]
     p = poly_from_roots(roots)
@@ -159,8 +159,7 @@ def test_poly_from_roots_gaussian():
 
 
 def test_poly_from_roots_evaluates_to_zero_at_roots():
-    z = CyclotomicInteger.zeta(8)
-    roots = [z**j for j in range(8)]
+    roots = [CyclotomicInteger.zeta(8, j) for j in range(8)]
     p = poly_from_roots(roots)
     assert p == IntPolynomial.monomial(8) - 1
     for r in roots:
@@ -198,7 +197,7 @@ def test_poly_from_roots_refuses_mixed_orders():
     with pytest.raises(ValueError, match=r"orders 12 and 1\b"):
         poly_from_roots(roots[:-1] + [CyclotomicInteger.from_int(2)])
     with pytest.raises(ValueError, match=r"orders 4 and 8\b"):
-        poly_from_roots([CyclotomicInteger.zeta(4), CyclotomicInteger.zeta(8) ** 2])
+        poly_from_roots([CyclotomicInteger.zeta(4), CyclotomicInteger.zeta(8, 2)])
 
 
 def reference_poly_from_roots(roots):
@@ -211,7 +210,7 @@ def reference_poly_from_roots(roots):
         nxt = [CyclotomicInteger.from_int(0, target)] * (len(coeffs) + 1)
         for k, c in enumerate(coeffs):
             nxt[k + 1] = nxt[k + 1] + c
-            nxt[k] = nxt[k] - sigma * c
+            nxt[k] = nxt[k] + (-sigma) * c
         coeffs = nxt
     values = [c.as_int() for c in coeffs]
     assert None not in values
@@ -231,7 +230,7 @@ def root_specs(draw):
         return RootSpec.unity(m)
     in_mu = {1, -1} if m % 2 == 0 else {1}
     values = draw(st.sets(st.integers(-4, 4).filter(lambda v: v not in in_mu), min_size=1, max_size=2))
-    return RootSpec((RootsOfUnity(m), IntegerRoots(tuple(values))))
+    return RootSpec(m, tuple(values))
 
 
 @settings(max_examples=100, deadline=None)
@@ -337,7 +336,7 @@ def mu(m):
 
 
 GAUSSIAN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-MU4_AND_0_2 = RootSpec((RootsOfUnity(4), IntegerRoots((0, 2))))
+MU4_AND_0_2 = RootSpec(4, (0, 2))
 
 EVEN_STEP_CASES = {
     # name: (roots, stabiliser order k)
@@ -391,8 +390,8 @@ def stabiliser_corpus():
     one root dropped and with one +- pair dropped."""
     specs = [RootSpec.unity(m) for m in (1, 2, 3, 4, 5, 6, 8, 10, 12)] + [
         RootSpec.integers(0, 4), RootSpec.integers(-1, 2), MU4_AND_0_2,
-        RootSpec((RootsOfUnity(3), IntegerRoots((0, 2)))),
-        RootSpec((RootsOfUnity(5), IntegerRoots((-2,)))),
+        RootSpec(3, (0, 2)),
+        RootSpec(5, (-2,)),
     ]
     for spec in specs:
         for n in (1, 2):
@@ -605,7 +604,6 @@ def test_every_operation_gives_what_the_validating_constructor_gives(values):
     x, y = values
     m = x.order
     assert same(x + y, CyclotomicInteger(m, [a + b for a, b in zip(x.coords, y.coords)]))
-    assert same(x - y, CyclotomicInteger(m, [a - b for a, b in zip(x.coords, y.coords)]))
     assert same(-x, CyclotomicInteger(m, [-c for c in x.coords]))
     product = [0] * (2 * len(x.coords))
     for i, a in enumerate(x.coords):
@@ -613,7 +611,7 @@ def test_every_operation_gives_what_the_validating_constructor_gives(values):
             product[i + j] += a * b
     assert same(x * y, CyclotomicInteger(m, product))
     assert same(CyclotomicInteger.from_int(x.coords[0], x.order), CyclotomicInteger(x.order, x.coords[:1]))
-    for value in (x + y, x - y, -x, x * y):
+    for value in (x + y, -x, x * y):
         assert same(value, validated(value))
 
 
@@ -625,8 +623,6 @@ def test_an_int_operand_acts_as_its_from_int_value(values, n):
     for got, expected in (
         (x + n, x + embedded),
         (n + x, embedded + x),
-        (x - n, x - embedded),
-        (n - x, embedded - x),
         (x * n, x * embedded),
         (n * x, embedded * x),
     ):
@@ -640,8 +636,6 @@ def test_a_bool_operand_acts_as_0_or_1(values, b):
     for got, expected in (
         (x + b, x + n),
         (b + x, n + x),
-        (x - b, x - n),
-        (b - x, n - x),
         (x * b, x * n),
         (b * x, n * x),
     ):

@@ -203,7 +203,7 @@ def test_decimated_horner_steps_over_the_vanishing_coefficients(monkeypatch):
     monkeypatch.setattr(CyclotomicInteger, "__rmul__", spy)
     coeffs = [0, 0, 0, -2] + [0] * 7 + [1]
     z = CyclotomicInteger.zeta(16)
-    assert IntPolynomial(coeffs)(z) == z**11 - 2 * z**3
+    assert IntPolynomial(coeffs)(z) == CyclotomicInteger.zeta(16, 11) + -2 * CyclotomicInteger.zeta(16, 3)
     calls.clear()
     IntPolynomial(coeffs)(z)
     assert len(calls) == 8
@@ -247,10 +247,12 @@ def test_repeated_doubling_counts_its_operations(n):
 
 @pytest.mark.parametrize("n", range(12))
 def test_every_caller_of_repeated_doubling_matches_repeated_products(n):
+    # X^n evaluated at p and at z is the n-th power of the value
+    x_n = IntPolynomial.monomial(n)
     p = IntPolynomial((1, -2, 3))
-    assert p**n == reduce(lambda a, b: a * b, [p] * n, IntPolynomial.constant(1))
+    assert x_n(p) == reduce(lambda a, b: a * b, [p] * n, IntPolynomial.constant(1))
     z = CyclotomicInteger(12, (1, 2, 0, -1))
-    assert (z**n).coords == reduce(lambda a, b: a * b, [z] * n, CyclotomicInteger.from_int(1, 12)).coords
+    assert x_n(z) == reduce(lambda a, b: a * b, [z] * n, CyclotomicInteger.from_int(1, 12))
     for name in ("Z[C2]", "Z8[C2]", "burnside-S3"):
         model = bundled_model(name)
         for element in [g for _, g in model.generators()]:

@@ -6,15 +6,19 @@ is one method on one class.  This guard fails if
 `spectrum.py` imports a concrete model class or tests an object's type
 against one; it reads the source, the way `test_dead_surface.py` does.
 Likewise a model's roots are read through its root spec: neither
-`rings.py` nor `spectrum.py` names a root atom class.
+`rings.py` nor `spectrum.py` reads a field of a `RootSpec`, only its
+constructors and methods, so the format of the roots stays inside
+`annihilator.py`.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from aprings import rings
+from aprings.annihilator import RootSpec
 
 SOURCES = Path(__file__).resolve().parent.parent / "src" / "aprings"
 SPECTRUM = SOURCES / "spectrum.py"
@@ -67,5 +71,7 @@ def test_spectrum_does_not_switch_on_model_classes():
 @pytest.mark.parametrize("module", ["rings.py", "spectrum.py"])
 def test_models_read_their_roots_through_the_root_spec(module):
     tree = ast.parse((SOURCES / module).read_text())
-    atoms = {"IntegerRoots", "RootsOfUnity"}
-    assert not (_imported(tree) | _names(tree)) & atoms
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    spec_fields = {field.name for field in fields(RootSpec)}
+    assert spec_fields == {"mu", "ints"}
+    assert not read & spec_fields

@@ -10,9 +10,7 @@ from hypothesis import given, strategies as st
 
 import aprings
 from aprings.annihilator import (
-    IntegerRoots,
     RootSpec,
-    RootsOfUnity,
     annihilating_polynomial,
     root_sum_set,
 )
@@ -629,15 +627,15 @@ def _group_ring(*orders):
 # product models and the root specs of their q: the factors' roots and 0,
 # with the roots of unity merged into mu_lcm of their orders
 PRODUCT_PAIRS = {
-    "ZxZ": ({"kind": "Z"}, {"kind": "Z"}, RootSpec((RootsOfUnity(2), IntegerRoots((0,))))),
-    "Z[C2]xZ[C3]": (_group_ring(2), _group_ring(3), RootSpec((RootsOfUnity(6), IntegerRoots((0,))))),
+    "ZxZ": ({"kind": "Z"}, {"kind": "Z"}, RootSpec(2, (0,))),
+    "Z[C2]xZ[C3]": (_group_ring(2), _group_ring(3), RootSpec(6, (0,))),
     # Z states mu_2, so with mu_3 it merges into mu_6 (q = X^7 - X); the
     # signed root sets of mu_6 + {0} and mu_3 + {-1, 0} agree
-    "ZxZ[C3]": ({"kind": "Z"}, _group_ring(3), RootSpec((RootsOfUnity(6), IntegerRoots((0,))))),
+    "ZxZ[C3]": ({"kind": "Z"}, _group_ring(3), RootSpec(6, (0,))),
     "Z[C3]xZ^3": (
         _group_ring(3),
         {"kind": "product_z", "copies": 3},
-        RootSpec((RootsOfUnity(3), IntegerRoots((-1, 0)))),
+        RootSpec(3, (-1, 0)),
     ),
     "Z^2xBurnside(C2)": (
         {"kind": "product_z", "copies": 2},
@@ -647,12 +645,12 @@ PRODUCT_PAIRS = {
     "Z4[C2]xZ3": (
         {"kind": "finite_quotient", "modulus": 4, "factor_orders": [2]},
         {"kind": "finite_quotient", "modulus": 3},
-        RootSpec((RootsOfUnity(2), IntegerRoots((0,)))),
+        RootSpec(2, (0,)),
     ),
     "(ZxZ[C2])xZ[C4]": (
         {"kind": "product", "left": {"kind": "Z"}, "right": _group_ring(2)},
         _group_ring(4),
-        RootSpec((RootsOfUnity(4), IntegerRoots((0,)))),
+        RootSpec(4, (0,)),
     ),
 }
 
@@ -677,7 +675,7 @@ def test_merged_unity_roots_keep_the_signed_p_n(n):
     # mu_6 + {0} and mu_3 + {-1, 0} have the same signed root set, so the
     # enlargement of ZxZ[C3]'s q leaves its p_n as they were
     spec = _product_pair("ZxZ[C3]").root_spec()
-    unmerged = RootSpec((RootsOfUnity(3), IntegerRoots((-1, 0))))
+    unmerged = RootSpec(3, (-1, 0))
     assert annihilating_polynomial(spec, n) == annihilating_polynomial(unmerged, n)
 
 
